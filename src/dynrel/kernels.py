@@ -1,9 +1,9 @@
 """Dense numerical kernels shared by the analysis modules.
 
-Everything here is plain dense linear algebra at desk scale (n up to a
-few tens): matrix exponential and principal logarithm, Lyapunov solvers,
-numerical rank decisions, and positive-semidefinite factorization. All
-functions are pure and never modify their inputs.
+Everything here is plain dense linear algebra: matrix exponential and
+principal logarithm, Lyapunov solvers, numerical rank decisions, and
+positive-semidefinite factorization. Every kernel costs O(n^3) time and
+O(n^2) memory. All functions are pure and never modify their inputs.
 """
 
 import numpy as np
@@ -98,24 +98,11 @@ def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool:
     return bool(s[-1] > 0 and s[0] / s[-1] < cond_limit)
 
 
-# --------------------------------------------------------------------------
-# matrix exponential: scaling and squaring with the order-13 diagonal
-# Pade approximant, scaling chosen from the 1-norm
-
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-_PADE13_THETA = 5.371920351148152
-
-
 def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     """Matrix exponential ``exp(m * t)``.
 
-    Order-13 diagonal Pade approximant with 1-norm scaling and repeated
-    squaring; accurate to roundoff for well-conditioned dense inputs.
+    Scaling and squaring with Pade approximants chosen from 1-norm
+    estimates (Al-Mohy & Higham 2009, ``scipy.linalg.expm``).
 
     Parameters
     ----------
@@ -128,28 +115,8 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     ndarray
         ``exp(m * t)``, same dtype class (real or complex) as ``m``.
     """
-    a = as_matrix(m, square=True, name="matrix_exp input") * float(t)
-    n = a.shape[0]
-    if n == 0:
-        return a.copy()
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE13_THETA)))
-        a = a / (2.0 ** squarings)
-    b = _PADE13
-    ident = np.eye(n, dtype=a.dtype)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
+    a = as_matrix(m, square=True, name="matrix_exp input")
+    return scipy.linalg.expm(a * float(t))
 
 
 # --------------------------------------------------------------------------
@@ -161,28 +128,15 @@ _LOG_THETA = 0.25
 _MAX_SQRT_STEPS = 60
 
 
-def _sqrtm_triu(t: np.ndarray) -> np.ndarray:
-    """Principal square root of an upper-triangular matrix
-    (Bjorck-Hammarling recurrence)."""
-    n = t.shape[0]
-    r = np.zeros_like(t)
-    for i in range(n):
-        r[i, i] = np.sqrt(t[i, i])
-    for j in range(1, n):
-        for i in range(j - 1, -1, -1):
-            s = r[i, i + 1:j] @ r[i + 1:j, j]
-            r[i, j] = (t[i, j] - s) / (r[i, i] + r[j, j])
-    return r
-
-
 def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Principal matrix logarithm.
 
     Exists iff no eigenvalue lies on the closed negative real axis.
     Computed by inverse scaling and squaring on the complex Schur form:
-    repeated principal square roots bring the triangular factor within
-    the convergence radius of a Gauss-Legendre (diagonal Pade) form of
-    ``log(I + X)``, which is then rescaled by the square-root count.
+    repeated principal square roots (``scipy.linalg.sqrtm``) bring the
+    triangular factor within the convergence radius of a Gauss-Legendre
+    (diagonal Pade) form of ``log(I + X)``, which is then rescaled by the
+    square-root count.
 
     Raises
     ------
@@ -214,7 +168,7 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     while np.linalg.norm(t_work - ident, 1) > _LOG_THETA:
         if steps >= _MAX_SQRT_STEPS:
             raise SingularInput("inverse scaling and squaring failed to converge")
-        t_work = _sqrtm_triu(t_work)
+        t_work = scipy.linalg.sqrtm(t_work)
         steps += 1
     x = t_work - ident
     nodes, weights = np.polynomial.legendre.leggauss(_LOG_GAUSS_DEGREE)
@@ -232,13 +186,14 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Lyapunov solvers via Kronecker vectorization (desk scale, n <= ~50)
+# Lyapunov solvers: Bartels-Stewart on the Schur form, O(n^3) time and
+# O(n^2) memory
 
 def solve_lyap_continuous(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve ``A P + P A' + Q = 0`` for symmetric P.
 
     Solvable iff A and -A share no eigenvalue (guaranteed for Hurwitz A).
-    Uses the vectorized linear system ``(I (x) A + A (x) I) vec(P) = -vec(Q)``.
+    Uses the Bartels-Stewart method (``scipy.linalg.solve_continuous_lyapunov``).
     """
     a = as_matrix(a, square=True, name="A")
     q = as_matrix(q, square=True, name="Q")
@@ -252,10 +207,7 @@ def solve_lyap_continuous(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     scale = max(1.0, float(np.abs(eigs).max()))
     if pair_sums.min() <= n * 1e-12 * scale:
         raise SpectrumConflict("A and -A share an eigenvalue; equation is singular")
-    ident = np.eye(n)
-    op = np.kron(ident, a) + np.kron(a, ident)
-    vec_p = np.linalg.solve(op, -q.reshape(-1, order="F"))
-    p = vec_p.reshape((n, n), order="F")
+    p = scipy.linalg.solve_continuous_lyapunov(a, -q)
     return 0.5 * (p + p.conj().T)
 
 
@@ -263,6 +215,8 @@ def solve_lyap_discrete(a_d, q_d, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve ``P = A_d P A_d' + Q_d`` for symmetric P.
 
     Requires Schur stability (spectral radius of ``A_d`` below one).
+    The bilinear transform maps the equation to a continuous one, which
+    is solved by Bartels-Stewart (``scipy.linalg.solve_discrete_lyapunov``).
     """
     a_d = as_matrix(a_d, square=True, name="A_d")
     q_d = as_matrix(q_d, square=True, name="Q_d")
@@ -275,9 +229,8 @@ def solve_lyap_discrete(a_d, q_d, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if radius >= 1.0:
         raise SpectrumConflict(
             f"spectral radius {radius:.6g} is not below one; equation is singular")
-    op = np.eye(n * n) - np.kron(a_d, a_d)
-    vec_p = np.linalg.solve(op, q_d.reshape(-1, order="F"))
-    p = vec_p.reshape((n, n), order="F")
+    # explicit method: the default falls back to a Kronecker solve for n <= 10
+    p = scipy.linalg.solve_discrete_lyapunov(a_d, q_d, method="bilinear")
     return 0.5 * (p + p.conj().T)
 
 

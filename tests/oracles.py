@@ -2,8 +2,10 @@
 
 The oracles here deliberately take different computational routes from
 the package: truncated Taylor series for the exponential, composite
-Simpson quadrature for the sampled noise integral, and scipy's
-Bartels-Stewart Lyapunov solvers against the package's vectorized ones.
+Simpson quadrature for the sampled noise integral, and Kronecker
+vectorization of the Lyapunov equations against the package's
+Bartels-Stewart solvers. The Kronecker route builds an n^2 x n^2 system,
+O(n^6) time and O(n^4) memory, so keep oracle inputs small.
 """
 
 import numpy as np
@@ -32,6 +34,29 @@ def taylor_expm(m, t: float = 1.0, terms: int = 60) -> np.ndarray:
     for _ in range(squarings):
         total = total @ total
     return total
+
+
+def kron_lyap_continuous(a, q) -> np.ndarray:
+    """Solve ``A P + P A' + Q = 0`` through the vectorized system
+    ``(I (x) A + A (x) I) vec(P) = -vec(Q)``."""
+    a = np.asarray(a, dtype=float)
+    q = np.asarray(q, dtype=float)
+    n = a.shape[0]
+    ident = np.eye(n)
+    vec_p = np.linalg.solve(np.kron(ident, a) + np.kron(a, ident),
+                            -q.reshape(-1, order="F"))
+    return vec_p.reshape((n, n), order="F")
+
+
+def kron_lyap_discrete(a_d, q_d) -> np.ndarray:
+    """Solve ``P = A_d P A_d' + Q_d`` through the vectorized system
+    ``(I - A_d (x) A_d) vec(P) = vec(Q_d)``."""
+    a_d = np.asarray(a_d, dtype=float)
+    q_d = np.asarray(q_d, dtype=float)
+    n = a_d.shape[0]
+    vec_p = np.linalg.solve(np.eye(n * n) - np.kron(a_d, a_d),
+                            q_d.reshape(-1, order="F"))
+    return vec_p.reshape((n, n), order="F")
 
 
 def simpson_qd(a, q, h: float, intervals: int = 1000) -> np.ndarray:

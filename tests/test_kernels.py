@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -55,11 +57,11 @@ class TestMatrixExp:
         a = oracles.hurwitz(rng, 4)
         np.testing.assert_allclose(matrix_exp(a, 0.37), matrix_exp(a * 0.37), rtol=1e-12)
 
-    def test_against_scipy(self, rng):
+    def test_against_taylor(self, rng):
         for _ in range(20):
             a = rng.normal(size=(5, 5)) * rng.uniform(0.1, 10.0)
             got = matrix_exp(a)
-            want = scipy.linalg.expm(a)
+            want = oracles.taylor_expm(a)
             assert np.abs(got - want).max() < 1e-10 * max(1.0, np.abs(want).max())
 
     def test_nonsquare_rejected(self):
@@ -110,14 +112,11 @@ class TestLyapContinuous:
         got = solve_lyap_continuous(np.diag([-1.0, -2.0]), np.eye(2))
         np.testing.assert_allclose(got, np.diag([0.5, 0.25]), rtol=1e-12)
 
-    def test_golden_against_kron_and_scipy(self):
+    def test_golden_against_kron(self):
         a, q = systems.A3, systems.B3 @ systems.B3.T
         got = solve_lyap_continuous(a, q)
-        n = a.shape[0]
-        vec = np.linalg.solve(np.kron(np.eye(n), a) + np.kron(a, np.eye(n)),
-                              -q.reshape(-1, order="F"))
-        assert np.abs(got - vec.reshape((n, n), order="F")).max() < 1e-8
-        want = scipy.linalg.solve_continuous_lyapunov(a, -q)
+        want = oracles.kron_lyap_continuous(a, q)
+        assert np.abs(got - want).max() < 1e-8
         assert np.abs(got - want).max() < 1e-8 * np.abs(want).max()
 
     def test_spectrum_conflict(self):
@@ -151,7 +150,7 @@ class TestLyapDiscrete:
         p_cont = solve_lyap_continuous(a, bbt)
         assert np.abs(p_disc - p_cont).max() < 1e-7
 
-    def test_against_scipy(self, rng):
+    def test_against_kron(self, rng):
         for _ in range(20):
             n = int(rng.integers(1, 7))
             a_d = rng.normal(size=(n, n))
@@ -159,12 +158,43 @@ class TestLyapDiscrete:
             r = rng.normal(size=(n, n))
             q_d = r @ r.T
             got = solve_lyap_discrete(a_d, q_d)
-            want = scipy.linalg.solve_discrete_lyapunov(a_d, q_d)
+            want = oracles.kron_lyap_discrete(a_d, q_d)
             assert np.abs(got - want).max() < 1e-8 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("edge", [-0.999, -0.99999, 0.99999])
+    def test_eigenvalue_near_unit_circle(self, rng, edge):
+        # the bilinear transform inverts A_d + I, which is near singular
+        # when an eigenvalue of A_d approaches -1
+        n = 6
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eigs = np.concatenate([[edge], rng.uniform(-0.9, 0.9, n - 1)])
+        a_d = basis @ np.diag(eigs) @ basis.T
+        r = rng.normal(size=(n, n))
+        q_d = r @ r.T
+        got = solve_lyap_discrete(a_d, q_d)
+        want = oracles.kron_lyap_discrete(a_d, q_d)
+        assert np.linalg.norm(got - want, 2) / np.linalg.norm(want, 2) < DEFAULT_TOL.residual_tol
 
     def test_unstable_rejected(self):
         with pytest.raises(SpectrumConflict):
             solve_lyap_discrete(np.eye(2), np.eye(2))
+
+
+def test_lyapunov_memory_at_n40(rng):
+    # an n^2 x n^2 Kronecker workspace at n = 40 traces 41-61 MB
+    n = 40
+    a = oracles.hurwitz(rng, n)
+    a_d = a / (1.1 * np.abs(np.linalg.eigvals(a)).max())
+    r = rng.normal(size=(n, n))
+    q = r @ r.T
+    tracemalloc.start()
+    try:
+        solve_lyap_continuous(a, q)
+        solve_lyap_discrete(a_d, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 class TestNumericalRank:

@@ -4,7 +4,7 @@ import pytest
 import oracles
 import systems
 from dynrel.errors import LogFailure, NonPositiveH, NotSemidefinite, QdSingular
-from dynrel.kernels import numerical_rank, solve_lyap_continuous
+from dynrel.kernels import numerical_rank, solve_lyap_continuous, solve_lyap_discrete
 from dynrel.lti import StateSpace, validate_ct_model
 from dynrel.sampling import (
     SampledModel,
@@ -76,12 +76,14 @@ class TestDualLyapunov:
             assert r_cont < 1e-8 and r_disc < 1e-8
 
     def test_kron_oracle_agreement(self, m3):
-        import scipy.linalg
         sm = sample(m3, 0.1)
         bbt = m3.B @ m3.B.T
-        p_cont = scipy.linalg.solve_continuous_lyapunov(m3.A, -bbt)
-        p_disc = scipy.linalg.solve_discrete_lyapunov(sm.Ad, sm.Qd)
-        assert np.abs(p_cont - p_disc).max() < 1e-8 * np.abs(p_cont).max()
+        p_cont = solve_lyap_continuous(m3.A, bbt)
+        p_disc = solve_lyap_discrete(sm.Ad, sm.Qd)
+        scale = np.abs(p_cont).max()
+        assert np.abs(p_cont - p_disc).max() < 1e-8 * scale
+        assert np.abs(p_cont - oracles.kron_lyap_continuous(m3.A, bbt)).max() < 1e-8 * scale
+        assert np.abs(p_disc - oracles.kron_lyap_discrete(sm.Ad, sm.Qd)).max() < 1e-8 * scale
 
 
 class TestDesample:
