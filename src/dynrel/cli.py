@@ -9,6 +9,7 @@ across runs.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,13 +20,13 @@ import numpy as np
 from .errors import ConditionError, InputError
 from .feedback import (
     FeedbackModel,
+    _interchange_residual,
     closed_loop_T,
     feedback_free,
-    granger_causes,
-    verify_interchange_identities,
+    granger_verdict,
 )
 from .kernels import DEFAULT_TOL
-from .lti import tf_eval
+from .lti import sorted_eigvals
 from .modelio import (
     ContinuousModelFile,
     SampledModelFile,
@@ -78,6 +79,9 @@ def _emit(v, lines: list, pad: str, indent: str = "  "):
         lines.append(token)
         return
     if isinstance(v, np.ndarray):
+        if v.ndim == 2 and v.dtype.kind == "f":
+            _emit_matrix(v, lines, pad, indent)
+            return
         v = v.tolist()
     if isinstance(v, dict):
         if not v:
@@ -109,6 +113,21 @@ def _emit(v, lines: list, pad: str, indent: str = "  "):
     raise TypeError(f"cannot serialize {type(v).__name__} in report")
 
 
+def _emit_matrix(a: np.ndarray, lines: list, pad: str, indent: str):
+    """A real matrix in the layout the list path gives its nested list,
+    with each row formatted in one pass."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        _float_token(float(a[~finite][0]))  # raises, naming the first one
+    if a.shape[0] == 0:
+        lines.append("[]")
+        return
+    row_pad = pad + indent
+    rows = (row_pad + "[" + ", ".join(map("{:.17g}".format, row)) + "]"
+            for row in a.tolist())
+    lines.append("[\n" + ",\n".join(rows) + "\n" + pad + "]")
+
+
 def dumps_report(obj: dict) -> str:
     """Serialize a report with stable field order and 17-significant-digit
     floats; identical inputs give byte-identical output."""
@@ -117,8 +136,8 @@ def dumps_report(obj: dict) -> str:
     return "".join(lines) + "\n"
 
 
-def _mat(m: np.ndarray) -> list:
-    return [[float(x) for x in row] for row in np.atleast_2d(np.asarray(m, dtype=float))]
+def _mat(m: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(m, dtype=float))
 
 
 def _complex_list(values) -> list:
@@ -198,6 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on first use and never modified."""
+    return build_parser()
+
+
 def _tolerances(args):
     tol = DEFAULT_TOL
     overrides = {}
@@ -251,7 +276,7 @@ def _sampled_file(path: str) -> SampledModelFile:
 
 def _cmd_validate(args, tol):
     model = build_ct_model(_continuous_file(args.model), tol)
-    eigs = sorted(np.linalg.eigvals(model.A), key=lambda z: (z.real, z.imag))
+    eigs = sorted_eigvals(model.A)
     report = {
         "v": 1,
         "command": "validate",
@@ -353,7 +378,7 @@ def _cmd_feedback(args, tol):
     h_sys = build_state_space(_continuous_file(args.h_path))
     fm = FeedbackModel(F=f_sys, H=h_sys)
     cl = closed_loop_T(fm, tol)
-    residual = verify_interchange_identities(fm, grid=np.logspace(-2, 2, 20), tol=tol)
+    residual = _interchange_residual(fm, cl, np.logspace(-2, 2, 20))
     verdict = feedback_free(h_sys, f_sys, tol)
     ok = verdict.h_zero and not verdict.inconsistent and cl.internally_stable
     report = {
@@ -373,8 +398,7 @@ def _cmd_feedback(args, tol):
 
 def _cmd_granger(args, tol):
     f_sys = build_state_space(_continuous_file(args.f_path))
-    peak = max(float(np.linalg.norm(tf_eval(f_sys, 1j * w), 2)) for w in default_grid())
-    causes = granger_causes(f_sys, tol)
+    causes, peak = granger_verdict(f_sys, tol)
     report = {
         "v": 1,
         "command": "granger",
@@ -478,8 +502,7 @@ def _error_report(command: str, err: Exception) -> dict:
 
 def run(argv) -> int:
     """Execute one subcommand; report to stdout, messages to stderr."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         tol = _tolerances(args)
         report, code = _HANDLERS[args.command](args, tol)

@@ -30,6 +30,7 @@ __all__ = [
     "closed_loop_T",
     "internal_stability",
     "verify_interchange_identities",
+    "granger_verdict",
     "granger_causes",
     "feedback_free",
 ]
@@ -151,7 +152,12 @@ def verify_interchange_identities(
 ) -> float:
     """Largest residual of ``P F - F Q`` and ``H P - Q H`` over the grid
     of imaginary-axis frequencies (defaults to the package grid)."""
-    cl = closed_loop_T(fm, tol)
+    return _interchange_residual(fm, closed_loop_T(fm, tol), grid)
+
+
+def _interchange_residual(fm: FeedbackModel, cl: ClosedLoop, grid=None) -> float:
+    """:func:`verify_interchange_identities` on an already built closed
+    loop ``cl`` of ``fm``."""
     if grid is None:
         grid = default_grid()
     worst = 0.0
@@ -169,16 +175,28 @@ def verify_interchange_identities(
     return worst
 
 
+def _peak_gain(ss: StateSpace, grid=None) -> float:
+    """Largest 2-norm of the transfer function over the imaginary-axis
+    grid (defaults to the package grid)."""
+    if grid is None:
+        grid = default_grid()
+    return max(
+        float(np.linalg.norm(tf_eval(ss, 1j * w), 2)) for w in np.asarray(grid, dtype=float)
+    )
+
+
+def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> tuple[bool, float]:
+    """:func:`granger_causes` together with the peak gain it was decided
+    on."""
+    peak = _peak_gain(F, grid)
+    return peak > tol.residual_tol, peak
+
+
 def granger_causes(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> bool:
     """Whether the past of u improves linear prediction of y: true iff
     the forward map is nonzero, decided as a peak gain above
     ``residual_tol`` on the frequency grid."""
-    if grid is None:
-        grid = default_grid()
-    peak = max(
-        float(np.linalg.norm(tf_eval(F, 1j * w), 2)) for w in np.asarray(grid, dtype=float)
-    )
-    return peak > tol.residual_tol
+    return granger_verdict(F, tol, grid)[0]
 
 
 @dataclass
@@ -204,12 +222,7 @@ def feedback_free(
 ) -> FeedbackFreeVerdict:
     """Test for absence of feedback (H identically zero) and, when it is
     absent, the consistency requirement that F be strictly stable."""
-    if grid is None:
-        grid = default_grid()
-    peak = max(
-        float(np.linalg.norm(tf_eval(H, 1j * w), 2)) for w in np.asarray(grid, dtype=float)
-    )
-    h_zero = peak <= tol.residual_tol
+    h_zero = _peak_gain(H, grid) <= tol.residual_tol
     if not h_zero:
         return FeedbackFreeVerdict(h_zero=False, f_stable=None, inconsistent=False)
     f_stable = is_strictly_stable(F, tol)

@@ -24,6 +24,8 @@ __all__ = [
     "StateSpace",
     "CtModel",
     "tf_eval",
+    "sorted_eigvals",
+    "poles_stable",
     "poles",
     "minimal_realization",
     "mcmillan_degree",
@@ -206,23 +208,30 @@ def mcmillan_degree(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> int:
     return minimal_realization(ss, tol).n
 
 
+def sorted_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square matrix as a complex array sorted by
+    (real, imaginary) part; empty for a 0x0 matrix."""
+    eigs = np.linalg.eigvals(a)
+    return np.array(sorted(eigs, key=lambda z: (z.real, z.imag)), dtype=np.complex128)
+
+
+def poles_stable(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """True iff every pole in ``p`` has real part below
+    ``-stability_margin``. An empty pole set (a constant system) is
+    stable."""
+    return p.size == 0 or bool(p.real.max() < -tol.stability_margin)
+
+
 def poles(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Poles (eigenvalues of the minimal realization's state matrix),
     sorted by (real, imaginary) part."""
-    mr = minimal_realization(ss, tol)
-    if mr.n == 0:
-        return np.zeros(0, dtype=np.complex128)
-    eigs = np.linalg.eigvals(mr.A)
-    return np.array(sorted(eigs, key=lambda z: (z.real, z.imag)), dtype=np.complex128)
+    return sorted_eigvals(minimal_realization(ss, tol).A)
 
 
 def is_strictly_stable(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff every pole has real part below ``-stability_margin``.
     A constant system (no poles) is stable."""
-    p = poles(ss, tol)
-    if p.size == 0:
-        return True
-    return bool(p.real.max() < -tol.stability_margin)
+    return poles_stable(poles(ss, tol), tol)
 
 
 def ss_inverse(ss: StateSpace) -> StateSpace:

@@ -29,9 +29,9 @@ from .kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank
 from .lti import (
     CtModel,
     StateSpace,
-    is_strictly_stable,
     minimal_realization,
-    poles,
+    poles_stable,
+    sorted_eigvals,
 )
 
 __all__ = [
@@ -107,6 +107,26 @@ def _check_admissible(model: CtModel, sel: RowSelection) -> np.ndarray:
     return c0b
 
 
+def _admissible_selections(model: CtModel, cap: int):
+    """Yield the admissible selections in lexicographic order of
+    ``rows0``; raise before the first subset is tested when there are
+    more than ``cap`` subsets, and after the last one when none was
+    admissible."""
+    n_out, m = model.n_out, model.m
+    if comb(n_out, m) > cap:
+        raise SelectionLimitExceeded(
+            f"{comb(n_out, m)} candidate subsets exceed the cap of {cap}")
+    found = False
+    for rows0 in itertools.combinations(range(n_out), m):
+        c0b = model.C[list(rows0), :] @ model.B
+        if is_invertible(c0b):
+            found = True
+            rows1 = tuple(i for i in range(n_out) if i not in rows0)
+            yield RowSelection(rows0=rows0, rows1=rows1)
+    if not found:
+        raise NoAdmissibleSelection("no row subset gives an invertible C0 B")
+
+
 def enumerate_selections(
     model: CtModel,
     tol: Tolerances = DEFAULT_TOL,
@@ -124,19 +144,7 @@ def enumerate_selections(
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    n_out, m = model.n_out, model.m
-    if comb(n_out, m) > cap:
-        raise SelectionLimitExceeded(
-            f"{comb(n_out, m)} candidate subsets exceed the cap of {cap}")
-    out = []
-    for rows0 in itertools.combinations(range(n_out), m):
-        c0b = model.C[list(rows0), :] @ model.B
-        if is_invertible(c0b):
-            rows1 = tuple(i for i in range(n_out) if i not in rows0)
-            out.append(RowSelection(rows0=rows0, rows1=rows1))
-    if not out:
-        raise NoAdmissibleSelection("no row subset gives an invertible C0 B")
-    return out
+    return list(_admissible_selections(model, cap))
 
 
 def compute_gamma(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -174,31 +182,45 @@ def compute_F(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) 
 
 
 def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
-    """Full report for one admissible selection."""
-    gamma = compute_gamma(model, sel, tol)
+    """Full report for one admissible selection.
+
+    Gamma is the state matrix of the raw realization, which is reduced
+    once. ``poles`` are the sorted eigenvalues of the reported minimal
+    F, and ``stable`` is decided on those same poles.
+    """
     f_raw = compute_F_raw(model, sel, tol)
     f_min = minimal_realization(f_raw, tol)
-    gamma_eigs = np.array(
-        sorted(np.linalg.eigvals(gamma), key=lambda z: (z.real, z.imag)),
-        dtype=np.complex128)
-    f_poles = poles(f_min, tol)
+    f_poles = sorted_eigvals(f_min.A)
     return RelationReport(
         selection=sel,
-        gamma=gamma,
-        gamma_eigs=gamma_eigs,
+        gamma=f_raw.A,
+        gamma_eigs=sorted_eigvals(f_raw.A),
         F=f_min,
         F_raw=f_raw,
         degree=f_min.n,
-        stable=is_strictly_stable(f_min, tol),
+        stable=poles_stable(f_poles, tol),
         poles=f_poles,
     )
 
 
 def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RowSelection | None:
     """First (lexicographic) selection whose F is strictly stable, or
-    None when every admissible selection yields an unstable relation."""
-    for sel in enumerate_selections(model, tol):
-        if is_strictly_stable(compute_F(model, sel, tol), tol):
+    None when every admissible selection yields an unstable relation.
+
+    The subsets are tested one at a time, each with one minimal
+    realization, and the search stops at the first stable one: subsets
+    after it are neither condition-tested nor reduced.
+
+    Raises
+    ------
+    SelectionLimitExceeded
+        More than ``SELECTION_CAP`` subsets would have to be examined;
+        raised before any subset is tested.
+    NoAdmissibleSelection
+        Every subset fails the invertibility test.
+    """
+    for sel in _admissible_selections(model, SELECTION_CAP):
+        if poles_stable(np.linalg.eigvals(compute_F(model, sel, tol).A), tol):
             return sel
     return None
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,23 @@ def m2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` made through every ``dynrel`` module that
+    binds it; returns a list that grows by one entry per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dynrel" or name.startswith("dynrel."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 def write_model(path, **fields):

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import systems
-from conftest import write_model
+from conftest import count_calls, write_model
+from dynrel import cli, feedback
 from dynrel.cli import dumps_report, run
 from dynrel.kernels import matrix_exp
+from dynrel.lti import StateSpace, tf_eval
 from dynrel.sampling import sample
+from dynrel.spectral import default_grid
 
 
 def run_json(capsys, argv):
@@ -63,6 +66,41 @@ class TestSerializer:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             dumps_report({"x": float("inf")})
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (7, 5)])
+    def test_matrix_bytes_match_list_path(self, shape):
+        arr = np.random.default_rng(7).normal(size=shape) * 10.0 ** np.arange(shape[1])
+        for wrap in (lambda m: {"M": m}, lambda m: {"a": {"b": [m, 1]}}):
+            assert dumps_report(wrap(arr)) == dumps_report(wrap(arr.tolist()))
+
+    def test_matrix_extreme_values_match_list_path(self):
+        arr = np.array([[-0.0, 5e-324, 1e300], [0.0, -5e-324, -1e300]])
+        assert dumps_report({"M": arr}) == dumps_report({"M": arr.tolist()})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_matrix_nonfinite_same_error(self, bad):
+        arr = np.ones((3, 4))
+        arr[1, 2] = bad
+        arr[2, 0] = -bad
+        with pytest.raises(ValueError) as from_list:
+            dumps_report({"M": arr.tolist()})
+        with pytest.raises(ValueError) as from_array:
+            dumps_report({"M": arr})
+        assert str(from_array.value) == str(from_list.value)
+        assert str(from_array.value).startswith("non-finite number in report: ")
+
+
+class TestParser:
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_run_builds_the_parser_once(self, capsys, monkeypatch, model3_file):
+        cli._shared_parser.cache_clear()
+        built = count_calls(monkeypatch, cli.build_parser)
+        for argv in (["validate", model3_file], ["relation", model3_file, "--rows", "0"]):
+            run(argv)
+        capsys.readouterr()
+        assert len(built) == 1
 
 
 class TestValidate:
@@ -167,6 +205,17 @@ class TestFeedback:
         assert code == 1
         assert not data["feedback_free"] and data["internally_stable"]
 
+    def test_closed_loop_built_once(self, capsys, monkeypatch, f_stable_file, h_half_file):
+        calls = count_calls(monkeypatch, feedback.closed_loop_T)
+        code, data = run_json(capsys, ["feedback", "--f", f_stable_file,
+                                       "--h", h_half_file])
+        assert code == 1 and len(calls) == 1
+        fm = feedback.FeedbackModel(
+            F=StateSpace([[-1.0]], [[1.0]], [[1.0]]),
+            H=StateSpace([[-1.0]], [[0.0]], [[0.0]], [[0.5]]))
+        assert data["interchange_residual"] == feedback.verify_interchange_identities(
+            fm, np.logspace(-2, 2, 20))
+
 
 class TestGranger:
     def test_causes(self, capsys, f_stable_file):
@@ -177,6 +226,14 @@ class TestGranger:
         zero_f = write_model(tmp_path / "z.json", A=[[-1.0]], B=[[1.0]], C=[[0.0]])
         code, data = run_json(capsys, ["granger", "--f", zero_f])
         assert code == 1 and not data["granger_causes"]
+
+    def test_peak_gain_evaluated_once(self, capsys, monkeypatch, f_stable_file):
+        calls = count_calls(monkeypatch, tf_eval)
+        code, data = run_json(capsys, ["granger", "--f", f_stable_file])
+        grid = default_grid()
+        assert code == 0 and len(calls) == grid.size
+        # |1/(1 + iw)| peaks at the lowest grid frequency
+        assert data["peak_gain"] == pytest.approx(1.0 / np.hypot(1.0, grid[0]), rel=1e-14)
 
 
 class TestSamplingCommands:

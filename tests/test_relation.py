@@ -3,13 +3,23 @@ import pytest
 
 import oracles
 import systems
+from conftest import count_calls
+from dynrel import relation
 from dynrel.errors import (
     InadmissibleSelection,
     NoAdmissibleSelection,
     SelectionLimitExceeded,
 )
-from dynrel.kernels import nonzero_spectrum, numerical_rank
-from dynrel.lti import StateSpace, mcmillan_degree, poles, tf_eval, validate_ct_model
+from dynrel.kernels import DEFAULT_TOL, is_invertible, nonzero_spectrum, numerical_rank
+from dynrel.lti import (
+    CtModel,
+    StateSpace,
+    mcmillan_degree,
+    minimal_realization,
+    poles,
+    tf_eval,
+    validate_ct_model,
+)
 from dynrel.relation import (
     RowSelection,
     classify_selection,
@@ -56,7 +66,6 @@ class TestEnumerate:
 
     def test_no_admissible_selection(self):
         # hand-assembled (unvalidated) triple whose single row kills C0 B
-        from dynrel.lti import CtModel
         ss = StateSpace([[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]], [[0.0, 1.0]])
         with pytest.raises(NoAdmissibleSelection):
             enumerate_selections(CtModel(ss=ss, m=1))
@@ -190,6 +199,28 @@ class TestClassify:
             prod = tf_eval(f_a, 1j * w) @ tf_eval(f_b, 1j * w)
             np.testing.assert_allclose(prod, np.eye(1), atol=1e-10)
 
+    def test_poles_are_eigenvalues_of_reported_minimal_F(self, m3, m2):
+        seeded = oracles.random_ct_model(np.random.default_rng(10), n=10, m=3, n_out=6)
+        for model in (m3, m2, seeded):
+            for sel in enumerate_selections(model):
+                rep = classify_selection(model, sel)
+                eigs = np.linalg.eigvals(rep.F.A)
+                expected = np.array(sorted(eigs, key=lambda z: (z.real, z.imag)),
+                                    dtype=np.complex128)
+                np.testing.assert_array_equal(rep.poles, expected)
+                assert rep.stable == bool(
+                    eigs.size == 0 or eigs.real.max() < -DEFAULT_TOL.stability_margin)
+                # a second reduction must not cut the reported F further
+                assert minimal_realization(rep.F).n == rep.degree
+
+    def test_one_reduction_and_one_gamma_per_selection(self, m3, monkeypatch):
+        sels = enumerate_selections(m3)
+        reductions = count_calls(monkeypatch, minimal_realization)
+        gammas = count_calls(monkeypatch, compute_gamma)
+        for sel in sels:
+            classify_selection(m3, sel)
+        assert len(reductions) == len(gammas) == len(sels)
+
 
 class TestStableSelection:
     def test_golden(self, m3, m2):
@@ -199,6 +230,34 @@ class TestStableSelection:
     def test_constant_relation_model(self):
         model = constant_relation_model()
         assert stable_selection_exists(model).rows0 == (0,)
+
+    def test_stops_at_first_stable_subset(self, m3, monkeypatch):
+        # the first of model3's four subsets is stable
+        reductions = count_calls(monkeypatch, minimal_realization)
+        condition_tests = count_calls(monkeypatch, is_invertible)
+        assert stable_selection_exists(m3).rows0 == (0,)
+        assert len(reductions) == 1
+        # one condition test while walking the subsets, and the admissibility
+        # checks of compute_F_raw and compute_gamma for the one subset reduced
+        assert len(condition_tests) == 3
+
+    def test_one_reduction_per_unstable_subset(self, m2, monkeypatch):
+        n_sels = len(enumerate_selections(m2))
+        reductions = count_calls(monkeypatch, minimal_realization)
+        assert stable_selection_exists(m2) is None
+        assert len(reductions) == n_sels
+
+    def test_cap_raised_before_any_subset(self, m3, monkeypatch):
+        condition_tests = count_calls(monkeypatch, is_invertible)
+        monkeypatch.setattr(relation, "SELECTION_CAP", 3)
+        with pytest.raises(SelectionLimitExceeded):
+            stable_selection_exists(m3)
+        assert not condition_tests
+
+    def test_no_admissible_selection(self):
+        ss = StateSpace([[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]], [[0.0, 1.0]])
+        with pytest.raises(NoAdmissibleSelection):
+            stable_selection_exists(CtModel(ss=ss, m=1))
 
 
 class TestSpectrumConsistency:
