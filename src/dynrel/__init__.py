@@ -54,6 +54,7 @@ from .lti import (
     CtModel,
     StateSpace,
     evaluation_gap,
+    freq_response,
     is_strictly_stable,
     mcmillan_degree,
     minimal_realization,

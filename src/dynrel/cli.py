@@ -37,9 +37,9 @@ from .modelio import (
 )
 from .relation import (
     RowSelection,
+    _first_stable_report,
     classify_selection,
     enumerate_selections,
-    stable_selection_exists,
 )
 from .sampling import desample, dual_lyapunov_check, hidden_rank_report, sample
 from .spectral import default_grid, spectral_rank_profile
@@ -362,12 +362,11 @@ def _cmd_relation(args, tol):
 
 def _cmd_stable_selection(args, tol):
     model = build_ct_model(_continuous_file(args.model), tol)
-    sel = stable_selection_exists(model, tol)
+    rep = _first_stable_report(model, tol)
     report = {"v": 1, "command": "stable-selection", "input": args.model}
-    if sel is None:
+    if rep is None:
         report["found"] = False
         return report, 1
-    rep = classify_selection(model, sel, tol)
     report["found"] = True
     report["selection"] = _selection_entry(model, rep)
     return report, 0

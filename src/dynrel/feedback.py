@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraicLoopSingular
 from .kernels import DEFAULT_TOL, Tolerances, as_matrix, is_invertible
-from .lti import StateSpace, is_strictly_stable, tf_eval
+from .lti import StateSpace, freq_response, is_strictly_stable
 from .spectral import default_grid
 
 __all__ = [
@@ -87,8 +87,8 @@ class ClosedLoop:
     internally_stable: bool
 
 
-def _subsystem(ss: StateSpace, rows, cols) -> StateSpace:
-    return StateSpace(ss.A, ss.B[:, cols], ss.C[rows, :], ss.D[np.ix_(rows, cols)])
+def _subsystem(ss: StateSpace, rows: slice, cols: slice) -> StateSpace:
+    return StateSpace(ss.A, ss.B[:, cols], ss.C[rows, :], ss.D[rows, cols])
 
 
 def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoop:
@@ -128,15 +128,12 @@ def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoo
         loop_inv @ c_stack,
         loop_inv,
     )
-    y_rows = list(range(p))
-    u_rows = list(range(p, p + q))
-    v_cols = list(range(p))
-    r_cols = list(range(p, p + q))
+    y, u = slice(0, p), slice(p, p + q)  # the rows (y, u) and the columns (v, r) of T
     blocks = {
-        "P": _subsystem(t, y_rows, v_cols),
-        "PF": _subsystem(t, y_rows, r_cols),
-        "QH": _subsystem(t, u_rows, v_cols),
-        "Q": _subsystem(t, u_rows, r_cols),
+        "P": _subsystem(t, y, y),
+        "PF": _subsystem(t, y, u),
+        "QH": _subsystem(t, u, y),
+        "Q": _subsystem(t, u, u),
     }
     stable = all(is_strictly_stable(blk, tol) for blk in blocks.values())
     return ClosedLoop(T=t, internally_stable=stable, **blocks)
@@ -158,31 +155,21 @@ def verify_interchange_identities(
 def _interchange_residual(fm: FeedbackModel, cl: ClosedLoop, grid=None) -> float:
     """:func:`verify_interchange_identities` on an already built closed
     loop ``cl`` of ``fm``."""
-    if grid is None:
-        grid = default_grid()
-    worst = 0.0
-    for w in np.asarray(grid, dtype=float):
-        s = 1j * w
-        f_val = tf_eval(fm.F, s)
-        h_val = tf_eval(fm.H, s)
-        p_val = tf_eval(cl.P, s)
-        q_val = tf_eval(cl.Q, s)
-        worst = max(
-            worst,
-            float(np.linalg.norm(p_val @ f_val - f_val @ q_val, 2)),
-            float(np.linalg.norm(h_val @ p_val - q_val @ h_val, 2)),
-        )
-    return worst
+    s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
+    f_val = freq_response(fm.F, s)
+    h_val = freq_response(fm.H, s)
+    t_val = freq_response(cl.T, s)
+    p_val, q_val = t_val[:, :fm.p, :fm.p], t_val[:, fm.p:, fm.p:]  # diagonal blocks of T
+    pf_fq = np.linalg.norm(p_val @ f_val - f_val @ q_val, 2, axis=(1, 2))
+    hp_qh = np.linalg.norm(h_val @ p_val - q_val @ h_val, 2, axis=(1, 2))
+    return float(max(pf_fq.max(initial=0.0), hp_qh.max(initial=0.0)))
 
 
 def _peak_gain(ss: StateSpace, grid=None) -> float:
     """Largest 2-norm of the transfer function over the imaginary-axis
     grid (defaults to the package grid)."""
-    if grid is None:
-        grid = default_grid()
-    return max(
-        float(np.linalg.norm(tf_eval(ss, 1j * w), 2)) for w in np.asarray(grid, dtype=float)
-    )
+    s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
+    return float(np.linalg.norm(freq_response(ss, s), 2, axis=(1, 2)).max())
 
 
 def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> tuple[bool, float]:

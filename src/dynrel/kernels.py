@@ -81,12 +81,6 @@ def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _sigma_max(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
 def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool:
     """Square and with 2-norm condition number below ``cond_limit``."""
     a = np.atleast_2d(np.asarray(m))

@@ -23,6 +23,7 @@ from .kernels import DEFAULT_TOL, Tolerances, as_matrix, is_invertible, numerica
 __all__ = [
     "StateSpace",
     "CtModel",
+    "freq_response",
     "tf_eval",
     "sorted_eigvals",
     "poles_stable",
@@ -127,23 +128,35 @@ class CtModel:
         return self.ss.n_out
 
 
-def tf_eval(ss: StateSpace, s: complex) -> np.ndarray:
-    """Evaluate ``C (sI - A)^{-1} B + D`` at the complex point ``s``.
+def freq_response(ss: StateSpace, points) -> np.ndarray:
+    """``C (sI - A)^{-1} B + D`` at each point of the 1-d sequence
+    ``points``, as a ``(k, n_out, n_in)`` complex array: one stack of
+    ``sI - A``, one batched pole test and one batched solve (Laub 1981).
 
     Raises
     ------
     PoleHit
-        ``sI - A`` is numerically singular at the requested point.
+        ``sI - A`` is numerically singular at a point (the first is named).
     """
-    s = complex(s)
+    s = np.asarray(points, dtype=np.complex128)
     if ss.n == 0:
-        return ss.D.astype(np.complex128)
-    f = s * np.eye(ss.n) - ss.A
+        return np.broadcast_to(ss.D, (s.size, *ss.D.shape)).astype(np.complex128)
+    # built in place: a broadcast ``s * I - A`` would allocate a second stack
+    f = np.empty((s.size, ss.n, ss.n), dtype=np.complex128)
+    f[:] = -ss.A
+    diag = np.arange(ss.n)
+    f[:, diag, diag] += s[:, None]
     sv = np.linalg.svd(f, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-13 * sv[0]:
-        raise PoleHit(f"evaluation point {s:.6g} is numerically a pole")
-    x = np.linalg.solve(f, ss.B.astype(np.complex128))
+    hit = sv[:, -1] <= 1e-13 * sv[:, 0]
+    if hit.any():
+        raise PoleHit(f"evaluation point {complex(s[hit.argmax()]):.6g} is numerically a pole")
+    x = np.linalg.solve(f, ss.B.astype(np.complex128)[None])
     return ss.C @ x + ss.D
+
+
+def tf_eval(ss: StateSpace, s: complex) -> np.ndarray:
+    """:func:`freq_response` at the one complex point ``s``."""
+    return freq_response(ss, [s])[0]
 
 
 def _orth(m: np.ndarray, cutoff: float) -> np.ndarray:
@@ -309,8 +322,5 @@ def evaluation_gap(ss1: StateSpace, ss2: StateSpace, points=None) -> float:
         points = probe_points()
     if (ss1.n_out, ss1.n_in) != (ss2.n_out, ss2.n_in):
         raise ValueError("systems must have matching input/output dimensions")
-    worst = 0.0
-    for s in points:
-        gap = np.linalg.norm(tf_eval(ss1, s) - tf_eval(ss2, s), 2)
-        worst = max(worst, float(gap))
-    return worst
+    gaps = np.linalg.norm(freq_response(ss1, points) - freq_response(ss2, points), 2, axis=(1, 2))
+    return float(gaps.max(initial=0.0))

@@ -95,18 +95,6 @@ def _split_c(model: CtModel, sel: RowSelection):
     return c[list(sel.rows0), :], c[list(sel.rows1), :]
 
 
-def _check_admissible(model: CtModel, sel: RowSelection) -> np.ndarray:
-    c0, _ = _split_c(model, sel)
-    if len(sel.rows0) != model.m:
-        raise InadmissibleSelection(
-            f"selection picks {len(sel.rows0)} rows, model needs m = {model.m}")
-    c0b = c0 @ model.B
-    if not is_invertible(c0b):
-        raise InadmissibleSelection(
-            f"C0 B for rows {sel.rows0} is not numerically invertible")
-    return c0b
-
-
 def _admissible_selections(model: CtModel, cap: int):
     """Yield the admissible selections in lexicographic order of
     ``rows0``; raise before the first subset is tested when there are
@@ -154,8 +142,14 @@ def compute_gamma(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_T
     projection with trace m, Gamma has rank n - m with at least m zero
     eigenvalues; its nonzero eigenvalues are the candidate poles of F.
     """
-    c0b = _check_admissible(model, sel)
     c0, _ = _split_c(model, sel)
+    if len(sel.rows0) != model.m:
+        raise InadmissibleSelection(
+            f"selection picks {len(sel.rows0)} rows, model needs m = {model.m}")
+    c0b = c0 @ model.B
+    if not is_invertible(c0b):
+        raise InadmissibleSelection(
+            f"C0 B for rows {sel.rows0} is not numerically invertible")
     x = np.linalg.solve(c0b, c0 @ model.A)
     gamma = model.A - model.B @ x
     # when m = n the projection is the identity and Gamma vanishes in
@@ -169,10 +163,9 @@ def compute_gamma(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_T
 
 def compute_F_raw(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> StateSpace:
     """Dimension-n realization of F(s), prior to degree reduction."""
-    c0b = _check_admissible(model, sel)
-    _, c1 = _split_c(model, sel)
-    gamma = compute_gamma(model, sel, tol)
-    k = np.linalg.solve(c0b.T, model.B.T).T  # B (C0 B)^{-1}
+    gamma = compute_gamma(model, sel, tol)  # also tests admissibility
+    c0, c1 = _split_c(model, sel)
+    k = np.linalg.solve((c0 @ model.B).T, model.B.T).T  # B (C0 B)^{-1}
     return StateSpace(gamma, k, c1 @ gamma, c1 @ k)
 
 
@@ -181,15 +174,8 @@ def compute_F(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) 
     return minimal_realization(compute_F_raw(model, sel, tol), tol)
 
 
-def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
-    """Full report for one admissible selection.
-
-    Gamma is the state matrix of the raw realization, which is reduced
-    once. ``poles`` are the sorted eigenvalues of the reported minimal
-    F, and ``stable`` is decided on those same poles.
-    """
-    f_raw = compute_F_raw(model, sel, tol)
-    f_min = minimal_realization(f_raw, tol)
+def _report(sel: RowSelection, f_raw: StateSpace, f_min: StateSpace, tol: Tolerances) -> RelationReport:
+    """Report on ``sel`` from its raw realization and the reduction of it."""
     f_poles = sorted_eigvals(f_min.A)
     return RelationReport(
         selection=sel,
@@ -201,6 +187,28 @@ def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFA
         stable=poles_stable(f_poles, tol),
         poles=f_poles,
     )
+
+
+def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
+    """Full report for one admissible selection.
+
+    Gamma is the state matrix of the raw realization, which is reduced
+    once. ``poles`` are the sorted eigenvalues of the reported minimal
+    F, and ``stable`` is decided on those same poles.
+    """
+    f_raw = compute_F_raw(model, sel, tol)
+    return _report(sel, f_raw, minimal_realization(f_raw, tol), tol)
+
+
+def _first_stable_report(model: CtModel, tol: Tolerances) -> RelationReport | None:
+    """:func:`classify_selection` of the selection :func:`stable_selection_exists`
+    finds, or None; a rejected selection costs only its stability test."""
+    for sel in _admissible_selections(model, SELECTION_CAP):
+        f_raw = compute_F_raw(model, sel, tol)
+        f_min = minimal_realization(f_raw, tol)
+        if poles_stable(np.linalg.eigvals(f_min.A), tol):
+            return _report(sel, f_raw, f_min, tol)
+    return None
 
 
 def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RowSelection | None:
@@ -219,10 +227,8 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Ro
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    for sel in _admissible_selections(model, SELECTION_CAP):
-        if poles_stable(np.linalg.eigvals(compute_F(model, sel, tol).A), tol):
-            return sel
-    return None
+    rep = _first_stable_report(model, tol)
+    return None if rep is None else rep.selection
 
 
 def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -7,8 +7,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import PhiUSingular, RankInconsistent
-from .kernels import COND_LIMIT, DEFAULT_TOL, Tolerances, numerical_rank
-from .lti import CtModel, tf_eval
+from .kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank
+from .lti import CtModel, freq_response
 
 __all__ = [
     "PartitionSpec",
@@ -93,6 +93,12 @@ class SpectrumSample:
         return self._blocks()[3]
 
 
+def _density(w: np.ndarray) -> np.ndarray:
+    """``W W*`` of each matrix in the stack ``w``, made exactly Hermitian."""
+    phi = w @ w.conj().swapaxes(1, 2)
+    return 0.5 * (phi + phi.conj().swapaxes(1, 2))
+
+
 def spectral_density_eval(
     model: CtModel, omega: float, part: PartitionSpec | None = None
 ) -> SpectrumSample:
@@ -101,15 +107,13 @@ def spectral_density_eval(
     Hurwitz A guarantees the imaginary axis is pole-free, so this never
     fails for a validated model.
     """
-    w = tf_eval(model.ss, 1j * float(omega))
+    w = freq_response(model.ss, [1j * float(omega)])
     if part is not None:
         if part.p + part.q != model.n_out:
             raise ValueError(
                 f"partition covers {part.p + part.q} channels, model has {model.n_out}")
-        w = w[list(part.row_order), :]
-    phi = w @ w.conj().T
-    phi = 0.5 * (phi + phi.conj().T)
-    return SpectrumSample(omega=float(omega), phi=phi, part=part)
+        w = w[:, list(part.row_order), :]
+    return SpectrumSample(omega=float(omega), phi=_density(w)[0], part=part)
 
 
 def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -123,7 +127,7 @@ def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    ranks = [numerical_rank(spectral_density_eval(model, w).phi, tol) for w in grid]
+    ranks = [numerical_rank(phi, tol) for phi in _density(freq_response(model.ss, 1j * grid))]
     mode, _ = Counter(ranks).most_common(1)[0]
     deviations = sum(1 for r in ranks if r != mode)
     allowed = max(1, grid.size // 20)
@@ -154,7 +158,6 @@ def f_from_spectrum_eval(
     """
     sample = spectral_density_eval(model, omega, part)
     phi_u = sample.phi_u
-    sv = np.linalg.svd(phi_u, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 0.0 or sv[0] / sv[-1] >= COND_LIMIT:
+    if not is_invertible(phi_u):
         raise PhiUSingular(f"Phi_u is numerically singular at omega = {omega:.6g}")
     return np.linalg.solve(phi_u.T, sample.phi_yu.T).T

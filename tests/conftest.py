@@ -24,11 +24,12 @@ def rng():
 
 def count_calls(monkeypatch, fn):
     """Count the calls of ``fn`` made through every ``dynrel`` module that
-    binds it; returns a list that grows by one entry per call."""
+    binds it; returns a list that grows by one entry, the positional
+    arguments, per call."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):

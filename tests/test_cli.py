@@ -8,7 +8,7 @@ from conftest import count_calls, write_model
 from dynrel import cli, feedback
 from dynrel.cli import dumps_report, run
 from dynrel.kernels import matrix_exp
-from dynrel.lti import StateSpace, tf_eval
+from dynrel.lti import StateSpace, freq_response, minimal_realization
 from dynrel.sampling import sample
 from dynrel.spectral import default_grid
 
@@ -136,6 +136,11 @@ class TestSpectrum:
         code, data = run_json(capsys, ["spectrum", model2_file, "--grid", "nope"])
         assert code == 2
 
+    def test_one_frequency_response(self, capsys, monkeypatch, model2_file):
+        calls = count_calls(monkeypatch, freq_response)
+        code, _ = run_json(capsys, ["spectrum", model2_file, "--grid", "1e-2:1e2:50"])
+        assert code == 0 and len(calls) == 1 and len(calls[0][1]) == 50
+
 
 class TestRelation:
     def test_stable_selection_exits_0(self, capsys, model3_file):
@@ -177,6 +182,13 @@ class TestStableSelection:
         code, data = run_json(capsys, ["stable-selection", model3_file])
         assert code == 0
         assert data["found"] and data["selection"]["rows0"] == [0]
+
+    def test_found_selection_reduced_once(self, capsys, monkeypatch, model3_file):
+        reductions = count_calls(monkeypatch, minimal_realization)
+        code, data = run_json(capsys, ["stable-selection", model3_file])
+        assert code == 0 and len(reductions) == 1
+        _, same = run_json(capsys, ["relation", model3_file, "--rows", "0"])
+        assert data["selection"] == same["selection"]
 
     def test_none(self, capsys, model2_file):
         code, data = run_json(capsys, ["stable-selection", model2_file])
@@ -228,10 +240,11 @@ class TestGranger:
         assert code == 1 and not data["granger_causes"]
 
     def test_peak_gain_evaluated_once(self, capsys, monkeypatch, f_stable_file):
-        calls = count_calls(monkeypatch, tf_eval)
+        calls = count_calls(monkeypatch, freq_response)
         code, data = run_json(capsys, ["granger", "--f", f_stable_file])
         grid = default_grid()
-        assert code == 0 and len(calls) == grid.size
+        assert code == 0 and len(calls) == 1
+        np.testing.assert_array_equal(calls[0][1], 1j * grid)
         # |1/(1 + iw)| peaks at the lowest grid frequency
         assert data["peak_gain"] == pytest.approx(1.0 / np.hypot(1.0, grid[0]), rel=1e-14)
 

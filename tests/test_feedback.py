@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import count_calls
 from dynrel.errors import AlgebraicLoopSingular
 from dynrel.feedback import (
     FeedbackModel,
+    _interchange_residual,
     closed_loop_T,
     feedback_free,
     granger_causes,
@@ -12,7 +14,7 @@ from dynrel.feedback import (
     verify_interchange_identities,
 )
 from dynrel.kernels import Tolerances, numerical_rank
-from dynrel.lti import StateSpace, is_strictly_stable, poles, tf_eval
+from dynrel.lti import StateSpace, freq_response, is_strictly_stable, poles, tf_eval
 from dynrel.relation import compute_F, enumerate_selections
 
 
@@ -134,6 +136,18 @@ class TestInterchange:
             h_sys = oracles.random_stable_ss(rng, 3, 2, n=2)
             fm = FeedbackModel(F=f_sys, H=h_sys)
             assert verify_interchange_identities(fm, np.logspace(-2, 2, 20)) < 1e-8
+
+    def test_one_response_each_of_f_h_and_t(self, monkeypatch, rng):
+        fm = random_loop(rng)
+        cl = closed_loop_T(fm)
+        calls = count_calls(monkeypatch, freq_response)
+        assert _interchange_residual(fm, cl, np.logspace(-2, 2, 20)) < 1e-8
+        assert len(calls) == 3
+        assert all(args[0] is ss for args, ss in zip(calls, (fm.F, fm.H, cl.T)))
+
+    def test_empty_grid(self):
+        fm = FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]]))
+        assert verify_interchange_identities(fm, []) == 0.0
 
 
 class TestGranger:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dynrel.errors import (
 from dynrel.lti import (
     StateSpace,
     evaluation_gap,
+    freq_response,
     is_strictly_stable,
     mcmillan_degree,
     minimal_realization,
@@ -73,6 +76,39 @@ class TestTfEval:
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
         with pytest.raises(PoleHit):
             tf_eval(ss, -1.0)
+
+
+class TestFreqResponse:
+    def test_golden_relations_on_grid(self, m3, m2):
+        s = 1j * np.logspace(-3, 3, 200)
+        for model, closed_form in ((m3, systems.f3_first), (m2, systems.f2_first)):
+            f = compute_F(model, enumerate_selections(model)[0])
+            want = np.array([closed_form(x) for x in s])
+            np.testing.assert_allclose(freq_response(f, s), want, atol=1e-8)
+
+    def test_matches_pointwise_solve(self, rng):
+        ss = oracles.random_stable_ss(rng, 3, 2, n=5)
+        s = np.concatenate([1j * np.logspace(-2, 2, 30), probe_points()])
+        want = [ss.C @ np.linalg.solve(x * np.eye(ss.n) - ss.A, ss.B.astype(complex)) + ss.D
+                for x in s]
+        # the same arithmetic point by point, so the same bits
+        np.testing.assert_array_equal(freq_response(ss, s), want)
+
+    def test_constant_system_shape(self):
+        d = np.array([[3.0, -1.0], [0.5, 2.0], [1.0, 0.0]])
+        got = freq_response(StateSpace.constant(d), 1j * np.arange(1.0, 8.0))
+        assert got.shape == (7, 3, 2) and got.dtype == np.complex128
+        np.testing.assert_array_equal(got, np.broadcast_to(d, (7, 3, 2)))
+
+    def test_pole_on_grid_named(self):
+        ss = StateSpace(np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
+        with pytest.raises(PoleHit, match=re.escape(f"{complex(-2.0):.6g} is")):
+            freq_response(ss, [1j, -2.0, 2j, -1.0])
+
+    def test_empty_points(self):
+        ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
+        assert freq_response(ss, []).shape == (0, 1, 1)
+        assert evaluation_gap(ss, StateSpace.zero(1, 1), points=[]) == 0.0
 
 
 class TestMinimalRealization:

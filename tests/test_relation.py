@@ -237,9 +237,9 @@ class TestStableSelection:
         condition_tests = count_calls(monkeypatch, is_invertible)
         assert stable_selection_exists(m3).rows0 == (0,)
         assert len(reductions) == 1
-        # one condition test while walking the subsets, and the admissibility
-        # checks of compute_F_raw and compute_gamma for the one subset reduced
-        assert len(condition_tests) == 3
+        # one condition test while walking the subsets, and the one
+        # admissibility check (in compute_gamma) of the subset reduced
+        assert len(condition_tests) == 2
 
     def test_one_reduction_per_unstable_subset(self, m2, monkeypatch):
         n_sels = len(enumerate_selections(m2))
