@@ -74,9 +74,8 @@ class FeedbackModel:
 class ClosedLoop:
     """The four blocks of T plus the combined realization.
 
-    Block realizations share the loop state (they are not reduced);
-    their poles and stability verdicts go through minimal realizations
-    downstream.
+    Block realizations share the loop state (they are not reduced).
+    ``internally_stable`` is decided on T itself: T strictly stable.
     """
 
     T: StateSpace
@@ -129,18 +128,14 @@ def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoo
         loop_inv,
     )
     y, u = slice(0, p), slice(p, p + q)  # the rows (y, u) and the columns (v, r) of T
-    blocks = {
-        "P": _subsystem(t, y, y),
-        "PF": _subsystem(t, y, u),
-        "QH": _subsystem(t, u, y),
-        "Q": _subsystem(t, u, u),
-    }
-    stable = all(is_strictly_stable(blk, tol) for blk in blocks.values())
-    return ClosedLoop(T=t, internally_stable=stable, **blocks)
+    return ClosedLoop(T=t, P=_subsystem(t, y, y), PF=_subsystem(t, y, u),
+                      QH=_subsystem(t, u, y), Q=_subsystem(t, u, u),
+                      internally_stable=is_strictly_stable(t, tol))
 
 
 def internal_stability(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff all four closed-loop blocks are strictly stable."""
+    """True iff the closed-loop transfer matrix T is strictly stable; its
+    poles are the union of the poles of the four blocks."""
     return closed_loop_T(fm, tol).internally_stable
 
 
@@ -165,17 +160,12 @@ def _interchange_residual(fm: FeedbackModel, cl: ClosedLoop, grid=None) -> float
     return float(max(pf_fq.max(initial=0.0), hp_qh.max(initial=0.0)))
 
 
-def _peak_gain(ss: StateSpace, grid=None) -> float:
-    """Largest 2-norm of the transfer function over the imaginary-axis
-    grid (defaults to the package grid)."""
-    s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
-    return float(np.linalg.norm(freq_response(ss, s), 2, axis=(1, 2)).max())
-
-
 def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> tuple[bool, float]:
     """:func:`granger_causes` together with the peak gain it was decided
-    on."""
-    peak = _peak_gain(F, grid)
+    on, the largest 2-norm of ``F`` over the imaginary-axis grid (defaults
+    to the package grid). :func:`feedback_free` applies it to H."""
+    s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
+    peak = float(np.linalg.norm(freq_response(F, s), 2, axis=(1, 2)).max())
     return peak > tol.residual_tol, peak
 
 
@@ -209,7 +199,7 @@ def feedback_free(
 ) -> FeedbackFreeVerdict:
     """Test for absence of feedback (H identically zero) and, when it is
     absent, the consistency requirement that F be strictly stable."""
-    h_zero = _peak_gain(H, grid) <= tol.residual_tol
+    h_zero = not granger_verdict(H, tol, grid)[0]
     if not h_zero:
         return FeedbackFreeVerdict(h_zero=False, f_stable=None, inconsistent=False)
     f_stable = is_strictly_stable(F, tol)

@@ -16,6 +16,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "COND_LIMIT",
+    "POLE_COND_LIMIT",
     "as_matrix",
     "is_invertible",
     "matrix_exp",
@@ -30,6 +31,9 @@ __all__ = [
 #: Condition-number ceiling for "numerically invertible" decisions
 #: (row selections, feedthrough inversion, spectral input blocks).
 COND_LIMIT = 1e12
+
+#: Condition-number ceiling of ``sI - A`` at an evaluation point that is not a pole.
+POLE_COND_LIMIT = 1e13
 
 
 @dataclass(frozen=True)
@@ -81,15 +85,17 @@ def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool:
-    """Square and with 2-norm condition number below ``cond_limit``."""
+def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool | np.ndarray:
+    """Square and with 2-norm condition number below ``cond_limit`` (a 0x0
+    matrix is, a zero matrix is not). A stack ``(..., k, k)`` gives a bool
+    array, one verdict per matrix; a 2-d input gives a ``bool``."""
     a = np.atleast_2d(np.asarray(m))
-    if a.shape[0] != a.shape[1]:
-        return False
-    if a.shape[0] == 0:
-        return True
-    s = np.linalg.svd(a, compute_uv=False)
-    return bool(s[-1] > 0 and s[0] / s[-1] < cond_limit)
+    if a.shape[-2] != a.shape[-1] or a.shape[-1] == 0:
+        ok = np.full(a.shape[:-2], a.shape[-2] == a.shape[-1])
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+        ok = s[..., 0] < cond_limit * s[..., -1]
+    return bool(ok) if a.ndim == 2 else ok
 
 
 def matrix_exp(m, t: float = 1.0) -> np.ndarray:
@@ -231,16 +237,19 @@ def solve_lyap_discrete(a_d, q_d, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 # --------------------------------------------------------------------------
 # rank, PSD factorization, nonzero spectra
 
-def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_rtol * sigma_max * max_dim``."""
-    a = as_matrix(m, name="rank input")
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    cutoff = tol.rank_rtol * s[0] * max(a.shape)
-    return int(np.count_nonzero(s > cutoff))
+def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
+    """Number of singular values above ``rank_rtol * sigma_max * max_dim``.
+    A stack ``(..., r, c)`` gives an int array, one rank per matrix; a 2-d
+    input gives an ``int``."""
+    a = np.asarray(m)
+    if a.ndim <= 2:
+        a = as_matrix(a, name="rank input")
+    elif not np.all(np.isfinite(a)):
+        raise ValueError("rank input has non-finite entries")
+    s = np.linalg.svd(a, compute_uv=False)  # no singular value for an empty matrix
+    cutoff = tol.rank_rtol * s[..., :1] * max(a.shape[-2:])
+    ranks = np.count_nonzero(s > cutoff, axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

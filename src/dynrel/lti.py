@@ -18,7 +18,7 @@ from .errors import (
     PoleHit,
     RankCBDeficient,
 )
-from .kernels import DEFAULT_TOL, Tolerances, as_matrix, is_invertible, numerical_rank
+from .kernels import DEFAULT_TOL, POLE_COND_LIMIT, Tolerances, as_matrix, is_invertible, numerical_rank
 
 __all__ = [
     "StateSpace",
@@ -146,8 +146,7 @@ def freq_response(ss: StateSpace, points) -> np.ndarray:
     f[:] = -ss.A
     diag = np.arange(ss.n)
     f[:, diag, diag] += s[:, None]
-    sv = np.linalg.svd(f, compute_uv=False)
-    hit = sv[:, -1] <= 1e-13 * sv[:, 0]
+    hit = ~is_invertible(f, POLE_COND_LIMIT)
     if hit.any():
         raise PoleHit(f"evaluation point {complex(s[hit.argmax()]):.6g} is numerically a pole")
     x = np.linalg.solve(f, ss.B.astype(np.complex128)[None])
@@ -159,13 +158,14 @@ def tf_eval(ss: StateSpace, s: complex) -> np.ndarray:
     return freq_response(ss, [s])[0]
 
 
-def _orth(m: np.ndarray, cutoff: float) -> np.ndarray:
+def _orth(m: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis for the columns of ``m`` whose singular value
-    exceeds ``cutoff``."""
+    exceeds ``rtol * scale``; ``scale`` defaults to the largest singular
+    value of ``m``."""
     if m.shape[0] == 0 or m.shape[1] == 0:
         return np.zeros((m.shape[0], 0), dtype=m.dtype)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, s > cutoff]
+    return u[:, s > rtol * (s[0] if scale is None else scale)]
 
 
 def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -179,18 +179,16 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> np.nda
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    sb = np.linalg.svd(b, compute_uv=False) if b.size else np.zeros(1)
-    v = _orth(b, tol.rank_rtol * max(b.shape) * (sb[0] if sb.size else 0.0))
+    v = _orth(b, tol.rank_rtol * max(b.shape))
     if v.shape[1] == 0:
         return v
     a_scale = float(np.linalg.norm(a, 2))
-    cutoff = tol.rank_rtol * n * a_scale
     fresh = v
     while v.shape[1] < n and fresh.shape[1] > 0:
         w = a @ fresh
         w = w - v @ (v.conj().T @ w)
         w = w - v @ (v.conj().T @ w)
-        fresh = _orth(w, cutoff)
+        fresh = _orth(w, tol.rank_rtol * n, a_scale)
         if fresh.shape[1]:
             v = np.hstack([v, fresh])
     return v
@@ -281,9 +279,8 @@ def validate_ct_model(
     if n == 0:
         raise ValueError("model must have at least one state")
     eigs = np.linalg.eigvals(ss.A)
-    worst = float(eigs.real.max())
-    if worst >= -tol.stability_margin:
-        raise NotStable(f"eigenvalue with real part {worst:.6g} is not strictly stable")
+    if not poles_stable(eigs, tol):
+        raise NotStable(f"eigenvalue with real part {eigs.real.max():.6g} is not strictly stable")
     m = ss.B.shape[1]
     if numerical_rank(ss.B, tol) != m:
         raise BColumnDeficient("B does not have full column rank")

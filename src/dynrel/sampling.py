@@ -152,8 +152,12 @@ def dual_lyapunov_check(
     ``P = A_d P A_d' + Q_d``. Both stay below ``residual_tol`` when
     ``sm`` really is a sampling of ``model``."""
     bbt = model.B @ model.B.T
-    p = solve_lyap_continuous(model.A, bbt, tol)
-    r_cont = np.linalg.norm(model.A @ p + p @ model.A.T + bbt, 2) / np.linalg.norm(bbt, 2)
+    return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt, tol))
+
+
+def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray) -> tuple[float, float]:
+    """Relative residuals of ``p`` in the equations of :func:`dual_lyapunov_check`."""
+    r_cont = np.linalg.norm(a @ p + p @ a.T + bbt, 2) / np.linalg.norm(bbt, 2)
     r_disc = np.linalg.norm(p - sm.Ad @ p @ sm.Ad.T - sm.Qd, 2) / np.linalg.norm(sm.Qd, 2)
     return float(r_cont), float(r_disc)
 
@@ -215,12 +219,10 @@ def desample(
     diag.neg_semidef_ok = True
 
     b = psd_factor(-candidate, tol)
-    bbt = b @ b.T
-    r_cont = np.linalg.norm(a @ p + p @ a.T + bbt, 2) / max(np.linalg.norm(bbt, 2), 1e-300)
-    r_disc = np.linalg.norm(p - sm.Ad @ p @ sm.Ad.T - sm.Qd, 2) / np.linalg.norm(sm.Qd, 2)
-    diag.residuals = (float(r_cont), float(r_disc))
-    diag.recovered_rank = b.shape[1]
+    # validated first: a reachable B is nonzero, so B B' scales the residual
     model = validate_ct_model(StateSpace(a, b, sm.Cd.copy()), tol)
+    diag.residuals = _residuals(a, b @ b.T, sm, p)
+    diag.recovered_rank = b.shape[1]
     return model, diag
 
 

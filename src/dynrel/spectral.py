@@ -127,9 +127,9 @@ def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    ranks = [numerical_rank(phi, tol) for phi in _density(freq_response(model.ss, 1j * grid))]
-    mode, _ = Counter(ranks).most_common(1)[0]
-    deviations = sum(1 for r in ranks if r != mode)
+    ranks = numerical_rank(_density(freq_response(model.ss, 1j * grid)), tol)
+    mode, _ = Counter(ranks.tolist()).most_common(1)[0]  # ties go to the first seen
+    deviations = int(np.count_nonzero(ranks != mode))
     allowed = max(1, grid.size // 20)
     if deviations > allowed:
         raise RankInconsistent(

@@ -98,3 +98,14 @@ def model_with_axis_zero():
     c = np.array([[1.0, 0.0, 1.0],
                   [1.0, 0.0, 1.0]])
     return validate_ct_model(StateSpace(a, b, c))
+
+
+def hidden_unstable_zero_h_loop():
+    """Stable 2 x 1 forward map F closed by a 1 x 2 return map H that is
+    identically zero (C = 0, D = 0) but has an unstable Jordan block at
+    s = 1 in its unobservable states. T = [[I, F], [0, I]] is stable."""
+    f_sys = StateSpace([[-1.5, 0.0], [0.0, -2.0]], [[1.0], [2.0]],
+                       [[1.0, 2.0], [3.0, 4.0]], [[0.1], [0.1]])
+    h_sys = StateSpace([[1.0, 1.0], [0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]],
+                       [[0.0, 0.0]], [[0.0, 0.0]])
+    return f_sys, h_sys

@@ -217,6 +217,14 @@ class TestFeedback:
         assert code == 1
         assert not data["feedback_free"] and data["internally_stable"]
 
+    def test_zero_return_map_with_unstable_hidden_states(self, capsys, tmp_path):
+        f_sys, h_sys = systems.hidden_unstable_zero_h_loop()
+        f_file, h_file = (write_model(tmp_path / name, A=ss.A, B=ss.B, C=ss.C, D=ss.D)
+                          for name, ss in (("F.json", f_sys), ("H.json", h_sys)))
+        code, data = run_json(capsys, ["feedback", "--f", f_file, "--h", h_file])
+        assert code == 0
+        assert data["internally_stable"] and data["feedback_free"] and data["consistent"]
+
     def test_closed_loop_built_once(self, capsys, monkeypatch, f_stable_file, h_half_file):
         calls = count_calls(monkeypatch, feedback.closed_loop_T)
         code, data = run_json(capsys, ["feedback", "--f", f_stable_file,

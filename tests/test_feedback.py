@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+import systems
 from conftest import count_calls
 from dynrel.errors import AlgebraicLoopSingular
 from dynrel.feedback import (
@@ -14,7 +15,14 @@ from dynrel.feedback import (
     verify_interchange_identities,
 )
 from dynrel.kernels import Tolerances, numerical_rank
-from dynrel.lti import StateSpace, freq_response, is_strictly_stable, poles, tf_eval
+from dynrel.lti import (
+    StateSpace,
+    freq_response,
+    is_strictly_stable,
+    minimal_realization,
+    poles,
+    tf_eval,
+)
 from dynrel.relation import compute_F, enumerate_selections
 
 
@@ -111,6 +119,18 @@ class TestInternalStability:
             1e-6)
         f_small = StateSpace(f_sys.A, f_sys.B * scale, f_sys.C, f_sys.D * scale)
         assert internal_stability(FeedbackModel(F=f_small, H=h_sys))
+
+    def test_zero_return_map_with_unstable_hidden_states(self):
+        f_sys, h_sys = systems.hidden_unstable_zero_h_loop()
+        cl = closed_loop_T(FeedbackModel(F=f_sys, H=h_sys))
+        assert cl.internally_stable
+        assert oracles.match_gap(poles(cl.T), [-2.0, -1.5]) < 1e-10
+
+    def test_one_reduction_of_t(self, monkeypatch, rng):
+        fm = random_loop(rng)
+        calls = count_calls(monkeypatch, minimal_realization)
+        cl = closed_loop_T(fm)
+        assert len(calls) == 1 and calls[0][0] is cl.T
 
     def test_agrees_with_block_pole_test(self, rng):
         for _ in range(20):

@@ -13,7 +13,9 @@ from dynrel.errors import (
     SpectrumConflict,
 )
 from dynrel.kernels import (
+    COND_LIMIT,
     DEFAULT_TOL,
+    POLE_COND_LIMIT,
     Tolerances,
     is_invertible,
     matrix_exp,
@@ -286,3 +288,61 @@ class TestIsInvertible:
         assert not is_invertible(np.zeros((2, 2)))
         assert not is_invertible(np.ones((2, 3)))
         assert not is_invertible(np.diag([1.0, 1e-15]))
+
+
+def mixed_stack(rng, k, r, c, complex_):
+    """k random r x c matrices of random rank; for k > 1 the first is
+    zero and, when square and at least 2 x 2, the second has condition
+    number 3.2e12, between COND_LIMIT and POLE_COND_LIMIT."""
+    def draw(*shape):
+        x = rng.normal(size=shape)
+        return x + 1j * rng.normal(size=shape) if complex_ else x
+
+    ranks = rng.integers(0, min(r, c) + 1, size=k)
+    stack = np.array([draw(r, j) @ draw(j, c) for j in ranks]).reshape(k, r, c)
+    if k > 1:
+        stack[0] = 0.0
+        if r == c > 1:
+            stack[1] = np.diag(np.logspace(0.0, -12.5, r))
+    return stack
+
+
+class TestStacks:
+    """The stack forms of numerical_rank and is_invertible against a
+    per-matrix loop."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("shape", [(12, 3, 3), (12, 4, 2), (12, 2, 5), (12, 1, 1),
+                                       (5, 0, 3), (5, 3, 0), (0, 3, 3)])
+    def test_match_loop(self, rng, shape, complex_):
+        stack = mixed_stack(rng, *shape, complex_)
+        ranks = numerical_rank(stack)
+        assert ranks.shape == shape[:1]
+        assert ranks.tolist() == [numerical_rank(m) for m in stack]
+        for limit in (COND_LIMIT, POLE_COND_LIMIT):
+            ok = is_invertible(stack, limit)
+            assert ok.shape == shape[:1]
+            assert ok.tolist() == [is_invertible(m, limit) for m in stack]
+
+    def test_cond_limits_split_ill_conditioned(self, rng):
+        stack = mixed_stack(rng, 4, 3, 3, False)
+        assert is_invertible(stack, COND_LIMIT)[:2].tolist() == [False, False]
+        assert is_invertible(stack, POLE_COND_LIMIT)[:2].tolist() == [False, True]
+
+    def test_leading_axes_kept(self, rng):
+        stack = mixed_stack(rng, 12, 3, 3, True).reshape(2, 6, 3, 3)
+        assert numerical_rank(stack).shape == is_invertible(stack).shape == (2, 6)
+        assert numerical_rank(stack).ravel().tolist() == [
+            numerical_rank(m) for m in stack.reshape(12, 3, 3)]
+
+    def test_two_dimensional_input_gives_python_scalars(self):
+        assert type(numerical_rank(np.eye(3))) is int
+        assert type(numerical_rank(np.zeros((3, 0)))) is int
+        assert is_invertible(np.eye(3)) is True
+        assert is_invertible(np.zeros((3, 3))) is False
+        assert is_invertible(np.ones((2, 3))) is False
+        assert is_invertible(np.zeros((0, 0))) is True
+
+    def test_stack_must_be_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            numerical_rank(np.full((2, 3, 3), np.nan))

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 import systems
+from conftest import count_calls
 from dynrel.errors import PhiUSingular, RankInconsistent
 from dynrel.kernels import numerical_rank
 from dynrel.lti import StateSpace, tf_eval, validate_ct_model
@@ -89,6 +90,16 @@ class TestRankProfile:
         model = systems.model_with_axis_zero()
         with pytest.raises(RankInconsistent):
             spectral_rank_profile(model, [1.0, 1.0, 0.5, 2.0, 3.0])
+
+    def test_tie_goes_to_first_seen_rank(self):
+        model = systems.model_with_axis_zero()
+        assert spectral_rank_profile(model, [1.0, 2.0]) == 0
+        assert spectral_rank_profile(model, [2.0, 1.0]) == 1
+
+    def test_one_rank_call(self, monkeypatch, m3):
+        calls = count_calls(monkeypatch, numerical_rank)
+        assert spectral_rank_profile(m3, default_grid()) == 1
+        assert len(calls) == 1 and calls[0][0].shape == (200, 4, 4)
 
     def test_random_rank_matches_m(self, rng):
         for _ in range(10):
