@@ -56,12 +56,10 @@ from .lti import (
     evaluation_gap,
     freq_response,
     is_strictly_stable,
-    mcmillan_degree,
     minimal_realization,
     poles,
     probe_points,
     ss_inverse,
-    tf_eval,
     validate_ct_model,
 )
 from .spectral import (
@@ -77,7 +75,6 @@ from .relation import (
     RelationReport,
     RowSelection,
     classify_selection,
-    compute_F,
     compute_F_raw,
     compute_gamma,
     enumerate_selections,
@@ -90,8 +87,7 @@ from .feedback import (
     FeedbackModel,
     closed_loop_T,
     feedback_free,
-    granger_causes,
-    internal_stability,
+    granger_verdict,
     verify_interchange_identities,
 )
 from .sampling import (

@@ -20,12 +20,12 @@ import numpy as np
 from .errors import ConditionError, InputError
 from .feedback import (
     FeedbackModel,
-    _interchange_residual,
     closed_loop_T,
     feedback_free,
     granger_verdict,
+    verify_interchange_identities,
 )
-from .kernels import DEFAULT_TOL
+from .kernels import DEFAULT_TOL, psd_factor
 from .lti import sorted_eigvals
 from .modelio import (
     ContinuousModelFile,
@@ -37,9 +37,9 @@ from .modelio import (
 )
 from .relation import (
     RowSelection,
-    _first_stable_report,
     classify_selection,
     enumerate_selections,
+    stable_selection_exists,
 )
 from .sampling import desample, dual_lyapunov_check, hidden_rank_report, sample
 from .spectral import default_grid, spectral_rank_profile
@@ -352,7 +352,7 @@ def _cmd_relation(args, tol):
         return base, 0 if rep.stable else 1
     entries = [
         _selection_entry(model, classify_selection(model, sel, tol))
-        for sel in enumerate_selections(model, tol)
+        for sel in enumerate_selections(model)
     ]
     any_stable = any(e["stable"] for e in entries)
     base["selections"] = entries
@@ -362,7 +362,7 @@ def _cmd_relation(args, tol):
 
 def _cmd_stable_selection(args, tol):
     model = build_ct_model(_continuous_file(args.model), tol)
-    rep = _first_stable_report(model, tol)
+    rep = stable_selection_exists(model, tol)
     report = {"v": 1, "command": "stable-selection", "input": args.model}
     if rep is None:
         report["found"] = False
@@ -377,7 +377,7 @@ def _cmd_feedback(args, tol):
     h_sys = build_state_space(_continuous_file(args.h_path))
     fm = FeedbackModel(F=f_sys, H=h_sys)
     cl = closed_loop_T(fm, tol)
-    residual = _interchange_residual(fm, cl, np.logspace(-2, 2, 20))
+    residual = verify_interchange_identities(cl, np.logspace(-2, 2, 20))
     verdict = feedback_free(h_sys, f_sys, tol)
     ok = verdict.h_zero and not verdict.inconsistent and cl.internally_stable
     report = {
@@ -410,7 +410,7 @@ def _cmd_granger(args, tol):
 
 def _cmd_sample(args, tol):
     model = build_ct_model(_continuous_file(args.model), tol)
-    sm = sample(model, args.period, tol)
+    sm = sample(model, args.period)
     r_cont, r_disc = dual_lyapunov_check(model, sm, tol)
     report = {
         "v": 1,
@@ -418,7 +418,7 @@ def _cmd_sample(args, tol):
         "input": args.model,
         "h": float(args.period),
         "Ad": _mat(sm.Ad),
-        "Bd": _mat(sm.Bd),
+        "Bd": _mat(psd_factor(sm.Qd, tol)),
         "Qd": _mat(sm.Qd),
         "Cd": _mat(sm.Cd),
         "dual_residuals": {"continuous": r_cont, "discrete": r_disc},
@@ -440,7 +440,7 @@ def _diag_dict(diag) -> dict:
 
 
 def _cmd_desample(args, tol):
-    sm = build_sampled_model(_sampled_file(args.model), h=args.period, tol=tol)
+    sm = build_sampled_model(_sampled_file(args.model), h=args.period)
     model, diag = desample(sm, tol)
     report = {
         "v": 1,

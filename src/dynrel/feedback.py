@@ -19,7 +19,7 @@ import scipy.linalg
 from dataclasses import dataclass
 
 from .errors import AlgebraicLoopSingular
-from .kernels import DEFAULT_TOL, Tolerances, as_matrix, is_invertible
+from .kernels import DEFAULT_TOL, Tolerances, is_invertible
 from .lti import StateSpace, freq_response, is_strictly_stable
 from .spectral import default_grid
 
@@ -28,23 +28,18 @@ __all__ = [
     "ClosedLoop",
     "FeedbackFreeVerdict",
     "closed_loop_T",
-    "internal_stability",
     "verify_interchange_identities",
     "granger_verdict",
-    "granger_causes",
     "feedback_free",
 ]
 
 
 @dataclass
 class FeedbackModel:
-    """Forward map F (p x q), return map H (q x p), and optional constant
-    noise intensities for the two sources."""
+    """Forward map F (p x q) and return map H (q x p)."""
 
     F: StateSpace
     H: StateSpace
-    phi_v: np.ndarray | None = None
-    phi_r: np.ndarray | None = None
 
     def __post_init__(self):
         p, q = self.F.n_out, self.F.n_in
@@ -52,14 +47,6 @@ class FeedbackModel:
             raise ValueError(
                 f"H must be {q}x{p} to close the loop with a {p}x{q} F, "
                 f"got {self.H.n_out}x{self.H.n_in}")
-        if self.phi_v is not None:
-            self.phi_v = as_matrix(self.phi_v, square=True, name="phi_v")
-            if self.phi_v.shape[0] != p:
-                raise ValueError(f"phi_v must be {p}x{p}")
-        if self.phi_r is not None:
-            self.phi_r = as_matrix(self.phi_r, square=True, name="phi_r")
-            if self.phi_r.shape[0] != q:
-                raise ValueError(f"phi_r must be {q}x{q}")
 
     @property
     def p(self) -> int:
@@ -72,12 +59,13 @@ class FeedbackModel:
 
 @dataclass
 class ClosedLoop:
-    """The four blocks of T plus the combined realization.
+    """The loop (F, H), the combined realization T and its four blocks.
 
     Block realizations share the loop state (they are not reduced).
     ``internally_stable`` is decided on T itself: T strictly stable.
     """
 
+    loop: FeedbackModel
     T: StateSpace
     P: StateSpace
     PF: StateSpace
@@ -128,28 +116,15 @@ def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoo
         loop_inv,
     )
     y, u = slice(0, p), slice(p, p + q)  # the rows (y, u) and the columns (v, r) of T
-    return ClosedLoop(T=t, P=_subsystem(t, y, y), PF=_subsystem(t, y, u),
+    return ClosedLoop(loop=fm, T=t, P=_subsystem(t, y, y), PF=_subsystem(t, y, u),
                       QH=_subsystem(t, u, y), Q=_subsystem(t, u, u),
                       internally_stable=is_strictly_stable(t, tol))
 
 
-def internal_stability(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff the closed-loop transfer matrix T is strictly stable; its
-    poles are the union of the poles of the four blocks."""
-    return closed_loop_T(fm, tol).internally_stable
-
-
-def verify_interchange_identities(
-    fm: FeedbackModel, grid=None, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def verify_interchange_identities(cl: ClosedLoop, grid=None) -> float:
     """Largest residual of ``P F - F Q`` and ``H P - Q H`` over the grid
     of imaginary-axis frequencies (defaults to the package grid)."""
-    return _interchange_residual(fm, closed_loop_T(fm, tol), grid)
-
-
-def _interchange_residual(fm: FeedbackModel, cl: ClosedLoop, grid=None) -> float:
-    """:func:`verify_interchange_identities` on an already built closed
-    loop ``cl`` of ``fm``."""
+    fm = cl.loop
     s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
     f_val = freq_response(fm.F, s)
     h_val = freq_response(fm.H, s)
@@ -161,19 +136,13 @@ def _interchange_residual(fm: FeedbackModel, cl: ClosedLoop, grid=None) -> float
 
 
 def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> tuple[bool, float]:
-    """:func:`granger_causes` together with the peak gain it was decided
-    on, the largest 2-norm of ``F`` over the imaginary-axis grid (defaults
-    to the package grid). :func:`feedback_free` applies it to H."""
+    """Whether the past of u improves linear prediction of y, and the peak
+    gain it was decided on. True iff the forward map is nonzero: its
+    largest 2-norm over the imaginary-axis grid (defaults to the package
+    grid) exceeds ``residual_tol``. :func:`feedback_free` applies it to H."""
     s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
     peak = float(np.linalg.norm(freq_response(F, s), 2, axis=(1, 2)).max())
     return peak > tol.residual_tol, peak
-
-
-def granger_causes(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> bool:
-    """Whether the past of u improves linear prediction of y: true iff
-    the forward map is nonzero, decided as a peak gain above
-    ``residual_tol`` on the frequency grid."""
-    return granger_verdict(F, tol, grid)[0]
 
 
 @dataclass

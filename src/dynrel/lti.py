@@ -24,12 +24,10 @@ __all__ = [
     "StateSpace",
     "CtModel",
     "freq_response",
-    "tf_eval",
     "sorted_eigvals",
     "poles_stable",
     "poles",
     "minimal_realization",
-    "mcmillan_degree",
     "is_strictly_stable",
     "ss_inverse",
     "validate_ct_model",
@@ -153,11 +151,6 @@ def freq_response(ss: StateSpace, points) -> np.ndarray:
     return ss.C @ x + ss.D
 
 
-def tf_eval(ss: StateSpace, s: complex) -> np.ndarray:
-    """:func:`freq_response` at the one complex point ``s``."""
-    return freq_response(ss, [s])[0]
-
-
 def _orth(m: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis for the columns of ``m`` whose singular value
     exceeds ``rtol * scale``; ``scale`` defaults to the largest singular
@@ -212,11 +205,6 @@ def minimal_realization(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> StateS
     if np.isrealobj(ss.A) and np.isrealobj(ss.B) and np.isrealobj(ss.C):
         a2, b2, c2 = a2.real, b2.real, c2.real
     return StateSpace(a2, b2, c2, ss.D.copy())
-
-
-def mcmillan_degree(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> int:
-    """State dimension of the minimal realization."""
-    return minimal_realization(ss, tol).n
 
 
 def sorted_eigvals(a: np.ndarray) -> np.ndarray:

@@ -8,7 +8,6 @@ when both ``Qd`` and ``Bd`` are present, ``Qd`` wins.
 """
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def _matrix_field(data: dict, field: str, required: bool = True) -> np.ndarray |
             raise DimensionMismatch(
                 f"{field}: row {i} has {len(row)} entries, expected {width}")
         for j, entry in enumerate(row):
-            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
+            if type(entry) not in (int, float):
                 raise ParseError(f"{field}[{i}][{j}]: not a real number: {entry!r}")
     if width == 0:
         raise DimensionMismatch(f"{field}: rows must be non-empty")
@@ -159,7 +158,7 @@ def _parse_sampled(data: dict) -> SampledModelFile:
     _require_shape("Cd", cd, None, n)
     h = data.get("h")
     if h is not None:
-        if isinstance(h, bool) or not isinstance(h, numbers.Real) or not h > 0:
+        if type(h) not in (int, float) or not h > 0:
             raise ParseError(f"h: must be a positive number, got {h!r}")
         h = float(h)
     return SampledModelFile(Ad=ad, Qd=qd, Bd=bd, Cd=cd, h=h)
@@ -177,16 +176,11 @@ def build_state_space(mf: ContinuousModelFile) -> StateSpace:
     return StateSpace(mf.A, mf.B, mf.C, mf.D)
 
 
-def build_sampled_model(
-    mf: SampledModelFile,
-    h: float | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> SampledModel:
+def build_sampled_model(mf: SampledModelFile, h: float | None = None) -> SampledModel:
     """Build a SampledModel from a sampled file; ``h`` overrides the
-    file's period when given."""
+    file's period when given, and a ``Bd`` file gives ``Qd = Bd Bd'``."""
     period = h if h is not None else mf.h
     if period is None:
         raise ParseError("h: sampling period missing from file and command line")
-    if mf.Qd is not None:
-        return SampledModel.from_intensity(mf.Ad, mf.Qd, mf.Cd, period, tol)
-    return SampledModel.from_factor(mf.Ad, mf.Bd, mf.Cd, period)
+    qd = mf.Qd if mf.Qd is not None else mf.Bd @ mf.Bd.T
+    return SampledModel(Ad=mf.Ad, Qd=qd, Cd=mf.Cd, h=period)

@@ -41,7 +41,6 @@ __all__ = [
     "enumerate_selections",
     "compute_gamma",
     "compute_F_raw",
-    "compute_F",
     "classify_selection",
     "stable_selection_exists",
     "has_full_eigenbasis",
@@ -115,11 +114,7 @@ def _admissible_selections(model: CtModel, cap: int):
         raise NoAdmissibleSelection("no row subset gives an invertible C0 B")
 
 
-def enumerate_selections(
-    model: CtModel,
-    tol: Tolerances = DEFAULT_TOL,
-    cap: int = SELECTION_CAP,
-) -> list[RowSelection]:
+def enumerate_selections(model: CtModel, cap: int = SELECTION_CAP) -> list[RowSelection]:
     """All admissible selections, in lexicographic order of ``rows0``.
 
     A subset is admissible when its C0 B has condition number below the
@@ -169,11 +164,6 @@ def compute_F_raw(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_T
     return StateSpace(gamma, k, c1 @ gamma, c1 @ k)
 
 
-def compute_F(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> StateSpace:
-    """Minimal realization of the deterministic relation F(s)."""
-    return minimal_realization(compute_F_raw(model, sel, tol), tol)
-
-
 def _report(sel: RowSelection, f_raw: StateSpace, f_min: StateSpace, tol: Tolerances) -> RelationReport:
     """Report on ``sel`` from its raw realization and the reduction of it."""
     f_poles = sorted_eigvals(f_min.A)
@@ -200,24 +190,15 @@ def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFA
     return _report(sel, f_raw, minimal_realization(f_raw, tol), tol)
 
 
-def _first_stable_report(model: CtModel, tol: Tolerances) -> RelationReport | None:
-    """:func:`classify_selection` of the selection :func:`stable_selection_exists`
-    finds, or None; a rejected selection costs only its stability test."""
-    for sel in _admissible_selections(model, SELECTION_CAP):
-        f_raw = compute_F_raw(model, sel, tol)
-        f_min = minimal_realization(f_raw, tol)
-        if poles_stable(np.linalg.eigvals(f_min.A), tol):
-            return _report(sel, f_raw, f_min, tol)
-    return None
-
-
-def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RowSelection | None:
-    """First (lexicographic) selection whose F is strictly stable, or
-    None when every admissible selection yields an unstable relation.
+def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RelationReport | None:
+    """:func:`classify_selection` of the first (lexicographic) selection
+    whose F is strictly stable, or None when every admissible selection
+    yields an unstable relation.
 
     The subsets are tested one at a time, each with one minimal
     realization, and the search stops at the first stable one: subsets
-    after it are neither condition-tested nor reduced.
+    after it are neither condition-tested nor reduced, and a rejected
+    subset costs only its stability test.
 
     Raises
     ------
@@ -227,8 +208,12 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Ro
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    rep = _first_stable_report(model, tol)
-    return None if rep is None else rep.selection
+    for sel in _admissible_selections(model, SELECTION_CAP):
+        f_raw = compute_F_raw(model, sel, tol)
+        f_min = minimal_realization(f_raw, tol)
+        if poles_stable(np.linalg.eigvals(f_min.A), tol):
+            return _report(sel, f_raw, f_min, tol)
+    return None
 
 
 def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -57,23 +57,21 @@ __all__ = [
 
 @dataclass
 class SampledModel:
-    """Discrete-time triple with period h and cached noise intensity
-    ``Qd = Bd Bd'``."""
+    """Discrete-time pair (A_d, C_d) with period h and noise intensity
+    Q_d."""
 
     Ad: np.ndarray
-    Bd: np.ndarray
+    Qd: np.ndarray
     Cd: np.ndarray
     h: float
-    Qd: np.ndarray
 
     def __post_init__(self):
         self.Ad = as_matrix(self.Ad, square=True, name="Ad")
-        self.Bd = as_matrix(self.Bd, name="Bd")
         self.Cd = as_matrix(self.Cd, name="Cd")
         self.Qd = as_matrix(self.Qd, square=True, name="Qd")
         n = self.Ad.shape[0]
-        if self.Bd.shape[0] != n or self.Cd.shape[1] != n or self.Qd.shape[0] != n:
-            raise ValueError("Ad, Bd, Cd, Qd dimensions are inconsistent")
+        if self.Cd.shape[1] != n or self.Qd.shape[0] != n:
+            raise ValueError("Ad, Cd, Qd dimensions are inconsistent")
         self.h = float(self.h)
         if not (np.isfinite(self.h) and self.h > 0):
             raise NonPositiveH(f"sampling period must be positive, got {self.h}")
@@ -81,18 +79,6 @@ class SampledModel:
     @property
     def n(self) -> int:
         return self.Ad.shape[0]
-
-    @classmethod
-    def from_factor(cls, Ad, Bd, Cd, h: float) -> "SampledModel":
-        bd = as_matrix(Bd, name="Bd")
-        return cls(Ad=Ad, Bd=bd, Cd=Cd, h=h, Qd=bd @ bd.conj().T)
-
-    @classmethod
-    def from_intensity(
-        cls, Ad, Qd, Cd, h: float, tol: Tolerances = DEFAULT_TOL
-    ) -> "SampledModel":
-        qd = as_matrix(Qd, square=True, name="Qd")
-        return cls(Ad=Ad, Bd=psd_factor(qd, tol), Cd=Cd, h=h, Qd=qd)
 
 
 @dataclass
@@ -119,7 +105,7 @@ class HiddenRankReport:
     recovered_rank: int
 
 
-def sample(model: CtModel, h: float, tol: Tolerances = DEFAULT_TOL) -> SampledModel:
+def sample(model: CtModel, h: float) -> SampledModel:
     """Exact discretization of a validated model at period ``h``.
 
     ``A_d`` and ``Q_d`` come from one exponential of the block matrix
@@ -140,8 +126,7 @@ def sample(model: CtModel, h: float, tol: Tolerances = DEFAULT_TOL) -> SampledMo
     a_d = big[:n, :n]
     q_d = big[:n, n:] @ a_d.T
     q_d = 0.5 * (q_d + q_d.T)
-    b_d = psd_factor(q_d, tol)
-    return SampledModel(Ad=a_d, Bd=b_d, Cd=c.copy(), h=float(h), Qd=q_d)
+    return SampledModel(Ad=a_d, Qd=q_d, Cd=c.copy(), h=float(h))
 
 
 def dual_lyapunov_check(
@@ -231,7 +216,7 @@ def hidden_rank_report(model: CtModel, h: float, tol: Tolerances = DEFAULT_TOL) 
     the (full) rank of the sampled intensity, and the rank recovered by
     de-sampling."""
     bbt_rank = numerical_rank(model.B @ model.B.T, tol)
-    sm = sample(model, h, tol)
+    sm = sample(model, h)
     qd_rank = numerical_rank(sm.Qd, tol)
     _, diag = desample(sm, tol)
     return HiddenRankReport(

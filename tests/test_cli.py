@@ -5,9 +5,9 @@ import pytest
 
 import systems
 from conftest import count_calls, write_model
-from dynrel import cli, feedback
+from dynrel import cli, feedback, relation
 from dynrel.cli import dumps_report, run
-from dynrel.kernels import matrix_exp
+from dynrel.kernels import matrix_exp, psd_factor
 from dynrel.lti import StateSpace, freq_response, minimal_realization
 from dynrel.sampling import sample
 from dynrel.spectral import default_grid
@@ -195,6 +195,11 @@ class TestStableSelection:
         assert code == 1
         assert data["found"] is False
 
+    def test_one_search(self, capsys, monkeypatch, model3_file):
+        searches = count_calls(monkeypatch, relation.stable_selection_exists)
+        code, _ = run_json(capsys, ["stable-selection", model3_file])
+        assert code == 0 and len(searches) == 1
+
 
 class TestFeedback:
     def test_free_and_stable(self, capsys, f_stable_file, h_zero_file):
@@ -234,7 +239,14 @@ class TestFeedback:
             F=StateSpace([[-1.0]], [[1.0]], [[1.0]]),
             H=StateSpace([[-1.0]], [[0.0]], [[0.0]], [[0.5]]))
         assert data["interchange_residual"] == feedback.verify_interchange_identities(
-            fm, np.logspace(-2, 2, 20))
+            feedback.closed_loop_T(fm), np.logspace(-2, 2, 20))
+
+    def test_interchange_identities_checked_once(self, capsys, monkeypatch, f_stable_file,
+                                                 h_half_file):
+        checks = count_calls(monkeypatch, feedback.verify_interchange_identities)
+        run_json(capsys, ["feedback", "--f", f_stable_file, "--h", h_half_file])
+        assert len(checks) == 1
+        np.testing.assert_array_equal(checks[0][1], np.logspace(-2, 2, 20))
 
 
 class TestGranger:
@@ -265,6 +277,8 @@ class TestSamplingCommands:
         assert data["dual_residuals"]["discrete"] < 1e-8
         want = matrix_exp(systems.A2, 0.1)
         np.testing.assert_allclose(data["Ad"], want, atol=1e-12)
+        bd = np.array(data["Bd"])
+        np.testing.assert_allclose(bd @ bd.T, data["Qd"], atol=1e-12)
 
     def test_sample_desample_round_trip(self, capsys, model2_file, tmp_path):
         code = run(["sample", model2_file, "--h", "0.1"])
@@ -278,6 +292,14 @@ class TestSamplingCommands:
         np.testing.assert_allclose(data["BBt"], systems.B2 @ systems.B2.T, atol=1e-6)
         np.testing.assert_allclose(data["C"], systems.C2, atol=1e-12)
         assert data["diagnostics"]["recovered_rank"] == 1
+
+    def test_desample_factors_once(self, capsys, monkeypatch, model2_file, tmp_path):
+        run(["sample", model2_file, "--h", "0.1"])
+        sampled_path = tmp_path / "s.json"
+        sampled_path.write_text(capsys.readouterr().out)
+        factors = count_calls(monkeypatch, psd_factor)
+        code, _ = run_json(capsys, ["desample", str(sampled_path)])
+        assert code == 0 and len(factors) == 1
 
     def test_desample_h_override(self, capsys, model2_file, tmp_path):
         run(["sample", model2_file, "--h", "0.2"])

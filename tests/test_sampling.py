@@ -4,7 +4,7 @@ import pytest
 import oracles
 import systems
 from dynrel.errors import LogFailure, NonPositiveH, NotSemidefinite, QdSingular
-from dynrel.kernels import numerical_rank, solve_lyap_continuous, solve_lyap_discrete
+from dynrel.kernels import numerical_rank, psd_factor, solve_lyap_continuous, solve_lyap_discrete
 from dynrel.lti import StateSpace, validate_ct_model
 from dynrel.sampling import (
     SampledModel,
@@ -26,7 +26,8 @@ class TestSample:
         sm = sample(scalar_model(), H_LN2)
         np.testing.assert_allclose(sm.Ad, [[0.5]], rtol=1e-12)
         np.testing.assert_allclose(sm.Qd, [[0.75]], rtol=1e-12)
-        np.testing.assert_allclose(sm.Bd @ sm.Bd.T, [[0.75]], rtol=1e-12)
+        bd = psd_factor(sm.Qd)
+        np.testing.assert_allclose(bd @ bd.T, [[0.75]], rtol=1e-12)
 
     def test_diagonal(self):
         model = validate_ct_model(StateSpace(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2)))
@@ -88,7 +89,7 @@ class TestDualLyapunov:
 
 class TestDesample:
     def test_scalar_inverse(self):
-        sm = SampledModel.from_intensity([[0.5]], [[0.75]], [[1.0]], H_LN2)
+        sm = SampledModel([[0.5]], [[0.75]], [[1.0]], H_LN2)
         model, diag = desample(sm)
         np.testing.assert_allclose(model.A, [[-1.0]], rtol=1e-10)
         np.testing.assert_allclose(model.B @ model.B.T, [[2.0]], rtol=1e-10)
@@ -135,25 +136,26 @@ class TestDesample:
             desample(sample(model, 0.01))
 
     def test_log_failure(self):
-        sm = SampledModel.from_intensity(np.diag([-0.5, 0.5]), np.eye(2), np.eye(2), 0.1)
+        sm = SampledModel(np.diag([-0.5, 0.5]), np.eye(2), np.eye(2), 0.1)
         with pytest.raises(LogFailure) as exc_info:
             desample(sm)
         diag = exc_info.value.diagnostics
         assert not diag.logm_exists
 
     def test_qd_singular(self):
-        sm = SampledModel.from_intensity(np.diag([0.5, 0.4]), np.diag([1.0, 0.0]),
-                                         np.eye(2), 0.1)
-        with pytest.raises(QdSingular) as exc_info:
-            desample(sm)
-        diag = exc_info.value.diagnostics
-        assert diag.logm_exists and not diag.qd_nonsingular
+        # a singular and an indefinite intensity both fail condition (ii)
+        for qd in (np.diag([1.0, 0.0]), np.diag([1.0, -0.5])):
+            sm = SampledModel(np.diag([0.5, 0.4]), qd, np.eye(2), 0.1)
+            with pytest.raises(QdSingular) as exc_info:
+                desample(sm)
+            diag = exc_info.value.diagnostics
+            assert diag.logm_exists and not diag.qd_nonsingular
 
     def test_not_semidefinite_curated(self):
         # genuine sampled model with strongly non-normal A; inflating the
         # noise intensity by 0.5 I breaks the semidefiniteness condition
         sm = sample(systems.model_shear(), 1.0)
-        pert = SampledModel.from_intensity(sm.Ad, sm.Qd + 0.5 * np.eye(2), sm.Cd, sm.h)
+        pert = SampledModel(sm.Ad, sm.Qd + 0.5 * np.eye(2), sm.Cd, sm.h)
         with pytest.raises(NotSemidefinite) as exc_info:
             desample(pert)
         diag = exc_info.value.diagnostics

@@ -6,7 +6,7 @@ import systems
 from conftest import count_calls
 from dynrel.errors import PhiUSingular, RankInconsistent
 from dynrel.kernels import numerical_rank
-from dynrel.lti import StateSpace, tf_eval, validate_ct_model
+from dynrel.lti import StateSpace, freq_response, validate_ct_model
 from dynrel.spectral import (
     PartitionSpec,
     default_grid,
@@ -59,7 +59,7 @@ class TestSpectralDensityEval:
     def test_partitioned_blocks(self, m3):
         part = PartitionSpec.from_u_rows((0,), 4)
         sample = spectral_density_eval(m3, 1.0, part)
-        w = tf_eval(m3.ss, 1j)
+        w = freq_response(m3.ss, [1j])[0]
         phi_full = w @ w.conj().T
         np.testing.assert_allclose(sample.phi_u, phi_full[:1, :1], atol=1e-12)
         np.testing.assert_allclose(sample.phi_y, phi_full[1:, 1:], atol=1e-12)
@@ -141,17 +141,16 @@ class TestFactorIdentities:
         n_sys = StateSpace(systems.A3, systems.B3, c1 @ systems.A3, c1 @ systems.B3)
         m_sys = StateSpace(systems.A3, systems.B3, c0 @ systems.A3, c0 @ systems.B3)
         part = PartitionSpec.from_u_rows((0,), 4)
-        for w in np.logspace(-1.5, 1.5, 12):
-            s = 1j * w
-            w_full = tf_eval(m3.ss, s)
-            n_val = tf_eval(n_sys, s)
-            m_val = tf_eval(m_sys, s)
-            stacked = np.vstack([n_val, m_val]) / s
-            np.testing.assert_allclose(
-                stacked, w_full[[1, 2, 3, 0], :], atol=1e-10)
-            np.testing.assert_allclose(
-                n_val @ np.linalg.inv(m_val),
-                f_from_spectrum_eval(m3, part, w), atol=1e-8)
+        w = np.logspace(-1.5, 1.5, 12)
+        s = 1j * w
+        w_full = freq_response(m3.ss, s)
+        n_val = freq_response(n_sys, s)
+        m_val = freq_response(m_sys, s)
+        stacked = np.concatenate([n_val, m_val], axis=1) / s[:, None, None]
+        np.testing.assert_allclose(stacked, w_full[:, [1, 2, 3, 0], :], atol=1e-10)
+        np.testing.assert_allclose(
+            n_val @ np.linalg.inv(m_val),
+            [f_from_spectrum_eval(m3, part, x) for x in w], atol=1e-8)
 
     def test_block_identity_without_return_path(self, rng):
         # W = [[G, F K], [0, K]] is the spectral factor of a loop with no
@@ -160,13 +159,12 @@ class TestFactorIdentities:
         f_sys = oracles.random_stable_ss(rng, p, q, n=3)
         k_sys = oracles.random_stable_ss(rng, q, q, n=2)
         k_sys = StateSpace(k_sys.A, k_sys.B, k_sys.C, k_sys.D + 2.0 * np.eye(q))
-        for w in np.logspace(-1, 1, 8):
-            s = 1j * w
-            f_val = tf_eval(f_sys, s)
-            k_val = tf_eval(k_sys, s)
-            w12 = f_val @ k_val
-            np.testing.assert_allclose(w12, f_val @ k_val, atol=1e-12)
-            phi_u = k_val @ k_val.conj().T
-            phi_yu = w12 @ k_val.conj().T
-            recovered = np.linalg.solve(phi_u.T, phi_yu.T).T
-            np.testing.assert_allclose(recovered, f_val, atol=1e-8)
+        s = 1j * np.logspace(-1, 1, 8)
+        f_val = freq_response(f_sys, s)
+        k_val = freq_response(k_sys, s)
+        w12 = f_val @ k_val
+        np.testing.assert_allclose(w12, f_val @ k_val, atol=1e-12)
+        phi_u = k_val @ k_val.conj().mT
+        phi_yu = w12 @ k_val.conj().mT
+        recovered = np.linalg.solve(phi_u.mT, phi_yu.mT).mT
+        np.testing.assert_allclose(recovered, f_val, atol=1e-8)
