@@ -411,7 +411,7 @@ def _cmd_granger(args, tol):
 def _cmd_sample(args, tol):
     model = build_ct_model(_continuous_file(args.model), tol)
     sm = sample(model, args.period)
-    r_cont, r_disc = dual_lyapunov_check(model, sm, tol)
+    r_cont, r_disc = dual_lyapunov_check(model, sm)
     report = {
         "v": 1,
         "command": "sample",

@@ -17,6 +17,7 @@ __all__ = [
     "DEFAULT_TOL",
     "COND_LIMIT",
     "POLE_COND_LIMIT",
+    "LYAP_SEP_RTOL",
     "as_matrix",
     "is_invertible",
     "matrix_exp",
@@ -34,6 +35,10 @@ COND_LIMIT = 1e12
 
 #: Condition-number ceiling of ``sI - A`` at an evaluation point that is not a pole.
 POLE_COND_LIMIT = 1e13
+
+#: Smallest ``|lam_i + lam_j|`` over eigenvalue pairs of A, relative to
+#: ``n * max(1, max |lam|)``, for which ``A P + P A' + Q = 0`` counts as solvable.
+LYAP_SEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -189,7 +194,7 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 # Lyapunov solvers: Bartels-Stewart on the Schur form, O(n^3) time and
 # O(n^2) memory
 
-def solve_lyap_continuous(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def solve_lyap_continuous(a, q) -> np.ndarray:
     """Solve ``A P + P A' + Q = 0`` for symmetric P.
 
     Solvable iff A and -A share no eigenvalue (guaranteed for Hurwitz A).
@@ -205,13 +210,13 @@ def solve_lyap_continuous(a, q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     eigs = np.linalg.eigvals(a)
     pair_sums = np.abs(eigs[:, None] + eigs[None, :])
     scale = max(1.0, float(np.abs(eigs).max()))
-    if pair_sums.min() <= n * 1e-12 * scale:
+    if pair_sums.min() <= n * LYAP_SEP_RTOL * scale:
         raise SpectrumConflict("A and -A share an eigenvalue; equation is singular")
     p = scipy.linalg.solve_continuous_lyapunov(a, -q)
     return 0.5 * (p + p.conj().T)
 
 
-def solve_lyap_discrete(a_d, q_d, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def solve_lyap_discrete(a_d, q_d) -> np.ndarray:
     """Solve ``P = A_d P A_d' + Q_d`` for symmetric P.
 
     Requires Schur stability (spectral radius of ``A_d`` below one).

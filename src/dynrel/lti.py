@@ -126,10 +126,23 @@ class CtModel:
         return self.ss.n_out
 
 
+#: Safety factor of the pole certificate in :func:`freq_response`: a
+#: certified point has cond2(sI - A) below this fraction of ``POLE_COND_LIMIT``.
+_POLE_CERT_FACTOR = 1e-3
+
+
 def freq_response(ss: StateSpace, points) -> np.ndarray:
     """``C (sI - A)^{-1} B + D`` at each point of the 1-d sequence
     ``points``, as a ``(k, n_out, n_in)`` complex array: one stack of
-    ``sI - A``, one batched pole test and one batched solve (Laub 1981).
+    ``sI - A``, one pole test and one batched solve (Laub 1981).
+
+    The pole test costs one eigendecomposition ``A = V diag(lam) V^{-1}``
+    per system plus an SVD only at the points it cannot clear. By the
+    Bauer-Fike bound (Bauer & Fike 1960), cond2(sI - A) is at most
+    ``(|s| + ||A||_F) kappa2(V) / min_i |s - lam_i|``; a point where that
+    bound is below ``_POLE_CERT_FACTOR * POLE_COND_LIMIT`` cannot fail
+    the test, and every other point is decided by the SVD condition
+    number, as ``is_invertible(sI - A, POLE_COND_LIMIT)``.
 
     Raises
     ------
@@ -144,9 +157,18 @@ def freq_response(ss: StateSpace, points) -> np.ndarray:
     f[:] = -ss.A
     diag = np.arange(ss.n)
     f[:, diag, diag] += s[:, None]
-    hit = ~is_invertible(f, POLE_COND_LIMIT)
-    if hit.any():
-        raise PoleHit(f"evaluation point {complex(s[hit.argmax()]):.6g} is numerically a pole")
+    lam, v = np.linalg.eig(ss.A)
+    sv = np.linalg.svd(v, compute_uv=False)
+    gap = np.abs(s[:, None] - lam).min(axis=1)
+    # multiplied out: no division, so no warning when V is singular
+    sure = ((np.abs(s) + np.linalg.norm(ss.A)) * sv[0]
+            < _POLE_CERT_FACTOR * POLE_COND_LIMIT * gap * sv[-1])
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        stack = f if unsure.size == s.size else f[unsure]
+        hit = unsure[~is_invertible(stack, POLE_COND_LIMIT)]
+        if hit.size:
+            raise PoleHit(f"evaluation point {complex(s[hit[0]]):.6g} is numerically a pole")
     x = np.linalg.solve(f, ss.B.astype(np.complex128)[None])
     return ss.C @ x + ss.D
 
@@ -161,18 +183,21 @@ def _orth(m: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:
     return u[:, s > rtol * (s[0] if scale is None else scale)]
 
 
-def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
+                        b_scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the smallest A-invariant subspace containing
     range(B), by staircase expansion with SVD rank decisions.
 
-    Rank cutoffs are referenced to the scale of B (first block) and of A
-    (grown blocks), so the decisions are invariant under a global
-    rescaling of the system.
+    Rank cutoffs are referenced to ``b_scale`` (first block) and to the
+    scale of A (grown blocks), so the decisions are invariant under a
+    global rescaling of the system. ``b_scale`` defaults to ``||B||_2``;
+    a caller whose B is a projection of a larger input matrix passes
+    that matrix's norm, so a block that is zero up to roundoff has rank 0.
     """
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    v = _orth(b, tol.rank_rtol * max(b.shape))
+    v = _orth(b, tol.rank_rtol * max(b.shape), b_scale)
     if v.shape[1] == 0:
         return v
     a_scale = float(np.linalg.norm(a, 2))
@@ -198,7 +223,8 @@ def minimal_realization(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> StateS
     a = v.conj().T @ ss.A @ v
     b = v.conj().T @ ss.B
     c = ss.C @ v
-    w = _controllable_basis(a.conj().T, c.conj().T, tol)
+    # cutoff from ||C||, not from ``C v``, which can be zero up to roundoff
+    w = _controllable_basis(a.conj().T, c.conj().T, tol, float(np.linalg.norm(ss.C, 2)))
     a2 = w.conj().T @ a @ w
     b2 = w.conj().T @ b
     c2 = c @ w

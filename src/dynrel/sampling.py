@@ -129,15 +129,13 @@ def sample(model: CtModel, h: float) -> SampledModel:
     return SampledModel(Ad=a_d, Qd=q_d, Cd=c.copy(), h=float(h))
 
 
-def dual_lyapunov_check(
-    model: CtModel, sm: SampledModel, tol: Tolerances = DEFAULT_TOL
-) -> tuple[float, float]:
+def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]:
     """Relative residuals of the single state covariance P in both the
     continuous equation ``A P + P A' + B B' = 0`` and the discrete one
     ``P = A_d P A_d' + Q_d``. Both stay below ``residual_tol`` when
     ``sm`` really is a sampling of ``model``."""
     bbt = model.B @ model.B.T
-    return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt, tol))
+    return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt))
 
 
 def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray) -> tuple[float, float]:
@@ -190,7 +188,7 @@ def desample(
         raise err
     diag.qd_nonsingular = True
 
-    p = solve_lyap_discrete(sm.Ad, sm.Qd, tol)
+    p = solve_lyap_discrete(sm.Ad, sm.Qd)
     candidate = a @ p + p @ a.T
     candidate = 0.5 * (candidate + candidate.T)
     eigs = np.linalg.eigvalsh(candidate)

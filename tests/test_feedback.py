@@ -119,6 +119,16 @@ class TestInternalStability:
         assert cl.internally_stable
         assert oracles.match_gap(poles(cl.T), [-2.0, -1.5]) < 1e-10
 
+    def test_zero_return_map_hidden_modes_leave_block_poles(self):
+        # P = (I - F H)^{-1} = I: its observability block C v is zero up to
+        # roundoff, and its cutoff comes from ||C||, so no pole survives
+        f_sys, h_sys = systems.hidden_unstable_zero_h_loop()
+        cl = closed_loop_T(FeedbackModel(F=f_sys, H=h_sys))
+        assert poles(cl.P).size == 0
+        assert poles(cl.Q).size == 0 and poles(cl.QH).size == 0
+        for block in (cl.PF, cl.T):
+            assert oracles.match_gap(poles(block), [-2.0, -1.5]) < 1e-10
+
     def test_one_reduction_of_t(self, monkeypatch, rng):
         fm = random_loop(rng)
         calls = count_calls(monkeypatch, minimal_realization)

@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
+from conftest import count_calls
 from dynrel.errors import (
     BColumnDeficient,
     DNotInvertible,
@@ -14,6 +16,7 @@ from dynrel.errors import (
     PoleHit,
     RankCBDeficient,
 )
+from dynrel.kernels import POLE_COND_LIMIT, is_invertible
 from dynrel.lti import (
     StateSpace,
     evaluation_gap,
@@ -26,6 +29,7 @@ from dynrel.lti import (
     validate_ct_model,
 )
 from dynrel.relation import classify_selection, compute_F_raw, enumerate_selections
+from dynrel.spectral import default_grid
 
 
 def first_relation(model):
@@ -114,6 +118,94 @@ class TestFreqResponse:
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
         assert freq_response(ss, []).shape == (0, 1, 1)
         assert evaluation_gap(ss, StateSpace.zero(1, 1), points=[]) == 0.0
+
+    def test_certified_grid_takes_no_svd(self, monkeypatch, rng):
+        # non-normal, spectrum in the disc of radius 0.5 around -1
+        g = rng.normal(size=(10, 10))
+        a = 0.5 * g / np.abs(np.linalg.eigvals(g)).max() - np.eye(10)
+        ss = StateSpace(a, rng.normal(size=(10, 2)), rng.normal(size=(3, 10)))
+        calls = count_calls(monkeypatch, is_invertible)
+        assert freq_response(ss, 1j * default_grid()).shape == (200, 3, 2)
+        assert calls == []
+
+    def test_svd_only_at_uncertified_points(self, monkeypatch):
+        a = np.diag([-1.0, -2.0])
+        ss = StateSpace(a, np.ones((2, 1)), np.ones((1, 2)))
+        near = np.array([-1.0 + 1e-11, -2.0 - 1e-10j])
+        s = np.concatenate([1j * np.logspace(-2, 2, 5), near[:1], [3j], near[1:]])
+        calls = count_calls(monkeypatch, is_invertible)
+        freq_response(ss, s)
+        assert len(calls) == 1
+        stack, limit = calls[0]
+        assert stack.shape == (2, 2, 2) and limit == POLE_COND_LIMIT
+        np.testing.assert_array_equal(stack, near[:, None, None] * np.eye(2) - a)
+
+    def test_jordan_block_near_pole_named(self, monkeypatch):
+        # kappa(V) is about 1e16 for a Jordan block: no point certifies,
+        # so the whole stack goes to the SVD and the first hit is named
+        ss = StateSpace([[1.0, 1.0], [0.0, 1.0]], np.eye(2), np.eye(2))
+        s = [2j, 1.0 + 1e-15j, 3j, 1.0 - 1e-15]
+        calls = count_calls(monkeypatch, is_invertible)
+        with pytest.raises(PoleHit, match=re.escape(f"{complex(s[1]):.6g} is")):
+            freq_response(ss, s)
+        assert [c[0].shape for c in calls] == [(4, 2, 2)]
+
+    def test_ill_conditioned_point_reaches_svd_and_passes(self, monkeypatch):
+        a = np.array([[-1.0, 1.0], [0.0, -2.0]])
+        ss = StateSpace(a, np.ones((2, 1)), np.ones((1, 2)))
+        s = -1.0 + 1e-11
+        assert 1e10 < np.linalg.cond(s * np.eye(2) - a) < POLE_COND_LIMIT
+        calls = count_calls(monkeypatch, is_invertible)
+        got = freq_response(ss, [1j, s])
+        assert [c[0].shape for c in calls] == [(1, 2, 2)]
+        assert np.all(np.isfinite(got))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           kind=st.sampled_from(["normal", "non-normal", "near-defective"]),
+           complex_=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           near=st.lists(st.integers(-16, -2), max_size=6), on=st.integers(0, 2))
+    def test_pole_verdict_matches_svd_rule(self, seed, n, kind, complex_, scale, near, on):
+        """freq_response raises PoleHit exactly when the SVD rule at every
+        point finds a hit, and names the same first point."""
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if complex_ else x
+
+        if kind == "normal":
+            q = np.linalg.qr(draw(n, n))[0]
+            a = q @ np.diag(draw(n)) @ q.conj().T
+        elif kind == "non-normal":
+            a = draw(n, n)
+        else:
+            # a Jordan block, slightly perturbed, in a random basis
+            jordan = draw(1)[0] * np.eye(n) + np.eye(n, k=1)
+            t = draw(n, n) + n * np.eye(n)
+            eps = 10.0 ** rng.uniform(-16, -6) * rng.integers(0, 2)
+            a = np.linalg.solve(t, (jordan + eps * draw(n, n)) @ t)
+        a = scale * a
+        lam = np.linalg.eigvals(a)
+        picks = lam[rng.integers(0, n, size=len(near) + on)]
+        angles = 2j * np.pi * rng.uniform(size=len(near))
+        offsets = 10.0 ** np.array(near, dtype=float) * np.exp(angles)
+        s = np.concatenate([1j * scale * np.logspace(-2, 2, 8),
+                            picks[:len(near)] + scale * offsets, picks[len(near):]])
+        s = s[rng.permutation(s.size)]
+        ss = StateSpace(a, draw(n, 2), draw(1, n))
+
+        f = np.empty((s.size, n, n), dtype=np.complex128)
+        f[:] = -a
+        f[:, np.arange(n), np.arange(n)] += s[:, None]
+        hit = ~is_invertible(f, POLE_COND_LIMIT)
+        if hit.any():
+            want = f"evaluation point {complex(s[hit.argmax()]):.6g} is numerically a pole"
+            with pytest.raises(PoleHit) as exc:
+                freq_response(ss, s)
+            assert str(exc.value) == want
+        else:
+            assert freq_response(ss, s).shape == (s.size, 1, 2)
 
 
 class TestMinimalRealization:
