@@ -57,6 +57,7 @@ from .lti import (
     freq_response,
     is_strictly_stable,
     minimal_realization,
+    minimal_realizations,
     poles,
     probe_points,
     ss_inverse,
@@ -75,6 +76,7 @@ from .relation import (
     RelationReport,
     RowSelection,
     classify_selection,
+    classify_selections,
     compute_F_raw,
     compute_gamma,
     enumerate_selections,

@@ -28,6 +28,7 @@ __all__ = [
     "poles_stable",
     "poles",
     "minimal_realization",
+    "minimal_realizations",
     "is_strictly_stable",
     "ss_inverse",
     "validate_ct_model",
@@ -173,71 +174,136 @@ def freq_response(ss: StateSpace, points) -> np.ndarray:
     return ss.C @ x + ss.D
 
 
-def _orth(m: np.ndarray, rtol: float, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis for the columns of ``m`` whose singular value
-    exceeds ``rtol * scale``; ``scale`` defaults to the largest singular
-    value of ``m``."""
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return np.zeros((m.shape[0], 0), dtype=m.dtype)
+def _orth(m: np.ndarray, rtol: float, scale: np.ndarray | None = None) -> list:
+    """Orthonormal bases for the columns of each member of the stack
+    ``m`` (k, rows, cols) whose singular value exceeds ``rtol * scale``;
+    ``scale`` (k,) defaults to each member's largest singular value.
+
+    One batched SVD for the whole stack. Members of equal rank r form a
+    group: the result is ``[(idx, basis), ...]`` in ascending r, with
+    ``idx`` the members' positions and ``basis`` their (len(idx), rows, r)
+    bases. The kept columns are taken with an index array, which gives
+    each basis the column-major layout of a 2-d boolean-mask slice, so
+    the products downstream sum in the same order as on a single system.
+    """
+    k, rows, cols = m.shape
+    if rows == 0 or cols == 0:
+        return [(np.arange(k), np.zeros((k, rows, 0), dtype=m.dtype))]
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, s > rtol * (s[0] if scale is None else scale)]
+    keep = s > rtol * (s[:, :1] if scale is None else scale[:, None])
+    groups = {}
+    for i, row in enumerate(keep.tolist()):
+        groups.setdefault(row.count(True), []).append(i)
+    if len(groups) == 1:
+        (r,) = groups
+        return [(np.arange(k), u[..., np.arange(r)])]
+    return [(np.array(idx), u[idx][..., np.arange(r)]) for r, idx in sorted(groups.items())]
+
+
+def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Members ``idx`` (ascending) of the stack ``x``; ``x`` itself when
+    that is all of them. Taking keeps each member's memory layout."""
+    return x if idx.size == x.shape[0] else x[idx]
 
 
 def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
-                        b_scale: float | None = None) -> np.ndarray:
+                        b_scale: np.ndarray | None = None,
+                        a_scale: np.ndarray | None = None) -> list:
     """Orthonormal basis of the smallest A-invariant subspace containing
-    range(B), by staircase expansion with SVD rank decisions.
+    range(B), by staircase expansion with SVD rank decisions, for every
+    member of the stacks ``a`` (k, n, n) and ``b`` (k, n, p) in lockstep.
 
-    Rank cutoffs are referenced to ``b_scale`` (first block) and to the
-    scale of A (grown blocks), so the decisions are invariant under a
-    global rescaling of the system. ``b_scale`` defaults to ``||B||_2``;
-    a caller whose B is a projection of a larger input matrix passes
-    that matrix's norm, so a block that is zero up to roundoff has rank 0.
+    Each step takes one batched SVD for all members still growing. When
+    their ranks at a step differ, the stack splits into groups of equal
+    rank, and each group goes on with the same code. The result is
+    ``[(idx, basis), ...]``, one entry per group of members that went
+    through the same rank profile.
+
+    Rank cutoffs are referenced to ``b_scale`` (first block) and to
+    ``a_scale`` (grown blocks), so the decisions are invariant under a
+    global rescaling of the system. ``b_scale`` defaults to each
+    ``||B||_2``; a caller whose B is a projection of a larger input
+    matrix passes that matrix's norm, so a block that is zero up to
+    roundoff has rank 0. ``a_scale`` defaults to each ``||A||_2``.
     """
-    n = a.shape[0]
+    k, n = a.shape[0], a.shape[-1]
     if n == 0:
-        return np.zeros((0, 0))
-    v = _orth(b, tol.rank_rtol * max(b.shape), b_scale)
-    if v.shape[1] == 0:
-        return v
-    a_scale = float(np.linalg.norm(a, 2))
-    fresh = v
-    while v.shape[1] < n and fresh.shape[1] > 0:
-        w = a @ fresh
-        w = w - v @ (v.conj().T @ w)
-        w = w - v @ (v.conj().T @ w)
-        fresh = _orth(w, tol.rank_rtol * n, a_scale)
-        if fresh.shape[1]:
-            v = np.hstack([v, fresh])
-    return v
+        return [(np.arange(k), np.zeros((k, 0, 0)))]
+    if a_scale is None:
+        a_scale = np.linalg.norm(a, 2, axis=(-2, -1))
+    work = [(idx, v, v) for idx, v in _orth(b, tol.rank_rtol * max(b.shape[-2:]), b_scale)]
+    done = []
+    while work:
+        idx, v, fresh = work.pop()
+        if v.shape[-1] == n or fresh.shape[-1] == 0:
+            done.append((idx, v))
+            continue
+        w = _take(a, idx) @ fresh
+        w = w - v @ (v.conj().mT @ w)
+        w = w - v @ (v.conj().mT @ w)
+        for jdx, fresh in _orth(w, tol.rank_rtol * n, _take(a_scale, idx)):
+            vj = _take(v, jdx)
+            if fresh.shape[-1]:
+                vj = np.concatenate([vj, fresh], axis=-1)
+            work.append((_take(idx, jdx), vj, fresh))
+    return done
+
+
+def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+                         tol: Tolerances = DEFAULT_TOL,
+                         a_scale: np.ndarray | None = None) -> list[StateSpace]:
+    """Minimal realizations of the stack of systems ``(a, b, c, d)``,
+    shaped (k, n, n), (k, n, p), (k, q, n) and (k, q, p), one per member.
+
+    Staircase reduction in lockstep: project every member onto its
+    reachable subspace, then onto the observable subspace of the result,
+    with one batched SVD per staircase step for all members (see
+    :func:`_controllable_basis`; members of different rank continue in
+    groups). Each returned state dimension is that member's McMillan
+    degree up to the rank tolerance, and each member's reduction is
+    bit-for-bit the one of that member alone. ``a_scale`` (k,) passes
+    ``||a_i||_2`` when the caller has it already.
+    """
+    real = np.isrealobj(a) and np.isrealobj(b) and np.isrealobj(c)
+    # cutoff from ||C||, not from ``C v``, which can be zero up to roundoff
+    c_scale = np.linalg.norm(c, 2, axis=(-2, -1))
+    out = [None] * a.shape[0]
+    for idx, v in _controllable_basis(a, b, tol, a_scale=a_scale):
+        vh = v.conj().mT
+        ar = vh @ _take(a, idx) @ v
+        br = vh @ _take(b, idx)
+        cr = _take(c, idx) @ v
+        for jdx, w in _controllable_basis(ar.conj().mT, cr.conj().mT, tol, _take(c_scale, idx)):
+            wh = w.conj().mT
+            a2 = wh @ _take(ar, jdx) @ w
+            b2 = wh @ _take(br, jdx)
+            c2 = _take(cr, jdx) @ w
+            if real:
+                a2, b2, c2 = a2.real, b2.real, c2.real
+            for i, j in enumerate(_take(idx, jdx).tolist()):
+                out[j] = StateSpace(a2[i], b2[i], c2[i], d[j])
+    return out
 
 
 def minimal_realization(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> StateSpace:
-    """Minimal realization with the same transfer function.
+    """Minimal realization with the same transfer function:
+    :func:`minimal_realizations` of a stack of one.
 
     Staircase reduction: project onto the reachable subspace, then onto
     the observable subspace of the result. The returned state dimension
     is the McMillan degree up to the rank tolerance.
     """
-    v = _controllable_basis(ss.A, ss.B, tol)
-    a = v.conj().T @ ss.A @ v
-    b = v.conj().T @ ss.B
-    c = ss.C @ v
-    # cutoff from ||C||, not from ``C v``, which can be zero up to roundoff
-    w = _controllable_basis(a.conj().T, c.conj().T, tol, float(np.linalg.norm(ss.C, 2)))
-    a2 = w.conj().T @ a @ w
-    b2 = w.conj().T @ b
-    c2 = c @ w
-    if np.isrealobj(ss.A) and np.isrealobj(ss.B) and np.isrealobj(ss.C):
-        a2, b2, c2 = a2.real, b2.real, c2.real
-    return StateSpace(a2, b2, c2, ss.D.copy())
+    return minimal_realizations(ss.A[None], ss.B[None], ss.C[None], ss.D[None], tol)[0]
 
 
 def sorted_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix as a complex array sorted by
-    (real, imaginary) part; empty for a 0x0 matrix."""
-    eigs = np.linalg.eigvals(a)
-    return np.array(sorted(eigs, key=lambda z: (z.real, z.imag)), dtype=np.complex128)
+    """Eigenvalues of a square matrix, or of each matrix of a stack
+    (..., d, d) from one batched call, as a complex array sorted along
+    the last axis by (real, imaginary) part; empty for a 0x0 matrix.
+    The sort is stable, so equal keys keep LAPACK's order."""
+    eigs = np.linalg.eigvals(a).astype(np.complex128)
+    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
 
 
 def poles_stable(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -298,9 +364,9 @@ def validate_ct_model(
     m = ss.B.shape[1]
     if numerical_rank(ss.B, tol) != m:
         raise BColumnDeficient("B does not have full column rank")
-    if _controllable_basis(ss.A, ss.B, tol).shape[1] != n:
+    if _controllable_basis(ss.A[None], ss.B[None], tol)[0][1].shape[-1] != n:
         raise NotReachable("(A, B) is not reachable")
-    if _controllable_basis(ss.A.conj().T, ss.C.conj().T, tol).shape[1] != n:
+    if _controllable_basis(ss.A.conj().T[None], ss.C.conj().T[None], tol)[0][1].shape[-1] != n:
         raise NotObservable("(C, A) is not observable")
     rank_cb = numerical_rank(ss.C @ ss.B, tol)
     if rank_cb != m:

@@ -29,7 +29,7 @@ from .kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank
 from .lti import (
     CtModel,
     StateSpace,
-    minimal_realization,
+    minimal_realizations,
     poles_stable,
     sorted_eigvals,
 )
@@ -42,6 +42,7 @@ __all__ = [
     "compute_gamma",
     "compute_F_raw",
     "classify_selection",
+    "classify_selections",
     "stable_selection_exists",
     "has_full_eigenbasis",
 ]
@@ -85,15 +86,6 @@ class RelationReport:
     poles: np.ndarray
 
 
-def _split_c(model: CtModel, sel: RowSelection):
-    c = model.C
-    n_out = model.n_out
-    for idx in sel.rows0 + sel.rows1:
-        if not 0 <= idx < n_out:
-            raise InadmissibleSelection(f"row index {idx} out of range 0..{n_out - 1}")
-    return c[list(sel.rows0), :], c[list(sel.rows1), :]
-
-
 def _admissible_selections(model: CtModel, cap: int):
     """Yield the admissible selections in lexicographic order of
     ``rows0``; raise before the first subset is tested when there are
@@ -130,6 +122,50 @@ def enumerate_selections(model: CtModel, cap: int = SELECTION_CAP) -> list[RowSe
     return list(_admissible_selections(model, cap))
 
 
+def _check_rows(model: CtModel, sel: RowSelection):
+    n_out = model.n_out
+    for idx in sel.rows0 + sel.rows1:
+        if not 0 <= idx < n_out:
+            raise InadmissibleSelection(f"row index {idx} out of range 0..{n_out - 1}")
+    if len(sel.rows0) != model.m:
+        raise InadmissibleSelection(
+            f"selection picks {len(sel.rows0)} rows, model needs m = {model.m}")
+
+
+def _raw_stacks(model: CtModel, sels: list[RowSelection], tol: Tolerances):
+    """The raw realizations of F for ``sels`` as (k, ., .) stacks:
+    ``(Gamma, B (C0 B)^{-1}, C1 Gamma, C1 B (C0 B)^{-1}, ||Gamma||_2)``.
+
+    One batched condition test of the C0 B, one batched solve for each
+    of ``(C0 B)^{-1} C0 A`` and ``B (C0 B)^{-1}``, and one batched SVD
+    for the norms, which serve both the noise-floor snap and, as the
+    A-scale, the staircase.
+    """
+    for sel in sels:
+        _check_rows(model, sel)
+    if len({len(sel.rows1) for sel in sels}) > 1:
+        raise ValueError("selections must all have the same number of driven rows")
+    k = len(sels)
+    c0 = model.C[np.array([sel.rows0 for sel in sels], dtype=np.intp).reshape(k, -1)]
+    c1 = model.C[np.array([sel.rows1 for sel in sels], dtype=np.intp).reshape(k, -1)]
+    c0b = c0 @ model.B
+    ok = is_invertible(c0b)
+    if not ok.all():
+        raise InadmissibleSelection(
+            f"C0 B for rows {sels[int(np.argmin(ok))].rows0} is not numerically invertible")
+    x = np.linalg.solve(c0b, c0 @ model.A)
+    gamma = model.A - model.B @ x
+    # when m = n the projection is the identity and Gamma vanishes in
+    # exact arithmetic; snap the all-cancellation case to a true zero so
+    # rank and degree decisions downstream are not fooled by noise
+    norm = np.linalg.norm(gamma, 2, axis=(-2, -1))
+    snap = norm <= tol.rank_rtol * model.n * np.linalg.norm(model.A, 2)
+    gamma[snap] = 0.0
+    norm[snap] = 0.0
+    kb = np.linalg.solve(c0b.mT, model.B.T).mT  # B (C0 B)^{-1}
+    return gamma, kb, c1 @ gamma, c1 @ kb, norm
+
+
 def compute_gamma(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """``Gamma = A - B (C0 B)^{-1} C0 A`` for the given selection.
 
@@ -137,57 +173,83 @@ def compute_gamma(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_T
     projection with trace m, Gamma has rank n - m with at least m zero
     eigenvalues; its nonzero eigenvalues are the candidate poles of F.
     """
-    c0, _ = _split_c(model, sel)
-    if len(sel.rows0) != model.m:
-        raise InadmissibleSelection(
-            f"selection picks {len(sel.rows0)} rows, model needs m = {model.m}")
-    c0b = c0 @ model.B
-    if not is_invertible(c0b):
-        raise InadmissibleSelection(
-            f"C0 B for rows {sel.rows0} is not numerically invertible")
-    x = np.linalg.solve(c0b, c0 @ model.A)
-    gamma = model.A - model.B @ x
-    # when m = n the projection is the identity and Gamma vanishes in
-    # exact arithmetic; snap the all-cancellation case to a true zero so
-    # rank and degree decisions downstream are not fooled by noise
-    noise_floor = tol.rank_rtol * model.n * np.linalg.norm(model.A, 2)
-    if np.linalg.norm(gamma, 2) <= noise_floor:
-        gamma = np.zeros_like(gamma)
-    return gamma
+    return _raw_stacks(model, [sel], tol)[0][0]
 
 
 def compute_F_raw(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> StateSpace:
     """Dimension-n realization of F(s), prior to degree reduction."""
-    gamma = compute_gamma(model, sel, tol)  # also tests admissibility
-    c0, c1 = _split_c(model, sel)
-    k = np.linalg.solve((c0 @ model.B).T, model.B.T).T  # B (C0 B)^{-1}
-    return StateSpace(gamma, k, c1 @ gamma, c1 @ k)
+    return StateSpace(*(x[0] for x in _raw_stacks(model, [sel], tol)[:4]))
 
 
-def _report(sel: RowSelection, f_raw: StateSpace, f_min: StateSpace, tol: Tolerances) -> RelationReport:
-    """Report on ``sel`` from its raw realization and the reduction of it."""
-    f_poles = sorted_eigvals(f_min.A)
-    return RelationReport(
-        selection=sel,
-        gamma=f_raw.A,
-        gamma_eigs=sorted_eigvals(f_raw.A),
-        F=f_min,
-        F_raw=f_raw,
-        degree=f_min.n,
-        stable=poles_stable(f_poles, tol),
-        poles=f_poles,
-    )
+def _reduced(model: CtModel, sels: list[RowSelection], tol: Tolerances):
+    """The raw stacks of ``sels``, their minimal realizations from one
+    :func:`minimal_realizations` call, and the sorted poles of each,
+    from one batched eigenvalue call per group of equal degree."""
+    gamma, kb, c, d, norm = _raw_stacks(model, sels, tol)
+    f_min = minimal_realizations(gamma, kb, c, d, tol, a_scale=norm)
+    by_degree = {}
+    for i, f in enumerate(f_min):
+        by_degree.setdefault(f.n, []).append(i)
+    f_poles = [None] * len(sels)
+    for idx in by_degree.values():
+        for i, p in zip(idx, sorted_eigvals(np.stack([f_min[i].A for i in idx]))):
+            f_poles[i] = p
+    return (gamma, kb, c, d), f_min, f_poles
+
+
+def _reports(sels, raw, f_min, f_poles, tol: Tolerances) -> list[RelationReport]:
+    """Reports on ``sels`` from the output of :func:`_reduced`, with the
+    Gamma eigenvalues from one batched eigenvalue call."""
+    gamma, kb, c, d = raw
+    gamma_eigs = sorted_eigvals(gamma)
+    reports = []
+    for i, sel in enumerate(sels):
+        f_raw = StateSpace(gamma[i], kb[i], c[i], d[i])
+        reports.append(RelationReport(
+            selection=sel,
+            gamma=f_raw.A,
+            gamma_eigs=gamma_eigs[i],
+            F=f_min[i],
+            F_raw=f_raw,
+            degree=f_min[i].n,
+            stable=poles_stable(f_poles[i], tol),
+            poles=f_poles[i],
+        ))
+    return reports
+
+
+def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> list[RelationReport]:
+    """Full reports for the admissible selections ``sels``, in order,
+    classified as one stack.
+
+    The raw realizations come from one condition test and one batched
+    solve per factor; all of them are reduced by one call of
+    :func:`minimal_realizations`, which runs the staircase for every
+    selection in lockstep. The Gamma eigenvalues come from one batched
+    eigenvalue call, and so do the poles of each group of equal degree.
+    Gamma is the state matrix of the raw realization; ``poles`` are the
+    sorted eigenvalues of the reported minimal F, and ``stable`` is
+    decided on those same poles. Every report is bit-for-bit the one the
+    selection gets alone.
+
+    Raises
+    ------
+    InadmissibleSelection
+        For the first selection with a row out of range or a wrong
+        count, else for the first whose C0 B fails the condition test.
+    ValueError
+        The selections drive different numbers of rows.
+    """
+    sels = list(sels)
+    if not sels:
+        return []
+    return _reports(sels, *_reduced(model, sels, tol), tol)
 
 
 def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
-    """Full report for one admissible selection.
-
-    Gamma is the state matrix of the raw realization, which is reduced
-    once. ``poles`` are the sorted eigenvalues of the reported minimal
-    F, and ``stable`` is decided on those same poles.
-    """
-    f_raw = compute_F_raw(model, sel, tol)
-    return _report(sel, f_raw, minimal_realization(f_raw, tol), tol)
+    """Full report for one admissible selection:
+    :func:`classify_selections` of a stack of one."""
+    return classify_selections(model, [sel], tol)[0]
 
 
 def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RelationReport | None:
@@ -195,10 +257,10 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
     whose F is strictly stable, or None when every admissible selection
     yields an unstable relation.
 
-    The subsets are tested one at a time, each with one minimal
-    realization, and the search stops at the first stable one: subsets
-    after it are neither condition-tested nor reduced, and a rejected
-    subset costs only its stability test.
+    The subsets are tested and reduced one at a time, each as a stack of
+    one, and the search stops at the first stable one: subsets after it
+    are neither condition-tested nor reduced, and a rejected subset costs
+    no Gamma eigenvalues.
 
     Raises
     ------
@@ -209,10 +271,9 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
         Every subset fails the invertibility test.
     """
     for sel in _admissible_selections(model, SELECTION_CAP):
-        f_raw = compute_F_raw(model, sel, tol)
-        f_min = minimal_realization(f_raw, tol)
-        if poles_stable(np.linalg.eigvals(f_min.A), tol):
-            return _report(sel, f_raw, f_min, tol)
+        raw, f_min, f_poles = _reduced(model, [sel], tol)
+        if poles_stable(f_poles[0], tol):
+            return _reports([sel], raw, f_min, f_poles, tol)[0]
     return None
 
 

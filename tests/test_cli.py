@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 import systems
 from conftest import count_calls, write_model
 from dynrel import cli, feedback, relation
 from dynrel.cli import dumps_report, run
 from dynrel.kernels import matrix_exp, psd_factor
-from dynrel.lti import StateSpace, freq_response, minimal_realization
+from dynrel.lti import StateSpace, freq_response, minimal_realizations
 from dynrel.sampling import sample
 from dynrel.spectral import default_grid
 
@@ -76,6 +77,30 @@ class TestSerializer:
     def test_matrix_extreme_values_match_list_path(self):
         arr = np.array([[-0.0, 5e-324, 1e300], [0.0, -5e-324, -1e300]])
         assert dumps_report({"M": arr}) == dumps_report({"M": arr.tolist()})
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [1 + 2j],
+        [complex(-0.0, 5e-324), complex(5e-324, -0.0), complex(-5e-324, 1e300),
+         complex(1e300, -5e-324), complex(-1e300, -1e300), complex(0.1, -1 / 3)],
+    ])
+    def test_complex_array_bytes_match_list_path(self, values):
+        arr = np.array(values, dtype=np.complex128)
+        for wrap in (lambda z: {"z": z}, lambda z: {"a": {"b": [z, 1]}}):
+            assert dumps_report(wrap(arr)) == dumps_report(wrap([complex(z) for z in arr]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_complex_array_nonfinite_same_error(self, bad, part):
+        arr = np.array([1 + 1j, 2 - 2j, 3 + 3j])
+        arr[1] = complex(bad, 2.0) if part == "re" else complex(2.0, bad)
+        arr[2] = complex(-bad, -bad)
+        with pytest.raises(ValueError) as from_list:
+            dumps_report({"z": [complex(z) for z in arr]})
+        with pytest.raises(ValueError) as from_array:
+            dumps_report({"z": arr})
+        assert str(from_array.value) == str(from_list.value)
+        assert str(from_array.value).startswith("non-finite number in report: ")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_matrix_nonfinite_same_error(self, bad):
@@ -170,6 +195,29 @@ class TestRelation:
         assert len(data["selections"]) == 2
         assert not data["any_stable"]
 
+    @pytest.mark.parametrize("name", ["model3", "model2", "seeded"])
+    def test_all_matches_per_selection_bytes(self, capsys, monkeypatch, tmp_path, name,
+                                             model3_file, model2_file):
+        if name == "seeded":
+            model = oracles.random_ct_model(np.random.default_rng(10), n=10, m=3, n_out=6)
+            path = write_model(tmp_path / "n10.json", A=model.A, B=model.B, C=model.C)
+        else:
+            path = model3_file if name == "model3" else model2_file
+        code = run(["relation", path, "--all"])
+        stacked = capsys.readouterr().out
+        monkeypatch.setattr(cli, "classify_selections", lambda model, sels, tol: [
+            relation.classify_selection(model, sel, tol) for sel in sels])
+        assert run(["relation", path, "--all"]) == code
+        assert capsys.readouterr().out == stacked
+
+    def test_all_is_one_batched_reduction(self, capsys, monkeypatch, model3_file):
+        reductions = count_calls(monkeypatch, minimal_realizations)
+        classifications = count_calls(monkeypatch, relation.classify_selections)
+        code, data = run_json(capsys, ["relation", model3_file, "--all"])
+        assert code == 0 and len(data["selections"]) == 4
+        assert len(classifications) == 1 and len(reductions) == 1
+        assert reductions[0][0].shape[0] == 4
+
     def test_bad_rows_exits_2(self, capsys, model3_file):
         code, _ = run_json(capsys, ["relation", model3_file, "--rows", "0,1"])
         assert code == 2
@@ -184,7 +232,7 @@ class TestStableSelection:
         assert data["found"] and data["selection"]["rows0"] == [0]
 
     def test_found_selection_reduced_once(self, capsys, monkeypatch, model3_file):
-        reductions = count_calls(monkeypatch, minimal_realization)
+        reductions = count_calls(monkeypatch, minimal_realizations)
         code, data = run_json(capsys, ["stable-selection", model3_file])
         assert code == 0 and len(reductions) == 1
         _, same = run_json(capsys, ["relation", model3_file, "--rows", "0"])

@@ -23,6 +23,7 @@ from dynrel.lti import (
     freq_response,
     is_strictly_stable,
     minimal_realization,
+    minimal_realizations,
     poles,
     probe_points,
     ss_inverse,
@@ -249,6 +250,74 @@ class TestMinimalRealization:
                                           int(rng.integers(1, 4)),
                                           n=int(rng.integers(1, 9)))
             assert evaluation_gap(minimal_realization(ss), ss) < 1e-8
+
+
+def hidden_state_system(rng, n, hidden_in, hidden_out, rank_b=2):
+    """Random n-state system with two inputs and two outputs whose last
+    ``hidden_in`` states are unreachable and whose first ``hidden_out``
+    states are unobservable, behind a random orthogonal change of basis;
+    B has rank ``rank_b``. The McMillan degree is n - hidden_in - hidden_out."""
+    o, u = hidden_out, hidden_in
+    a = oracles.hurwitz(rng, n)
+    a[o:, :o] = 0.0          # x1 (unobservable) drives nothing downstream
+    a[n - u:, :n - u] = 0.0  # x3 (unreachable) is driven by nothing
+    b = rng.normal(size=(n, 2))
+    b[n - u:] = 0.0
+    b[:, rank_b:] = 0.0
+    c = rng.normal(size=(2, n))
+    c[:, :o] = 0.0
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return q @ a @ q.T, q @ b, c @ q.T
+
+
+class TestMinimalRealizationStack:
+    # (unreachable, unobservable, rank of B) per member: the members go
+    # through different rank profiles, so the lockstep staircase splits
+    PROFILES = [(0, 0, 2), (1, 0, 2), (2, 0, 2), (0, 1, 2), (0, 2, 2), (1, 1, 2),
+                (0, 0, 1), (2, 1, 1), (0, 0, 2)]
+
+    def stack(self, rng, n=6):
+        members = [hidden_state_system(rng, n, u, o, r) for u, o, r in self.PROFILES]
+        a, b, c = (np.stack(x) for x in zip(*members))
+        return a, b, c, 0.1 * rng.normal(size=(len(members), 2, 2))
+
+    def test_members_match_single_reductions_exactly(self, rng):
+        a, b, c, d = self.stack(rng)
+        got = minimal_realizations(a, b, c, d)
+        assert len({f.n for f in got}) > 2
+        for i, f in enumerate(got):
+            alone = minimal_realization(StateSpace(a[i], b[i], c[i], d[i]))
+            for name in "ABCD":
+                x, y = getattr(f, name), getattr(alone, name)
+                assert x.shape == y.shape and np.all(x == y), (i, name)
+
+    def test_degrees_follow_the_hidden_states(self, rng):
+        a, b, c, d = self.stack(rng)
+        got = minimal_realizations(a, b, c, d)
+        for i, ((u, o, _), f) in enumerate(zip(self.PROFILES, got)):
+            assert f.n == 6 - u - o
+            assert evaluation_gap(f, StateSpace(a[i], b[i], c[i], d[i])) < 1e-8
+
+    def test_one_svd_per_step_for_an_even_stack(self, rng, monkeypatch):
+        # members with one rank profile stay one stack: each SVD sees all
+        # of them, and there are no more SVDs than for one member alone
+        members = [hidden_state_system(rng, 5, 1, 1) for _ in range(4)]
+        a, b, c = (np.stack(x) for x in zip(*members))
+        d = np.zeros((4, 2, 2))
+        svds = []
+        svd = np.linalg.svd
+
+        def counting(m, *args, **kwargs):
+            svds.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        minimal_realizations(a[:1], b[:1], c[:1], d[:1])
+        alone = len(svds)
+        svds.clear()
+        minimal_realizations(a, b, c, d)
+        assert len(svds) == alone
+        assert all(shape[0] == 4 for shape in svds)
 
 
 class TestPolesAndDegree:
