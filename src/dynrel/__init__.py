@@ -77,8 +77,6 @@ from .relation import (
     RowSelection,
     classify_selection,
     classify_selections,
-    compute_F_raw,
-    compute_gamma,
     enumerate_selections,
     has_full_eigenbasis,
     stable_selection_exists,

@@ -25,8 +25,7 @@ from .feedback import (
     granger_verdict,
     verify_interchange_identities,
 )
-from .kernels import DEFAULT_TOL, psd_factor
-from .lti import sorted_eigvals
+from .kernels import DEFAULT_TOL, psd_factor, sorted_eigvals
 from .modelio import (
     ContinuousModelFile,
     SampledModelFile,
@@ -275,9 +274,10 @@ def _parse_grid(spec: str | None) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise InputError(f"--grid must look like LO:HI:N, got {spec!r}") from exc
-    if not (lo > 0 and hi > 0 and count >= 1):
-        raise InputError("--grid bounds must be positive and N >= 1")
-    return default_grid(lo, hi, count)
+    try:
+        return default_grid(lo, hi, count)
+    except ValueError as exc:
+        raise InputError(f"--grid {spec!r}: {exc}") from exc
 
 
 def _continuous_file(path: str) -> ContinuousModelFile:

@@ -27,6 +27,7 @@ __all__ = [
     "numerical_rank",
     "psd_factor",
     "nonzero_spectrum",
+    "sorted_eigvals",
 ]
 
 #: Condition-number ceiling for "numerically invertible" decisions
@@ -297,20 +298,24 @@ def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return cols
 
 
+def sorted_eigvals(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a square matrix, or of each matrix of a stack
+    (..., d, d) from one batched call, as a complex array sorted along
+    the last axis by (real, imaginary) part; empty for a 0x0 matrix.
+    The sort is stable, so equal keys keep LAPACK's order."""
+    eigs = np.linalg.eigvals(a).astype(np.complex128)
+    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
+
+
 def nonzero_spectrum(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues with modulus above the rank cutoff, sorted by
-    (real, imaginary) part.
+    """Eigenvalues with modulus above the rank cutoff
+    ``rank_rtol * max|lam| * n``, sorted by (real, imaginary) part.
 
     Backs the similarity property that AB and BA share their nonzero
     eigenvalues for any conformable rectangular A, B.
     """
     a = as_matrix(m, square=True, name="spectrum input")
-    if a.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
-    eigs = np.linalg.eigvals(a)
-    scale = float(np.abs(eigs).max())
-    if scale == 0.0:
-        return np.zeros(0, dtype=np.complex128)
-    cutoff = tol.rank_rtol * scale * a.shape[0]
-    kept = eigs[np.abs(eigs) > cutoff]
-    return np.array(sorted(kept, key=lambda z: (z.real, z.imag)), dtype=np.complex128)
+    eigs = sorted_eigvals(a)
+    cutoff = tol.rank_rtol * np.abs(eigs).max(initial=0.0) * a.shape[0]
+    return eigs[np.abs(eigs) > cutoff]

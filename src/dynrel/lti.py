@@ -18,13 +18,13 @@ from .errors import (
     PoleHit,
     RankCBDeficient,
 )
-from .kernels import DEFAULT_TOL, POLE_COND_LIMIT, Tolerances, as_matrix, is_invertible, numerical_rank
+from .kernels import (DEFAULT_TOL, POLE_COND_LIMIT, Tolerances, as_matrix, is_invertible,
+                      numerical_rank, sorted_eigvals)
 
 __all__ = [
     "StateSpace",
     "CtModel",
     "freq_response",
-    "sorted_eigvals",
     "poles_stable",
     "poles",
     "minimal_realization",
@@ -294,16 +294,6 @@ def minimal_realization(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> StateS
     is the McMillan degree up to the rank tolerance.
     """
     return minimal_realizations(ss.A[None], ss.B[None], ss.C[None], ss.D[None], tol)[0]
-
-
-def sorted_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a square matrix, or of each matrix of a stack
-    (..., d, d) from one batched call, as a complex array sorted along
-    the last axis by (real, imaginary) part; empty for a 0x0 matrix.
-    The sort is stable, so equal keys keep LAPACK's order."""
-    eigs = np.linalg.eigvals(a).astype(np.complex128)
-    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
-    return np.take_along_axis(eigs, order, axis=-1)
 
 
 def poles_stable(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -8,10 +8,13 @@ rational map F(s) from u to y, realized as
 
     F(s) = C1 B (C0 B)^{-1} + C1 Gamma (sI - Gamma)^{-1} B (C0 B)^{-1},
 
-equivalently ``s C1 (sI - Gamma)^{-1} B (C0 B)^{-1}``. The zero
-eigenvalues of Gamma cancel in the reduction, so the minimal degree is
-at most n - m. Whether a selection with strictly stable F exists is a
-property of the model, not a given: some models admit none.
+equivalently ``s C1 (sI - Gamma)^{-1} B (C0 B)^{-1}``. Since
+``B (C0 B)^{-1} C0`` is an oblique projection with trace m, Gamma has
+rank n - m with at least m zero eigenvalues; these cancel in the
+reduction, so the minimal degree is at most n - m and the nonzero
+eigenvalues of Gamma are the candidate poles of F. Whether a selection
+with strictly stable F exists is a property of the model, not a given:
+some models admit none.
 """
 
 import itertools
@@ -25,22 +28,14 @@ from .errors import (
     NoAdmissibleSelection,
     SelectionLimitExceeded,
 )
-from .kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank
-from .lti import (
-    CtModel,
-    StateSpace,
-    minimal_realizations,
-    poles_stable,
-    sorted_eigvals,
-)
+from .kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank, sorted_eigvals
+from .lti import CtModel, StateSpace, minimal_realizations, poles_stable
 
 __all__ = [
     "SELECTION_CAP",
     "RowSelection",
     "RelationReport",
     "enumerate_selections",
-    "compute_gamma",
-    "compute_F_raw",
     "classify_selection",
     "classify_selections",
     "stable_selection_exists",
@@ -86,40 +81,32 @@ class RelationReport:
     poles: np.ndarray
 
 
-def _admissible_selections(model: CtModel, cap: int):
-    """Yield the admissible selections in lexicographic order of
-    ``rows0``; raise before the first subset is tested when there are
-    more than ``cap`` subsets, and after the last one when none was
-    admissible."""
-    n_out, m = model.n_out, model.m
-    if comb(n_out, m) > cap:
-        raise SelectionLimitExceeded(
-            f"{comb(n_out, m)} candidate subsets exceed the cap of {cap}")
-    found = False
-    for rows0 in itertools.combinations(range(n_out), m):
-        c0b = model.C[list(rows0), :] @ model.B
-        if is_invertible(c0b):
-            found = True
-            rows1 = tuple(i for i in range(n_out) if i not in rows0)
-            yield RowSelection(rows0=rows0, rows1=rows1)
-    if not found:
-        raise NoAdmissibleSelection("no row subset gives an invertible C0 B")
-
-
 def enumerate_selections(model: CtModel, cap: int = SELECTION_CAP) -> list[RowSelection]:
     """All admissible selections, in lexicographic order of ``rows0``.
 
     A subset is admissible when its C0 B has condition number below the
-    invertibility ceiling.
+    invertibility ceiling. All ``comb(n_out, m)`` subsets are tested by
+    one batched :func:`is_invertible` call, whose verdict on each C0 B is
+    the one that matrix gets alone.
 
     Raises
     ------
     SelectionLimitExceeded
-        More than ``cap`` subsets would have to be examined.
+        More than ``cap`` subsets would have to be examined; raised
+        before any subset is tested.
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    return list(_admissible_selections(model, cap))
+    n_out, m = model.n_out, model.m
+    if comb(n_out, m) > cap:
+        raise SelectionLimitExceeded(
+            f"{comb(n_out, m)} candidate subsets exceed the cap of {cap}")
+    subsets = np.array(list(itertools.combinations(range(n_out), m)), dtype=np.intp)
+    ok = is_invertible(model.C[subsets.reshape(-1, m)] @ model.B)
+    if not ok.any():
+        raise NoAdmissibleSelection("no row subset gives an invertible C0 B")
+    return [RowSelection(rows0, tuple(i for i in range(n_out) if i not in rows0))
+            for rows0 in subsets[ok].tolist()]
 
 
 def _check_rows(model: CtModel, sel: RowSelection):
@@ -166,58 +153,6 @@ def _raw_stacks(model: CtModel, sels: list[RowSelection], tol: Tolerances):
     return gamma, kb, c1 @ gamma, c1 @ kb, norm
 
 
-def compute_gamma(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """``Gamma = A - B (C0 B)^{-1} C0 A`` for the given selection.
-
-    Since ``B (C0 B)^{-1} C0`` is an (always diagonalizable) oblique
-    projection with trace m, Gamma has rank n - m with at least m zero
-    eigenvalues; its nonzero eigenvalues are the candidate poles of F.
-    """
-    return _raw_stacks(model, [sel], tol)[0][0]
-
-
-def compute_F_raw(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> StateSpace:
-    """Dimension-n realization of F(s), prior to degree reduction."""
-    return StateSpace(*(x[0] for x in _raw_stacks(model, [sel], tol)[:4]))
-
-
-def _reduced(model: CtModel, sels: list[RowSelection], tol: Tolerances):
-    """The raw stacks of ``sels``, their minimal realizations from one
-    :func:`minimal_realizations` call, and the sorted poles of each,
-    from one batched eigenvalue call per group of equal degree."""
-    gamma, kb, c, d, norm = _raw_stacks(model, sels, tol)
-    f_min = minimal_realizations(gamma, kb, c, d, tol, a_scale=norm)
-    by_degree = {}
-    for i, f in enumerate(f_min):
-        by_degree.setdefault(f.n, []).append(i)
-    f_poles = [None] * len(sels)
-    for idx in by_degree.values():
-        for i, p in zip(idx, sorted_eigvals(np.stack([f_min[i].A for i in idx]))):
-            f_poles[i] = p
-    return (gamma, kb, c, d), f_min, f_poles
-
-
-def _reports(sels, raw, f_min, f_poles, tol: Tolerances) -> list[RelationReport]:
-    """Reports on ``sels`` from the output of :func:`_reduced`, with the
-    Gamma eigenvalues from one batched eigenvalue call."""
-    gamma, kb, c, d = raw
-    gamma_eigs = sorted_eigvals(gamma)
-    reports = []
-    for i, sel in enumerate(sels):
-        f_raw = StateSpace(gamma[i], kb[i], c[i], d[i])
-        reports.append(RelationReport(
-            selection=sel,
-            gamma=f_raw.A,
-            gamma_eigs=gamma_eigs[i],
-            F=f_min[i],
-            F_raw=f_raw,
-            degree=f_min[i].n,
-            stable=poles_stable(f_poles[i], tol),
-            poles=f_poles[i],
-        ))
-    return reports
-
-
 def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> list[RelationReport]:
     """Full reports for the admissible selections ``sels``, in order,
     classified as one stack.
@@ -243,7 +178,30 @@ def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> 
     sels = list(sels)
     if not sels:
         return []
-    return _reports(sels, *_reduced(model, sels, tol), tol)
+    gamma, kb, c, d, norm = _raw_stacks(model, sels, tol)
+    f_min = minimal_realizations(gamma, kb, c, d, tol, a_scale=norm)
+    by_degree = {}
+    for i, f in enumerate(f_min):
+        by_degree.setdefault(f.n, []).append(i)
+    f_poles = [None] * len(sels)
+    for idx in by_degree.values():
+        for i, p in zip(idx, sorted_eigvals(np.stack([f_min[i].A for i in idx]))):
+            f_poles[i] = p
+    gamma_eigs = sorted_eigvals(gamma)
+    reports = []
+    for i, sel in enumerate(sels):
+        f_raw = StateSpace(gamma[i], kb[i], c[i], d[i])
+        reports.append(RelationReport(
+            selection=sel,
+            gamma=f_raw.A,
+            gamma_eigs=gamma_eigs[i],
+            F=f_min[i],
+            F_raw=f_raw,
+            degree=f_min[i].n,
+            stable=poles_stable(f_poles[i], tol),
+            poles=f_poles[i],
+        ))
+    return reports
 
 
 def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
@@ -253,14 +211,14 @@ def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFA
 
 
 def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RelationReport | None:
-    """:func:`classify_selection` of the first (lexicographic) selection
-    whose F is strictly stable, or None when every admissible selection
-    yields an unstable relation.
+    """The report of the first (lexicographic) selection whose F is
+    strictly stable, or None when every admissible selection yields an
+    unstable relation.
 
-    The subsets are tested and reduced one at a time, each as a stack of
-    one, and the search stops at the first stable one: subsets after it
-    are neither condition-tested nor reduced, and a rejected subset costs
-    no Gamma eigenvalues.
+    Whether the first subset is stable cannot be known before it is
+    reduced, so every admissible selection is classified as one stack by
+    :func:`classify_selections`, as ``relation --all`` does, and the
+    first stable report is read off that stack.
 
     Raises
     ------
@@ -270,11 +228,8 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    for sel in _admissible_selections(model, SELECTION_CAP):
-        raw, f_min, f_poles = _reduced(model, [sel], tol)
-        if poles_stable(f_poles[0], tol):
-            return _reports([sel], raw, f_min, f_poles, tol)[0]
-    return None
+    reports = classify_selections(model, enumerate_selections(model, SELECTION_CAP), tol)
+    return next((rep for rep in reports if rep.stable), None)
 
 
 def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:

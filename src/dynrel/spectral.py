@@ -21,9 +21,10 @@ __all__ = [
 
 
 def default_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200) -> np.ndarray:
-    """Logarithmically spaced frequency grid in rad/s."""
-    if not (lo > 0 and hi > 0 and count >= 1):
-        raise ValueError("grid bounds must be positive and count >= 1")
+    """Logarithmically spaced frequency grid in rad/s; the bounds must
+    be finite and positive, else ``ValueError``."""
+    if not (0 < lo < np.inf and 0 < hi < np.inf and count >= 1):
+        raise ValueError("grid bounds must be finite and positive, and count >= 1")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 

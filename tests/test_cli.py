@@ -8,7 +8,7 @@ import systems
 from conftest import count_calls, write_model
 from dynrel import cli, feedback, relation
 from dynrel.cli import dumps_report, run
-from dynrel.kernels import matrix_exp, psd_factor
+from dynrel.kernels import is_invertible, matrix_exp, psd_factor
 from dynrel.lti import StateSpace, freq_response, minimal_realizations
 from dynrel.sampling import sample
 from dynrel.spectral import default_grid
@@ -161,6 +161,15 @@ class TestSpectrum:
         code, data = run_json(capsys, ["spectrum", model2_file, "--grid", "nope"])
         assert code == 2
 
+    @pytest.mark.parametrize("spec", ["1:inf:10", "inf:inf:3", "nan:1:3"])
+    def test_non_finite_grid_exits_2(self, capfd, model2_file, spec):
+        code = run(["spectrum", model2_file, "--grid", spec])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "InputError"
+        # one message line of our own, nothing from LAPACK or numpy
+        assert err.startswith("error: --grid") and err.count("\n") == 1
+
     def test_one_frequency_response(self, capsys, monkeypatch, model2_file):
         calls = count_calls(monkeypatch, freq_response)
         code, _ = run_json(capsys, ["spectrum", model2_file, "--grid", "1e-2:1e2:50"])
@@ -225,6 +234,13 @@ class TestRelation:
         assert code == 2
 
 
+@pytest.fixture
+def seeded_file(tmp_path):
+    """n = 10 model whose first stable selection is its third."""
+    model = oracles.random_ct_model(np.random.default_rng(15), n=10, m=3, n_out=6)
+    return write_model(tmp_path / "n10.json", A=model.A, B=model.B, C=model.C)
+
+
 class TestStableSelection:
     def test_found(self, capsys, model3_file):
         code, data = run_json(capsys, ["stable-selection", model3_file])
@@ -247,6 +263,33 @@ class TestStableSelection:
         searches = count_calls(monkeypatch, relation.stable_selection_exists)
         code, _ = run_json(capsys, ["stable-selection", model3_file])
         assert code == 0 and len(searches) == 1
+
+    @pytest.mark.parametrize("name", ["model3", "model2", "seeded"])
+    def test_bytes_of_first_stable_entry_of_relation_all(self, capsys, monkeypatch, name,
+                                                         model3_file, model2_file, seeded_file):
+        path = {"model3": model3_file, "model2": model2_file, "seeded": seeded_file}[name]
+        reports = []
+        monkeypatch.setattr(cli, "dumps_report", lambda rep: reports.append(rep) or "")
+        code_all = run(["relation", path, "--all"])
+        monkeypatch.undo()
+        code = run(["stable-selection", path])
+        first = next((e for e in reports[0]["selections"] if e["stable"]), None)
+        want = {"v": 1, "command": "stable-selection", "input": path, "found": first is not None}
+        if first is not None:
+            want["selection"] = first
+        assert code == code_all
+        assert capsys.readouterr().out == dumps_report(want)
+
+    @pytest.mark.parametrize("argv", [["relation", "--all"], ["stable-selection"]])
+    def test_two_condition_tests_and_one_reduction(self, capsys, monkeypatch, seeded_file,
+                                                   argv):
+        condition_tests = count_calls(monkeypatch, is_invertible)
+        reductions = count_calls(monkeypatch, minimal_realizations)
+        code, _ = run_json(capsys, [argv[0], seeded_file, *argv[1:]])
+        assert code == 0
+        # every subset in one batched test, then the admissible stack in one
+        assert [args[0].shape for args in condition_tests] == [(20, 3, 3), (20, 3, 3)]
+        assert len(reductions) == 1 and reductions[0][0].shape[0] == 20
 
 
 class TestFeedback:

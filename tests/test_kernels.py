@@ -264,7 +264,10 @@ class TestPsdFactor:
 
 class TestNonzeroSpectrum:
     def test_zero_matrix(self):
-        assert nonzero_spectrum(np.zeros((3, 3))).size == 0
+        # 0x0, zero, and nilpotent in triangular form (exact zero eigenvalues)
+        for m in (np.zeros((0, 0)), np.zeros((3, 3)), np.diag(np.ones(3), 1)):
+            got = nonzero_spectrum(m)
+            assert got.shape == (0,) and got.dtype == np.complex128
 
     def test_golden_projection(self):
         c0 = systems.C3[0:1, :]

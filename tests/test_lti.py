@@ -29,7 +29,7 @@ from dynrel.lti import (
     ss_inverse,
     validate_ct_model,
 )
-from dynrel.relation import classify_selection, compute_F_raw, enumerate_selections
+from dynrel.relation import classify_selection, enumerate_selections
 from dynrel.spectral import default_grid
 
 
@@ -212,7 +212,7 @@ class TestFreqResponse:
 class TestMinimalRealization:
     def test_golden_reduction(self, m3):
         sel = enumerate_selections(m3)[0]
-        raw = compute_F_raw(m3, sel)
+        raw = classify_selection(m3, sel).F_raw
         assert raw.n == 3
         reduced = minimal_realization(raw)
         assert reduced.n == 2
@@ -221,7 +221,7 @@ class TestMinimalRealization:
 
     def test_golden_reduction_second_model(self, m2):
         sel = enumerate_selections(m2)[0]
-        raw = compute_F_raw(m2, sel)
+        raw = classify_selection(m2, sel).F_raw
         assert raw.n == 2
         reduced = minimal_realization(raw)
         assert reduced.n == 1

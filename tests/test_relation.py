@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,8 +28,6 @@ from dynrel.relation import (
     RowSelection,
     classify_selection,
     classify_selections,
-    compute_F_raw,
-    compute_gamma,
     enumerate_selections,
     has_full_eigenbasis,
     stable_selection_exists,
@@ -38,6 +38,33 @@ from dynrel.spectral import PartitionSpec, f_from_spectrum_eval
 def constant_relation_model():
     """m = n = 1 with two output channels: the relation is a constant."""
     return validate_ct_model(StateSpace([[-1.0]], [[1.0]], [[1.0], [2.0]]))
+
+
+def near_threshold_model():
+    """m = 2 model whose 15 subsets give cond(C0 B) of 1 or between 6e11
+    and 4e12, on both sides of the invertibility ceiling of 1e12."""
+    u = [[1.0, 0.0], [0.0, 1.0], [1.0, 3e-12], [1.0, 1.5e-12], [1.0, 8e-13], [1.0, 2.05e-12]]
+    c = np.hstack([u, np.ones((6, 1))])
+    b = np.vstack([np.eye(2), np.zeros((1, 2))])
+    return CtModel(ss=StateSpace(np.diag([-1.0, -2.0, -3.0]), b, c), m=2)
+
+
+def seeded_model():
+    """n = 10 model whose first stable selection is its third."""
+    return oracles.random_ct_model(np.random.default_rng(15), n=10, m=3, n_out=6)
+
+
+def assert_same_report(got, want):
+    """Every field of two relation reports equal with ``==``."""
+    assert got.selection == want.selection
+    assert got.degree == want.degree and got.stable == want.stable
+    for x, y in ((got.gamma, want.gamma), (got.gamma_eigs, want.gamma_eigs),
+                 (got.poles, want.poles)):
+        assert x.shape == y.shape and np.all(x == y)
+    for x, y in ((got.F, want.F), (got.F_raw, want.F_raw)):
+        for name in "ABCD":
+            assert getattr(x, name).shape == getattr(y, name).shape
+            assert np.all(getattr(x, name) == getattr(y, name))
 
 
 def relation_F(model, sel):
@@ -67,6 +94,17 @@ class TestEnumerate:
         sels = enumerate_selections(model)
         assert [s.rows0 for s in sels] == [(0,)]
 
+    def test_batched_verdicts_match_per_subset(self, m3, m2):
+        near = near_threshold_model()
+        conds = [np.linalg.cond(near.C[list(rows0)] @ near.B)
+                 for rows0 in itertools.combinations(range(near.n_out), near.m)]
+        assert any(1e11 < x < 1e12 for x in conds) and any(1e12 < x < 1e13 for x in conds)
+        for model in (m3, m2, near):
+            kept = [s.rows0 for s in enumerate_selections(model)]
+            assert kept == [rows0 for rows0 in itertools.combinations(range(model.n_out), model.m)
+                            if is_invertible(model.C[list(rows0)] @ model.B)]
+        assert len(kept) == 8
+
     def test_cap(self, m3):
         with pytest.raises(SelectionLimitExceeded):
             enumerate_selections(m3, cap=3)
@@ -81,25 +119,25 @@ class TestEnumerate:
 class TestGamma:
     def test_golden_first(self, m3):
         sel = enumerate_selections(m3)[0]
-        gamma = compute_gamma(m3, sel)
+        gamma = classify_selection(m3, sel).gamma
         np.testing.assert_allclose(gamma, systems.GAMMA3_FIRST, atol=1e-12)
         assert oracles.match_gap(np.linalg.eigvals(gamma), [0.0, -1.0, -2.0]) < 1e-8
 
     def test_golden_second_model(self, m2):
-        sels = enumerate_selections(m2)
-        np.testing.assert_allclose(compute_gamma(m2, sels[0]), systems.GAMMA2_FIRST, atol=1e-12)
-        np.testing.assert_allclose(compute_gamma(m2, sels[1]), systems.GAMMA2_SECOND, atol=1e-12)
+        first, second = (classify_selection(m2, sel).gamma for sel in enumerate_selections(m2))
+        np.testing.assert_allclose(first, systems.GAMMA2_FIRST, atol=1e-12)
+        np.testing.assert_allclose(second, systems.GAMMA2_SECOND, atol=1e-12)
         assert oracles.match_gap(
             np.linalg.eigvals(systems.GAMMA2_SECOND), [0.0, 79.0 / 6.0]) < 1e-12
 
     def test_square_model_gives_zero(self):
         model = constant_relation_model()
         sel = enumerate_selections(model)[0]
-        np.testing.assert_allclose(compute_gamma(model, sel), np.zeros((1, 1)))
+        np.testing.assert_allclose(classify_selection(model, sel).gamma, np.zeros((1, 1)))
 
     def test_inadmissible_rejected(self, m3):
         with pytest.raises(InadmissibleSelection):
-            compute_gamma(m3, RowSelection((0, 1), (2, 3)))
+            classify_selection(m3, RowSelection((0, 1), (2, 3)))
 
     def test_rank_drop(self, rng):
         for _ in range(20):
@@ -109,7 +147,7 @@ class TestGamma:
                     model.C[list(sel.rows0), :] @ model.B, model.C[list(sel.rows0), :])
                 if not has_full_eigenbasis(k):
                     continue
-                gamma = compute_gamma(model, sel)
+                gamma = classify_selection(model, sel).gamma
                 assert numerical_rank(gamma) == model.n - model.m
 
 
@@ -138,7 +176,7 @@ class TestComputeF:
     def test_alternative_form(self, m3, rng):
         # s C1 (sI - Gamma)^{-1} B (C0 B)^{-1} agrees with the realization
         sel = enumerate_selections(m3)[1]
-        gamma = compute_gamma(m3, sel)
+        gamma = classify_selection(m3, sel).gamma
         f = relation_F(m3, sel)
         c0 = systems.C3[list(sel.rows0), :]
         c1 = systems.C3[list(sel.rows1), :]
@@ -163,7 +201,7 @@ class TestComputeF:
                     model.C[list(sel.rows0), :] @ model.B, model.C[list(sel.rows0), :])
                 if not has_full_eigenbasis(k):
                     continue
-                assert minimal_realization(compute_F_raw(model, sel)).n <= model.n - model.m
+                assert minimal_realization(classify_selection(model, sel).F_raw).n <= model.n - model.m
 
     def test_projection_spectrum(self, m3, rng):
         models = [m3] + [oracles.random_ct_model(rng) for _ in range(10)]
@@ -239,16 +277,7 @@ class TestClassify:
         for model in (m3, m2, seeded):
             sels = enumerate_selections(model)
             for rep, sel in zip(classify_selections(model, sels), sels):
-                alone = classify_selection(model, sel)
-                assert rep.selection == sel and rep.degree == alone.degree
-                assert rep.stable == alone.stable
-                for got, want in ((rep.gamma, alone.gamma), (rep.gamma_eigs, alone.gamma_eigs),
-                                  (rep.poles, alone.poles)):
-                    assert got.shape == want.shape and np.all(got == want)
-                for got, want in ((rep.F, alone.F), (rep.F_raw, alone.F_raw)):
-                    for name in "ABCD":
-                        x, y = getattr(got, name), getattr(want, name)
-                        assert x.shape == y.shape and np.all(x == y)
+                assert_same_report(rep, classify_selection(model, sel))
 
     def test_first_inadmissible_selection_named(self, m3):
         sels = enumerate_selections(m3)
@@ -279,22 +308,34 @@ class TestStableSelection:
         model = constant_relation_model()
         assert stable_selection_exists(model).selection.rows0 == (0,)
 
+    @pytest.mark.parametrize("name", ["model3", "model2", "constant", "seeded"])
+    def test_first_stable_report_of_the_stack(self, m3, m2, name):
+        model = {"model3": m3, "model2": m2, "constant": constant_relation_model(),
+                 "seeded": seeded_model()}[name]
+        got = stable_selection_exists(model)
+        want = next((rep for rep in classify_selections(model, enumerate_selections(model))
+                     if rep.stable), None)
+        if want is None:
+            assert got is None
+        else:
+            assert_same_report(got, want)
+
     def test_stops_at_first_stable_subset(self, m3, monkeypatch):
-        # the first of model3's four subsets is stable
+        # the first of model3's four subsets is stable; all four are still
+        # reduced, as one stack, since no verdict is known before reduction
         reductions = count_calls(monkeypatch, minimal_realizations)
         condition_tests = count_calls(monkeypatch, is_invertible)
         assert stable_selection_exists(m3).selection.rows0 == (0,)
-        assert len(reductions) == 1
-        # one condition test while walking the subsets, and the one
-        # admissibility check (in the raw stack) of the subset reduced
+        assert len(reductions) == 1 and reductions[0][0].shape[0] == 4
+        # one batched test of every subset, and the admissibility check of
+        # the stack that is reduced
         assert len(condition_tests) == 2
 
-    def test_one_reduction_per_unstable_subset(self, m2, monkeypatch):
+    def test_one_reduction_of_the_admissible_stack(self, m2, monkeypatch):
         n_sels = len(enumerate_selections(m2))
         reductions = count_calls(monkeypatch, minimal_realizations)
         assert stable_selection_exists(m2) is None
-        assert len(reductions) == n_sels
-        assert all(args[0].shape[0] == 1 for args in reductions)
+        assert len(reductions) == 1 and reductions[0][0].shape[0] == n_sels
 
     def test_cap_raised_before_any_subset(self, m3, monkeypatch):
         condition_tests = count_calls(monkeypatch, is_invertible)
