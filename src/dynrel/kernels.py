@@ -1,7 +1,7 @@
 """Dense numerical kernels shared by the analysis modules.
 
-Everything here is plain dense linear algebra: matrix exponential and
-principal logarithm, Lyapunov solvers, numerical rank decisions, and
+Everything here is plain dense linear algebra: matrix exponential, Schur
+form, principal logarithm, Lyapunov solvers, numerical rank decisions, and
 positive-semidefinite factorization. Every kernel costs O(n^3) time and
 O(n^2) memory. All functions are pure and never modify their inputs.
 """
@@ -21,6 +21,7 @@ __all__ = [
     "as_matrix",
     "is_invertible",
     "matrix_exp",
+    "schur_form",
     "matrix_log_principal",
     "solve_lyap_continuous",
     "solve_lyap_discrete",
@@ -126,23 +127,31 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# principal matrix logarithm: complex Schur form, square roots until the
-# spectrum sits inside the Pade radius, then unsquaring
+# Schur-based kernels: one Schur form A = Z T Z' serves the logarithm and
+# both Lyapunov solvers; a caller that holds it passes it down as ``schur=``
 
-_LOG_GAUSS_DEGREE = 8
+def schur_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(T, Z, eigs)``: one ``scipy.linalg.schur`` call gives ``A = Z T Z'``, T quasi-triangular
+    (2x2 blocks for complex pairs) for real A and triangular for complex A; eigs are T's."""
+    a = as_matrix(a, square=True, name="Schur input")
+    t_mat, z_mat = scipy.linalg.schur(a, output="complex" if np.iscomplexobj(a) else "real")
+    return t_mat, z_mat, np.linalg.eigvals(t_mat)
+
+
 _LOG_THETA = 0.25
 _MAX_SQRT_STEPS = 60
+_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(8)  # degree 8, on [-1, 1]
+_LOG_NODES, _LOG_WEIGHTS = 0.5 * (_LOG_NODES + 1.0), 0.5 * _LOG_WEIGHTS
 
 
-def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Principal matrix logarithm.
+def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.ndarray:
+    """Principal matrix logarithm, real for real ``m``.
 
     Exists iff no eigenvalue lies on the closed negative real axis.
-    Computed by inverse scaling and squaring on the complex Schur form:
-    repeated principal square roots (``scipy.linalg.sqrtm``) bring the
-    triangular factor within the convergence radius of a Gauss-Legendre
-    (diagonal Pade) form of ``log(I + X)``, which is then rescaled by the
-    square-root count.
+    Inverse scaling and squaring on the Schur factor T (``schur``, or :func:`schur_form`
+    of ``m``), in real arithmetic for real input (Al-Mohy, Higham & Relton 2013): square
+    roots (``scipy.linalg.sqrtm`` keeps T quasi-triangular) bring T near I, where one
+    batched solve evaluates the Gauss-Legendre (diagonal Pade) form of ``log(I + X)``.
 
     Raises
     ------
@@ -155,7 +164,7 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         return a.copy()
-    eigs = np.linalg.eigvals(a)
+    t_mat, z_mat, eigs = schur_form(a) if schur is None else schur
     scale = float(np.abs(eigs).max())
     cut = n * tol.rank_rtol * scale
     if scale == 0.0 or np.any(np.abs(eigs) <= cut):
@@ -166,77 +175,74 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ExistenceFailure(
             f"eigenvalue {bad:.6g} lies on the negative real axis; "
             "principal logarithm does not exist")
-
-    t_mat, q_mat = scipy.linalg.schur(a.astype(np.complex128), output="complex")
-    t_work = t_mat
-    ident = np.eye(n, dtype=np.complex128)
     steps = 0
-    while np.linalg.norm(t_work - ident, 1) > _LOG_THETA:
+    while np.linalg.norm(t_mat - np.eye(n), 1) > _LOG_THETA:
         if steps >= _MAX_SQRT_STEPS:
             raise SingularInput("inverse scaling and squaring failed to converge")
-        t_work = scipy.linalg.sqrtm(t_work)
+        t_mat = scipy.linalg.sqrtm(t_mat)
         steps += 1
-    x = t_work - ident
-    nodes, weights = np.polynomial.legendre.leggauss(_LOG_GAUSS_DEGREE)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
-    log_t = np.zeros_like(x)
-    for wi, xi in zip(weights, nodes):
-        log_t += wi * np.linalg.solve(ident + xi * x, x)
-    log_t *= 2.0 ** steps
-    result = q_mat @ log_t @ q_mat.conj().T
-    if not np.iscomplexobj(np.asarray(m)):
-        # principal log of a real matrix with no negative-real spectrum is real
-        result = result.real
-    return result
+    x = t_mat - np.eye(n)
+    terms = np.linalg.solve(np.eye(n) + _LOG_NODES[:, None, None] * x, x)
+    return z_mat @ np.tensordot(_LOG_WEIGHTS * 2.0 ** steps, terms, axes=1) @ z_mat.conj().T
 
 
-# --------------------------------------------------------------------------
-# Lyapunov solvers: Bartels-Stewart on the Schur form, O(n^3) time and
-# O(n^2) memory
+def _lyap_operands(a, q, schur, names):
+    """Q validated against A, and the Schur form of A."""
+    a = as_matrix(a, square=True, name=names[0])
+    q = as_matrix(q, square=True, name=names[1])
+    if q.shape != a.shape:
+        raise ValueError(f"{names[1]} must be {a.shape[0]}x{a.shape[0]}, got {q.shape}")
+    return q, schur_form(a) if schur is None else schur
 
-def solve_lyap_continuous(a, q) -> np.ndarray:
+
+def _lyap_schur(t_mat, z_mat, c) -> np.ndarray:
+    """``Z Y Z'`` for Y solving ``T Y + Y T' = C`` by LAPACK ``?trsyl`` (Bartels &
+    Stewart 1972); T's 2x2 blocks need not be in standard form. A solve that
+    ``?trsyl`` perturbed (eigenvalues summing to about zero) raises."""
+    if c.size == 0:  # ?trsyl takes no empty matrix
+        return c.copy()
+    if np.iscomplexobj(c) and not np.iscomplexobj(t_mat):  # ztrsyl would misread 2x2 blocks
+        return _lyap_schur(t_mat, z_mat, c.real) + 1j * _lyap_schur(t_mat, z_mat, c.imag)
+    trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t_mat, c))
+    y, scale, info = trsyl(t_mat, t_mat, c, tranb="C" if np.iscomplexobj(t_mat) else "T")
+    if info == 1:
+        raise SpectrumConflict("two eigenvalues of the Schur factor sum to about zero")
+    return z_mat.dot(y / scale).dot(z_mat.conj().T)
+
+
+def solve_lyap_continuous(a, q, schur=None) -> np.ndarray:
     """Solve ``A P + P A' + Q = 0`` for symmetric P.
 
     Solvable iff A and -A share no eigenvalue (guaranteed for Hurwitz A).
-    Uses the Bartels-Stewart method (``scipy.linalg.solve_continuous_lyapunov``).
+    Bartels-Stewart on ``A = Z T Z'`` (``schur``, or :func:`schur_form` of
+    ``a``): ``T Y + Y T' = -Z' Q Z`` and ``P = Z Y Z'``.
     """
-    a = as_matrix(a, square=True, name="A")
-    q = as_matrix(q, square=True, name="Q")
-    n = a.shape[0]
-    if q.shape[0] != n:
-        raise ValueError(f"Q must be {n}x{n}, got {q.shape}")
-    if n == 0:
-        return a.copy()
-    eigs = np.linalg.eigvals(a)
-    pair_sums = np.abs(eigs[:, None] + eigs[None, :])
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if pair_sums.min() <= n * LYAP_SEP_RTOL * scale:
+    q, (t_mat, z_mat, eigs) = _lyap_operands(a, q, schur, ("A", "Q"))
+    scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
+    if np.abs(eigs[:, None] + eigs).min(initial=np.inf) <= len(eigs) * LYAP_SEP_RTOL * scale:
         raise SpectrumConflict("A and -A share an eigenvalue; equation is singular")
-    p = scipy.linalg.solve_continuous_lyapunov(a, -q)
+    p = _lyap_schur(t_mat, z_mat, z_mat.conj().T.dot((-q).dot(z_mat)))
     return 0.5 * (p + p.conj().T)
 
 
-def solve_lyap_discrete(a_d, q_d) -> np.ndarray:
+def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
     """Solve ``P = A_d P A_d' + Q_d`` for symmetric P.
 
-    Requires Schur stability (spectral radius of ``A_d`` below one).
-    The bilinear transform maps the equation to a continuous one, which
-    is solved by Bartels-Stewart (``scipy.linalg.solve_discrete_lyapunov``).
+    Requires Schur stability (spectral radius of ``A_d`` below one). On
+    ``A_d = Z T Z'`` (``schur``, or :func:`schur_form` of ``a_d``), the Cayley
+    transform ``S = (T + I)^-1 (T - I)`` keeps T's blocks, and P = Z Y Z' with
+    ``S Y + Y S' = -2 (T + I)^-1 Z' Q_d Z (T' + I)^-1``.
     """
-    a_d = as_matrix(a_d, square=True, name="A_d")
-    q_d = as_matrix(q_d, square=True, name="Q_d")
-    n = a_d.shape[0]
-    if q_d.shape[0] != n:
-        raise ValueError(f"Q_d must be {n}x{n}, got {q_d.shape}")
-    if n == 0:
-        return a_d.copy()
-    radius = float(np.abs(np.linalg.eigvals(a_d)).max())
+    q_d, (t_mat, z_mat, eigs) = _lyap_operands(a_d, q_d, schur, ("A_d", "Q_d"))
+    radius = float(np.abs(eigs).max(initial=0.0))
     if radius >= 1.0:
         raise SpectrumConflict(
             f"spectral radius {radius:.6g} is not below one; equation is singular")
-    # explicit method: the default falls back to a Kronecker solve for n <= 10
-    p = scipy.linalg.solve_discrete_lyapunov(a_d, q_d, method="bilinear")
+    # LU of T + I pivots only inside 2x2 blocks: S keeps T's zeros exactly, as ?trsyl needs
+    lu = scipy.linalg.lu_factor(t_mat + np.eye(len(eigs)))
+    s_mat = scipy.linalg.lu_solve(lu, t_mat - np.eye(len(eigs)))
+    c = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, z_mat.conj().T @ q_d @ z_mat).conj().T)
+    p = _lyap_schur(s_mat, z_mat, -2.0 * c.conj().T)
     return 0.5 * (p + p.conj().T)
 
 
@@ -271,31 +277,24 @@ def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Raises
     ------
     NotPSD
-        Some eigenvalue is below ``-psd_tol * max |eigenvalue|``.
+        Some eigenvalue is below ``-psd_tol * max |eigenvalue|``; the
+        smallest eigenvalue is attached as ``.eigenvalue``.
     """
     s_arr = as_matrix(s_mat, square=True, name="S")
     n = s_arr.shape[0]
-    if n == 0:
-        return s_arr.copy()
-    sym = 0.5 * (s_arr + s_arr.conj().T)
-    w, v = np.linalg.eigh(sym)
-    scale = float(np.abs(w).max())
+    w, v = np.linalg.eigh(0.5 * (s_arr + s_arr.conj().T))
+    scale = float(np.abs(w).max(initial=0.0))
     if scale == 0.0:
         return np.zeros((n, 0))
     if w.min() < -tol.psd_tol * scale:
-        raise NotPSD(
-            f"eigenvalue {w.min():.6g} below -psd_tol * {scale:.6g}; not PSD")
-    cutoff = tol.rank_rtol * scale * n
+        err = NotPSD(f"eigenvalue {w.min():.6g} below -psd_tol * {scale:.6g}; not PSD")
+        err.eigenvalue = float(w.min())
+        raise err
     order = np.argsort(w)[::-1]
-    keep = [i for i in order if w[i] > cutoff]
+    keep = order[w[order] > tol.rank_rtol * scale * n]
     cols = v[:, keep] * np.sqrt(w[keep])
-    if np.isrealobj(sym):
-        cols = cols.real
-    for j in range(cols.shape[1]):
-        lead = np.argmax(np.abs(cols[:, j]))
-        if cols[lead, j].real < 0:
-            cols[:, j] = -cols[:, j]
-    return cols
+    lead = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    return np.where(lead.real < 0, -cols, cols)
 
 
 def sorted_eigvals(a: np.ndarray) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import (
     ExistenceFailure,
     LogFailure,
     NonPositiveH,
+    NotPSD,
     NotSemidefinite,
     QdSingular,
     SingularInput,
@@ -39,6 +40,7 @@ from .kernels import (
     matrix_log_principal,
     numerical_rank,
     psd_factor,
+    schur_form,
     solve_lyap_continuous,
     solve_lyap_discrete,
 )
@@ -145,6 +147,12 @@ def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray) 
     return float(r_cont), float(r_disc)
 
 
+def _refusal(err, diag: DesampleDiagnostics):
+    """``err`` with the partial diagnostics attached as ``.diagnostics``."""
+    err.diagnostics = diag
+    return err
+
+
 def desample(
     sm: SampledModel, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[CtModel, DesampleDiagnostics]:
@@ -170,38 +178,31 @@ def desample(
     """
     diag = DesampleDiagnostics(logm_exists=False, qd_nonsingular=False,
                                neg_semidef_ok=False)
+    schur = schur_form(sm.Ad)  # shared by the logarithm and the discrete solve
     try:
-        log_ad = matrix_log_principal(sm.Ad, tol)
+        log_ad = matrix_log_principal(sm.Ad, tol, schur=schur)
     except (ExistenceFailure, SingularInput) as exc:
-        err = LogFailure(f"A_d admits no principal logarithm: {exc}")
-        err.diagnostics = diag
-        raise err from exc
+        raise _refusal(LogFailure(f"A_d admits no principal logarithm: {exc}"), diag) from exc
     diag.logm_exists = True
     a = log_ad / sm.h
 
     w = np.linalg.eigvalsh(0.5 * (sm.Qd + sm.Qd.T))
     if w.max() <= 0 or w.min() <= tol.psd_tol * w.max():
-        err = QdSingular(
+        raise _refusal(QdSingular(
             "Q_d is numerically singular; the triple cannot arise from "
-            "sampling a reachable model")
-        err.diagnostics = diag
-        raise err
+            "sampling a reachable model"), diag)
     diag.qd_nonsingular = True
 
-    p = solve_lyap_discrete(sm.Ad, sm.Qd)
+    p = solve_lyap_discrete(sm.Ad, sm.Qd, schur=schur)
     candidate = a @ p + p @ a.T
-    candidate = 0.5 * (candidate + candidate.T)
-    eigs = np.linalg.eigvalsh(candidate)
-    scale = float(np.abs(eigs).max())
-    if scale > 0 and eigs.max() > tol.psd_tol * scale:
-        err = NotSemidefinite(
-            f"A P + P A' has positive eigenvalue {eigs.max():.6g}; "
-            "condition (iii) fails")
-        err.diagnostics = diag
-        raise err
+    try:
+        b = psd_factor(-candidate, tol)
+    except NotPSD as exc:
+        raise _refusal(NotSemidefinite(
+            f"A P + P A' has positive eigenvalue {-exc.eigenvalue:.6g}; "
+            "condition (iii) fails"), diag) from exc
     diag.neg_semidef_ok = True
 
-    b = psd_factor(-candidate, tol)
     # validated first: a reachable B is nonzero, so B B' scales the residual
     model = validate_ct_model(StateSpace(a, b, sm.Cd.copy()), tol)
     diag.residuals = _residuals(a, b @ b.T, sm, p)

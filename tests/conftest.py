@@ -22,9 +22,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def count_calls(monkeypatch, fn):
-    """Count the calls of ``fn`` made through every ``dynrel`` module that
-    binds it; returns a list that grows by one entry, the positional
+def count_calls(monkeypatch, fn, packages=("dynrel",)):
+    """Count the calls of ``fn`` made through every module of ``packages``
+    that binds it; returns a list that grows by one entry, the positional
     arguments, per call."""
     calls = []
 
@@ -33,7 +33,7 @@ def count_calls(monkeypatch, fn):
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if name == "dynrel" or name.startswith("dynrel."):
+        if any(name == pkg or name.startswith(pkg + ".") for pkg in packages):
             for attr, obj in list(vars(mod).items()):
                 if obj is fn:
                     monkeypatch.setattr(mod, attr, counting)

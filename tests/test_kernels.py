@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
@@ -23,9 +24,11 @@ from dynrel.kernels import (
     nonzero_spectrum,
     numerical_rank,
     psd_factor,
+    schur_form,
     solve_lyap_continuous,
     solve_lyap_discrete,
 )
+from conftest import count_calls
 
 
 class TestTolerances:
@@ -40,6 +43,65 @@ class TestTolerances:
     def test_nonpositive_rejected(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
+
+
+def with_conjugate_pairs(seed: int, n: int, centre: float, spread: float) -> np.ndarray:
+    """Real n x n matrix, in a random well-conditioned basis, with at least
+    one complex-conjugate eigenvalue pair, so that its real Schur form has
+    2x2 blocks. Every eigenvalue has real part within ``spread`` of
+    ``centre`` and imaginary part below ``spread`` in modulus."""
+    rng = np.random.default_rng(seed)
+    d = np.triu(rng.normal(scale=0.5 * spread, size=(n, n)), 2)  # outside every block
+    i = 0
+    while i < n:
+        re = centre + spread * rng.uniform(-0.9, 0.9)
+        if n - i >= 2 and (i == 0 or rng.random() < 0.5):
+            im = spread * rng.uniform(0.1, 0.9)
+            d[i:i + 2, i:i + 2] = [[re, im * rng.uniform(0.5, 2.0)], [-im, re]]
+            i += 2
+        else:
+            d[i, i] = re
+            i += 1
+    basis = rng.normal(size=(n, n)) + n * np.eye(n)
+    a = np.linalg.solve(basis, d @ basis)
+    assert np.any(np.diag(schur_form(a)[0], -1) != 0)
+    return a
+
+
+class TestSchurForm:
+    def test_real_input_gives_quasi_triangular_factor(self):
+        a = with_conjugate_pairs(0, 5, 0.0, 1.0)
+        t, z, eigs = schur_form(a)
+        assert t.dtype == z.dtype == np.float64
+        assert np.all(np.tril(t, -2) == 0)
+        np.testing.assert_allclose(z @ t @ z.T, a, atol=1e-13)
+        assert oracles.match_gap(eigs, np.linalg.eigvals(a)) < 1e-12
+
+    def test_complex_input_gives_triangular_factor(self):
+        a = with_conjugate_pairs(1, 4, 0.0, 1.0) + 1j * np.eye(4)
+        t, z, eigs = schur_form(a)
+        assert t.dtype == np.complex128
+        assert np.all(np.tril(t, -1) == 0)
+        np.testing.assert_allclose(z @ t @ z.conj().T, a, atol=1e-13)
+        np.testing.assert_array_equal(eigs, np.linalg.eigvals(t))
+
+    def test_kernels_read_the_spectrum_off_the_factor(self, monkeypatch):
+        # given the factor, no kernel takes eigenvalues; without it, each
+        # takes them once, of the quasi-triangular factor and never of A
+        a = with_conjugate_pairs(2, 6, -1.0, 0.9)
+        a_d = scipy.linalg.expm(a)
+        q = np.eye(6)
+        shared = schur_form(a_d), schur_form(a)
+        eig_calls = count_calls(monkeypatch, np.linalg.eigvals, packages=("numpy.linalg",))
+        matrix_log_principal(a_d, schur=shared[0])
+        solve_lyap_discrete(a_d, q, schur=shared[0])
+        solve_lyap_continuous(a, q, schur=shared[1])
+        assert eig_calls == []
+        matrix_log_principal(a_d)
+        solve_lyap_discrete(a_d, q)
+        solve_lyap_continuous(a, q)
+        assert len(eig_calls) == 3
+        assert all(np.all(np.tril(args[0], -2) == 0) for args in eig_calls)
 
 
 class TestMatrixExp:
@@ -180,6 +242,95 @@ class TestLyapDiscrete:
     def test_unstable_rejected(self):
         with pytest.raises(SpectrumConflict):
             solve_lyap_discrete(np.eye(2), np.eye(2))
+
+
+class TestConjugatePairBlocks:
+    """Real inputs whose Schur factor has 2x2 blocks. The Cayley transform
+    of the discrete solver keeps that block structure, with equal block
+    diagonals only up to roundoff, so ``?trsyl`` gets blocks that are not
+    exactly in LAPACK's standard form."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+    def test_continuous_against_kron(self, seed, n):
+        a = with_conjugate_pairs(seed, n, -1.0, 0.9)
+        r = np.random.default_rng(seed + 1).normal(size=(n, n))
+        q = r @ r.T
+        got = solve_lyap_continuous(a, q)
+        want = oracles.kron_lyap_continuous(a, q)
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+    def test_discrete_against_kron(self, seed, n):
+        a_d = with_conjugate_pairs(seed, n, 0.0, 0.6)
+        r = np.random.default_rng(seed + 1).normal(size=(n, n))
+        q_d = r @ r.T
+        got = solve_lyap_discrete(a_d, q_d)
+        want = oracles.kron_lyap_discrete(a_d, q_d)
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7))
+    def test_log_is_real_and_inverts_exp(self, seed, n):
+        # |Im lam| < 2 < pi: log(expm(A)) is A itself
+        a = with_conjugate_pairs(seed, n, -0.5, 2.0)
+        m = scipy.linalg.expm(a)
+        got = matrix_log_principal(m)
+        assert got.dtype == np.float64
+        scale = np.abs(a).max()
+        assert np.abs(scipy.linalg.expm(got) - m).max() < 1e-10 * np.abs(m).max()
+        assert np.abs(got - scipy.linalg.logm(m)).max() < 1e-10 * scale
+        assert np.abs(got - a).max() < 1e-10 * scale
+
+    def test_complex_q_with_real_a(self):
+        # the complex ?trsyl would read the real factor's 2x2 blocks as
+        # triangular, leaving a relative residual of 0.3 on this input;
+        # the real and imaginary parts of Q are solved apart
+        a = with_conjugate_pairs(3, 4, -1.0, 0.9)
+        r = np.random.default_rng(3).normal(size=(4, 4, 2)) @ [1.0, 1j]
+        q = r @ r.conj().T
+        p = solve_lyap_continuous(a, q)
+        assert np.abs(a @ p + p @ a.T + q).max() < 1e-12 * np.abs(q).max()
+        a_d = scipy.linalg.expm(a)
+        p = solve_lyap_discrete(a_d, q)
+        assert np.abs(p - a_d @ p @ a_d.T - q).max() < 1e-12 * np.abs(q).max()
+
+    def test_perturbed_trsyl_solve_raises(self):
+        # eigenvalues that pass each solver's own spectrum test, with a
+        # factor whose pair sums to zero (continuous: 1 and -1; discrete:
+        # 2 and 1/2, whose Cayley images are 1/3 and -1/3): only ?trsyl's
+        # perturbation flag can catch it, and it must not pass silently
+        t = np.diag([1.0, -1.0])
+        with pytest.raises(SpectrumConflict):
+            solve_lyap_continuous(t, np.eye(2), schur=(t, np.eye(2), np.array([-1.0, -2.0])))
+        t = np.diag([2.0, 0.5])
+        with pytest.raises(SpectrumConflict):
+            solve_lyap_discrete(t, np.eye(2), schur=(t, np.eye(2), np.array([0.5, 0.5])))
+
+    @pytest.mark.parametrize("m, error", [
+        (np.diag([-0.5, 0.5]), ExistenceFailure),
+        (-np.eye(2), ExistenceFailure),
+        # a rotation by pi: the pair -1 +/- 1.2e-16i is on the axis
+        ([[np.cos(np.pi), -np.sin(np.pi)], [np.sin(np.pi), np.cos(np.pi)]], ExistenceFailure),
+        ([[-1.0, 1e-12], [-1e-12, -1.0]], ExistenceFailure),
+        (np.diag([-1.0 + 0j, 1.0]), ExistenceFailure),
+        (np.diag([0.0, 1.0]), SingularInput),
+        (np.zeros((3, 3)), SingularInput),
+        ([[0.0, 1.0], [0.0, 0.0]], SingularInput),
+        (np.diag([1e-12, 1.0]), SingularInput),
+        (np.diag([0j, 1.0]), SingularInput),
+        # just off the axis: a real logarithm exists
+        ([[-1.0, 1e-6], [-1e-6, -1.0]], None),
+    ])
+    def test_refusals_on_curated_inputs(self, m, error):
+        if error is None:
+            got = matrix_log_principal(m)
+            assert got.dtype == np.float64
+            assert np.abs(scipy.linalg.expm(got) - m).max() < 1e-10
+        else:
+            with pytest.raises(error):
+                matrix_log_principal(m)
 
 
 def test_lyapunov_memory_at_n40(rng):

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
+from conftest import count_calls
 from dynrel.errors import LogFailure, NonPositiveH, NotSemidefinite, QdSingular
-from dynrel.kernels import numerical_rank, psd_factor, solve_lyap_continuous, solve_lyap_discrete
+from dynrel.kernels import (
+    DEFAULT_TOL,
+    numerical_rank,
+    psd_factor,
+    solve_lyap_continuous,
+    solve_lyap_discrete,
+)
 from dynrel.lti import StateSpace, validate_ct_model
 from dynrel.sampling import (
     SampledModel,
@@ -173,3 +182,58 @@ class TestHiddenRank:
         model = oracles.random_ct_model(rng, n=3, m=3, n_out=3)
         rep = hidden_rank_report(model, 0.1)
         assert (rep.bbt_rank, rep.qd_rank, rep.recovered_rank) == (3, 3, 3)
+
+
+class TestSharedSchurFactor:
+    def test_one_schur_form_per_desample(self, monkeypatch, rng):
+        # the logarithm and the discrete solve share one Schur form of A_d
+        # and read the spectrum off it instead of taking eigvals(A_d)
+        model = oracles.random_ct_model(rng, n=6, m=2, n_out=6)
+        sm = sample(model, 0.3)
+        schurs = count_calls(monkeypatch, scipy.linalg.schur, packages=("dynrel", "scipy"))
+        eig_calls = count_calls(monkeypatch, np.linalg.eigvals, packages=("numpy.linalg",))
+        desample(sm)
+        assert len(schurs) == 1
+        assert not any(np.array_equal(args[0], sm.Ad) for args in eig_calls)
+        hidden_rank_report(model, 0.3)
+        assert len(schurs) == 2
+
+
+class TestRoundTripProperty:
+    """``desample(sample(model, h))`` returns the model when h is below
+    the aliasing limit ``h * max|Im lam(A)| < pi``."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m_frac=st.floats(0.0, 1.0),
+           h_frac=st.floats(0.05, 0.95))
+    def test_recovers_model_below_aliasing_limit(self, seed, n, m_frac, h_frac):
+        rng = np.random.default_rng(seed)
+        m = 1 + int(m_frac * (n - 1))
+        model = oracles.random_ct_model(rng, n=n, m=m, n_out=n)
+        im_max = np.abs(np.linalg.eigvals(model.A).imag).max()
+        h = h_frac * min(1.0, np.pi / im_max if im_max else 1.0)
+        sm = sample(model, h)
+        w = np.linalg.eigvalsh(sm.Qd)
+        if w.min() <= DEFAULT_TOL.psd_tol * w.max():
+            # a deep rank gap at small h: condition (ii) refuses
+            with pytest.raises(QdSingular):
+                desample(sm)
+            return
+        recovered, diag = desample(sm)
+        bbt = model.B @ model.B.T
+        assert np.abs(recovered.A - model.A).max() < 1e-9 * np.abs(model.A).max()
+        assert np.abs(recovered.B @ recovered.B.T - bbt).max() < 1e-9 * np.abs(bbt).max()
+        assert diag.recovered_rank == numerical_rank(model.B) == m
+
+    @pytest.mark.parametrize("h_over_limit", [1.1, 1.2])
+    def test_aliased_period_is_refused(self, h_over_limit):
+        # eigenvalues -0.5 +/- 4i and -1: beyond h = pi/4 the principal
+        # logarithm picks another branch, and condition (iii) fails
+        a = [[-0.5, 4.0, 0.0], [-4.0, -0.5, 1.0], [0.0, 0.0, -1.0]]
+        model = validate_ct_model(StateSpace(a, [[0.0], [0.0], [1.0]], np.eye(3)))
+        recovered, _ = desample(sample(model, 0.9 * np.pi / 4.0))
+        assert np.abs(recovered.A - model.A).max() < 1e-12
+        with pytest.raises(NotSemidefinite) as exc_info:
+            desample(sample(model, h_over_limit * np.pi / 4.0))
+        diag = exc_info.value.diagnostics
+        assert diag.logm_exists and diag.qd_nonsingular and not diag.neg_semidef_ok
