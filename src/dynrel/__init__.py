@@ -44,7 +44,6 @@ from .kernels import (
     is_invertible,
     matrix_exp,
     matrix_log_principal,
-    nonzero_spectrum,
     numerical_rank,
     psd_factor,
     solve_lyap_continuous,

@@ -26,8 +26,8 @@ __all__ = [
     "solve_lyap_continuous",
     "solve_lyap_discrete",
     "numerical_rank",
+    "rank_from_values",
     "psd_factor",
-    "nonzero_spectrum",
     "sorted_eigvals",
 ]
 
@@ -247,7 +247,7 @@ def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# rank, PSD factorization, nonzero spectra
+# rank, PSD factorization, sorted spectra
 
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
     """Number of singular values above ``rank_rtol * sigma_max * max_dim``.
@@ -259,9 +259,20 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
     elif not np.all(np.isfinite(a)):
         raise ValueError("rank input has non-finite entries")
     s = np.linalg.svd(a, compute_uv=False)  # no singular value for an empty matrix
-    cutoff = tol.rank_rtol * s[..., :1] * max(a.shape[-2:])
+    return rank_from_values(s, max(a.shape[-2:]), tol)
+
+
+def rank_from_values(s, dim: int, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
+    """The rule of :func:`numerical_rank` applied to singular values at
+    hand: the number of ``s`` (along the last axis) above
+    ``rank_rtol * max(s) * dim``, for a matrix whose larger dimension is
+    ``dim``. The absolute eigenvalues of a symmetric matrix, or the
+    squared singular values of a factor B of ``B B'``, serve as well.
+    A 1-d ``s`` gives an ``int``."""
+    s = np.asarray(s)
+    cutoff = tol.rank_rtol * s.max(axis=-1, keepdims=True, initial=0.0) * dim
     ranks = np.count_nonzero(s > cutoff, axis=-1)
-    return int(ranks) if a.ndim == 2 else ranks
+    return int(ranks) if s.ndim == 1 else ranks
 
 
 def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -305,16 +316,3 @@ def sorted_eigvals(a: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvals(a).astype(np.complex128)
     order = np.lexsort((eigs.imag, eigs.real), axis=-1)
     return np.take_along_axis(eigs, order, axis=-1)
-
-
-def nonzero_spectrum(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues with modulus above the rank cutoff
-    ``rank_rtol * max|lam| * n``, sorted by (real, imaginary) part.
-
-    Backs the similarity property that AB and BA share their nonzero
-    eigenvalues for any conformable rectangular A, B.
-    """
-    a = as_matrix(m, square=True, name="spectrum input")
-    eigs = sorted_eigvals(a)
-    cutoff = tol.rank_rtol * np.abs(eigs).max(initial=0.0) * a.shape[0]
-    return eigs[np.abs(eigs) > cutoff]

@@ -64,6 +64,10 @@ def _load_text(src) -> str:
         raise ParseError(f"cannot read model file {text}: {exc}") from exc
 
 
+#: Types a JSON number parses to; ``bool`` is excluded although it subclasses int.
+_REAL_TYPES = frozenset((int, float))
+
+
 def _matrix_field(data: dict, field: str, required: bool = True) -> np.ndarray | None:
     raw = data.get(field)
     if raw is None:
@@ -77,9 +81,10 @@ def _matrix_field(data: dict, field: str, required: bool = True) -> np.ndarray |
         if len(row) != width:
             raise DimensionMismatch(
                 f"{field}: row {i} has {len(row)} entries, expected {width}")
-        for j, entry in enumerate(row):
-            if type(entry) not in (int, float):
-                raise ParseError(f"{field}[{i}][{j}]: not a real number: {entry!r}")
+        # one C-level pass per row; the entries are visited only to name an offender
+        if not set(map(type, row)) <= _REAL_TYPES:
+            j, entry = next((j, e) for j, e in enumerate(row) if type(e) not in _REAL_TYPES)
+            raise ParseError(f"{field}[{i}][{j}]: not a real number: {entry!r}")
     if width == 0:
         raise DimensionMismatch(f"{field}: rows must be non-empty")
     arr = np.array(raw, dtype=float)

@@ -15,6 +15,15 @@ reduction, so the minimal degree is at most n - m and the nonzero
 eigenvalues of Gamma are the candidate poles of F. Whether a selection
 with strictly stable F exists is a property of the model, not a given:
 some models admit none.
+
+In the coordinates (V' Pi x, C0 x), with V an orthonormal basis of
+ker C0 and Pi = I - B (C0 B)^{-1} C0, Gamma drops its m zero
+eigenvalues and keeps the zero dynamics of (A, B, C0), a realization of
+F with n - m states. The search for a stable selection certifies on
+those: a selection whose zero dynamics have an unstable eigenvalue that
+passes both PBH tests with margin has an unstable F and is skipped
+unreduced. Every other selection is reduced alone, from the raw
+realization above, so its report is the one ``relation`` gives.
 """
 
 import itertools
@@ -119,6 +128,15 @@ def _check_rows(model: CtModel, sel: RowSelection):
             f"selection picks {len(sel.rows0)} rows, model needs m = {model.m}")
 
 
+def _channel_rows(model: CtModel, sels: list[RowSelection]):
+    """C0 and C1 of every selection in ``sels``, as (k, m, n) and
+    (k, n_out - m, n) stacks."""
+    k = len(sels)
+    c0 = model.C[np.array([sel.rows0 for sel in sels], dtype=np.intp).reshape(k, -1)]
+    c1 = model.C[np.array([sel.rows1 for sel in sels], dtype=np.intp).reshape(k, -1)]
+    return c0, c1
+
+
 def _raw_stacks(model: CtModel, sels: list[RowSelection], tol: Tolerances):
     """The raw realizations of F for ``sels`` as (k, ., .) stacks:
     ``(Gamma, B (C0 B)^{-1}, C1 Gamma, C1 B (C0 B)^{-1}, ||Gamma||_2)``.
@@ -132,9 +150,7 @@ def _raw_stacks(model: CtModel, sels: list[RowSelection], tol: Tolerances):
         _check_rows(model, sel)
     if len({len(sel.rows1) for sel in sels}) > 1:
         raise ValueError("selections must all have the same number of driven rows")
-    k = len(sels)
-    c0 = model.C[np.array([sel.rows0 for sel in sels], dtype=np.intp).reshape(k, -1)]
-    c1 = model.C[np.array([sel.rows1 for sel in sels], dtype=np.intp).reshape(k, -1)]
+    c0, c1 = _channel_rows(model, sels)
     c0b = c0 @ model.B
     ok = is_invertible(c0b)
     if not ok.all():
@@ -210,15 +226,128 @@ def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFA
     return classify_selections(model, [sel], tol)[0]
 
 
+#: Safety factor of the unstable-relation certificate in
+#: :func:`stable_selection_exists`, in units of the staircase's rank
+#: cutoff ``rank_rtol * n``: an eigenvalue of the zero dynamics counts when
+#: it lies that far right of ``-stability_margin`` and passes both PBH
+#: tests by that much, each relative to the scale of what it tests.
+_UNSTABLE_CERT_FACTOR = 1e3
+
+
+def _zero_dynamics(model: CtModel, sels: list[RowSelection]):
+    """The zero dynamics of every selection in ``sels`` as (k, ., .)
+    stacks ``(Gamma11, B~, C~)``: with B~ and C~ multiplied by
+    ``||K||_F`` and ``||C1||_F``, ``C1 K + C~ (sI - Gamma11)^{-1} B~`` is
+    F, with n - m states.
+
+    V is an orthonormal basis of ker C0, from one batched QR of C0';
+    K = B (C0 B)^{-1} and Pi = I - K C0. Then Gamma11 = V' Pi A V,
+    B~ = V' Pi A K / ||K||_F and C~ = C1 V / ||C1||_F: Gamma in the
+    coordinates (V' Pi x, C0 x), without its m structural zero
+    eigenvalues. The eigenvalues of Gamma11 are the invariant zeros of
+    (A, B, C0), and the poles of F are those that are reachable from B~
+    and observable through C~. Dividing by the norms B~ and C~ are
+    computed from takes the units of the inputs and the outputs out of
+    them and leaves both PBH tests as they are. The selections must be
+    admissible.
+    """
+    c0, c1 = _channel_rows(model, sels)
+    v = np.linalg.qr(c0.mT, mode="complete")[0][..., model.m:]
+    kb = np.linalg.solve((c0 @ model.B).mT, model.B.T).mT  # B (C0 B)^{-1}
+    vt = v.mT
+    av, ak = model.A @ v, model.A @ kb
+    vk = vt @ kb
+    gamma11 = vt @ av - vk @ (c0 @ av)
+    b = (vt @ ak - vk @ (c0 @ ak)) / np.linalg.norm(kb, axis=(-2, -1), keepdims=True)
+    # a C1 of zeros gives a C~ of zeros, not 0 / 0
+    c1_norm = np.maximum(np.linalg.norm(c1, axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
+    return gamma11, b, c1 @ v / c1_norm
+
+
+def _pbh_passes(gamma11: np.ndarray, b: np.ndarray, c: np.ndarray, mu: np.ndarray,
+                cut: float, floor: float) -> np.ndarray:
+    """For each member, whether ``mu`` passes both PBH tests with margin:
+    the smallest singular value of [mu I - Gamma11, B~] and of
+    [mu I - Gamma11; C~] exceeds ``cut`` times the larger of that
+    matrix's Frobenius norm and ``floor``. One batched SVD per test, in
+    the arithmetic of ``mu``."""
+    d = gamma11.shape[-1]
+    shifted = np.empty(gamma11.shape, dtype=mu.dtype)
+    shifted[:] = -gamma11
+    shifted[:, np.arange(d), np.arange(d)] += mu[:, None]
+    ok = np.ones(mu.size, dtype=bool)
+    for pbh in (np.concatenate([shifted, b], axis=-1), np.concatenate([shifted, c], axis=-2)):
+        s = np.linalg.svd(pbh, compute_uv=False)
+        ok &= s[:, -1] > cut * np.maximum(np.linalg.norm(pbh, axis=(-2, -1)), floor)
+    return ok
+
+
+def _certified_unstable(model: CtModel, gamma11: np.ndarray, b: np.ndarray, c: np.ndarray,
+                        tol: Tolerances) -> np.ndarray:
+    """One verdict per member of the zero-dynamics stacks of
+    :func:`_zero_dynamics`: True when its relation F has, for certain, a
+    pole with real part at least ``-stability_margin``.
+
+    An eigenvalue lam of Gamma11 is a pole of F when it passes the PBH
+    tests (Hautus 1969): [lam I - Gamma11, B~] has full row rank and
+    [lam I - Gamma11; C~] full column rank. Let the cutoff be
+    ``_UNSTABLE_CERT_FACTOR * rank_rtol * n``, and the scale of a matrix
+    the larger of its Frobenius norm and ``||A||_F``; the floor keeps a
+    Gamma11 that is roundoff from passing on its own scale, as the
+    noise-floor snap of the raw realization does. C~, which has no units
+    here, is first multiplied by the scale of Gamma11. lam is a candidate
+    when its real part exceeds ``-stability_margin`` by the cutoff times
+    the scale of Gamma11, and it certifies its member when it passes
+    both tests with the cutoff times the scale of the tested matrix
+    (:func:`_pbh_passes`). One batched eigenvalue call serves the stack.
+    Round r tries the r-th candidate from the right of every member not
+    yet certified; of a conjugate pair only the upper member is tried,
+    since both give the same singular values. A member that is not
+    certified may still be unstable.
+    """
+    k, d = gamma11.shape[:2]
+    certified = np.zeros(k, dtype=bool)
+    if d == 0:
+        return certified
+    cut = _UNSTABLE_CERT_FACTOR * tol.rank_rtol * model.n
+    floor = float(np.linalg.norm(model.A))
+    g = np.maximum(np.linalg.norm(gamma11, axis=(-2, -1)), floor)
+    c = c * g[:, None, None]
+    lam = np.linalg.eigvals(gamma11).astype(np.complex128)
+    lam = np.take_along_axis(lam, np.argsort(-lam.real, axis=-1, kind="stable"), axis=-1)
+    live = (lam.real > -tol.stability_margin + cut * g[:, None]) & (lam.imag >= 0)
+    rank = np.cumsum(live, axis=-1) - 1  # order of each candidate within its member
+    for r in range(d):
+        who, j = np.nonzero(live & (rank == r) & ~certified[:, None])
+        if who.size == 0:  # every member with an r-th candidate is certified
+            break
+        mu = lam[who, j]
+        real = mu.imag == 0
+        # a real candidate is tested in real arithmetic, at a fraction of the cost
+        for sub, z in ((real, mu.real), (~real, mu)):
+            if sub.any():
+                idx = who[sub]
+                certified[idx] = _pbh_passes(gamma11[idx], b[idx], c[idx], z[sub], cut, floor)
+    return certified
+
+
 def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> RelationReport | None:
     """The report of the first (lexicographic) selection whose F is
     strictly stable, or None when every admissible selection yields an
     unstable relation.
 
-    Whether the first subset is stable cannot be known before it is
-    reduced, so every admissible selection is classified as one stack by
-    :func:`classify_selections`, as ``relation --all`` does, and the
-    first stable report is read off that stack.
+    Certify, then reduce. The admissible selections are walked in order
+    in chunks of 1, 2, 4, ... members, so that an early stable selection
+    costs little and a search through all of them takes few batched
+    calls. The zero dynamics of a chunk are built as one stack
+    (:func:`_zero_dynamics`) and certified by one batched eigenvalue
+    call (:func:`_certified_unstable`). A selection
+    certified unstable is skipped without a staircase; every other one
+    is reduced alone by :func:`classify_selection`, and the first whose
+    report is stable is returned. The certificate holds only where F
+    has an unstable pole, so the result is the first stable report of
+    :func:`classify_selections` on all admissible selections, bit for
+    bit.
 
     Raises
     ------
@@ -228,8 +357,18 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    reports = classify_selections(model, enumerate_selections(model, SELECTION_CAP), tol)
-    return next((rep for rep in reports if rep.stable), None)
+    sels = enumerate_selections(model, SELECTION_CAP)
+    start, size = 0, 1
+    while start < len(sels):
+        chunk = sels[start:start + size]
+        unstable = _certified_unstable(model, *_zero_dynamics(model, chunk), tol)
+        for sel, skip in zip(chunk, unstable.tolist()):
+            if not skip:
+                rep = classify_selection(model, sel, tol)
+                if rep.stable:
+                    return rep
+        start, size = start + size, 2 * size
+    return None
 
 
 def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -38,8 +38,8 @@ from .kernels import (
     as_matrix,
     matrix_exp,
     matrix_log_principal,
-    numerical_rank,
     psd_factor,
+    rank_from_values,
     schur_form,
     solve_lyap_continuous,
     solve_lyap_discrete,
@@ -87,14 +87,17 @@ class SampledModel:
 class DesampleDiagnostics:
     """Condition checks of the inverse procedure. De-sampling succeeds
     iff all three booleans are true; ``residuals`` holds the relative
-    residual pair (continuous, discrete) of the shared covariance, and
-    ``recovered_rank`` the column count of the recovered B."""
+    residual pair (continuous, discrete) of the shared covariance,
+    ``recovered_rank`` the column count of the recovered B, and
+    ``qd_rank`` the numerical rank of Q_d, read off the eigenvalues of
+    the Q_d gate once it passes."""
 
     logm_exists: bool
     qd_nonsingular: bool
     neg_semidef_ok: bool
     residuals: tuple[float, float] | None = None
     recovered_rank: int = 0
+    qd_rank: int = 0
 
 
 @dataclass
@@ -192,6 +195,7 @@ def desample(
             "Q_d is numerically singular; the triple cannot arise from "
             "sampling a reachable model"), diag)
     diag.qd_nonsingular = True
+    diag.qd_rank = rank_from_values(np.abs(w), sm.n, tol)
 
     p = solve_lyap_discrete(sm.Ad, sm.Qd, schur=schur)
     candidate = a @ p + p @ a.T
@@ -213,14 +217,18 @@ def desample(
 def hidden_rank_report(model: CtModel, h: float, tol: Tolerances = DEFAULT_TOL) -> HiddenRankReport:
     """Rank bookkeeping for one round trip: the continuous noise rank,
     the (full) rank of the sampled intensity, and the rank recovered by
-    de-sampling."""
-    bbt_rank = numerical_rank(model.B @ model.B.T, tol)
-    sm = sample(model, h)
-    qd_rank = numerical_rank(sm.Qd, tol)
-    _, diag = desample(sm, tol)
+    de-sampling.
+
+    One decomposition per matrix: the rank of B B' comes from the
+    singular values of the n x m factor B, squared, and the rank of Q_d
+    from the eigenvalues that the Q_d gate of :func:`desample` takes.
+    """
+    s = np.linalg.svd(model.B, compute_uv=False)
+    bbt_rank = rank_from_values(s * s, model.n, tol)
+    _, diag = desample(sample(model, h), tol)
     return HiddenRankReport(
         n=model.n,
         bbt_rank=bbt_rank,
-        qd_rank=qd_rank,
+        qd_rank=diag.qd_rank,
         recovered_rank=diag.recovered_rank,
     )

@@ -95,6 +95,27 @@ def match_gap(a, b) -> float:
     return worst
 
 
+def nonzero_spectrum(m) -> np.ndarray:
+    """Eigenvalues of the square matrix ``m`` that are not zero up to
+    roundoff, sorted by (real, imaginary) part.
+
+    The cutoff is ``||m||_2 * (n eps)^(1/n)``: a perturbation of relative
+    size ``n eps`` moves a zero eigenvalue of a nilpotent block of size
+    up to n by at most about that much, so the roundoff of a defective
+    zero eigenvalue is not counted. A cutoff from ``max |lam|`` would be
+    roundoff itself for a nilpotent m. Backs the similarity property
+    that AB and BA share their nonzero eigenvalues.
+    """
+    a = np.atleast_2d(np.asarray(m, dtype=float))
+    n = a.shape[0]
+    eigs = np.linalg.eigvals(a).astype(np.complex128)
+    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+    if n == 0:
+        return eigs
+    cutoff = np.linalg.norm(a, 2) * (n * np.finfo(float).eps) ** (1.0 / n)
+    return eigs[np.abs(eigs) > cutoff]
+
+
 def hurwitz(rng, n: int, margin=(0.5, 1.5)) -> np.ndarray:
     """Random Hurwitz matrix: a Gaussian matrix shifted left of the
     imaginary axis by a random margin."""

@@ -9,12 +9,12 @@ import pytest
 
 import oracles
 import systems
+from oracles import nonzero_spectrum
 from dynrel.errors import LogFailure, NotSemidefinite, QdSingular
 from dynrel.feedback import FeedbackModel, closed_loop_T, verify_interchange_identities
 from dynrel.kernels import (
     matrix_exp,
     matrix_log_principal,
-    nonzero_spectrum,
     numerical_rank,
     psd_factor,
 )

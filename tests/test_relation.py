@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
+from oracles import nonzero_spectrum
 from conftest import count_calls
 from dynrel import relation
 from dynrel.errors import (
@@ -14,7 +15,7 @@ from dynrel.errors import (
     NoAdmissibleSelection,
     SelectionLimitExceeded,
 )
-from dynrel.kernels import DEFAULT_TOL, is_invertible, nonzero_spectrum, numerical_rank
+from dynrel.kernels import DEFAULT_TOL, is_invertible, numerical_rank
 from dynrel.lti import (
     CtModel,
     StateSpace,
@@ -321,21 +322,22 @@ class TestStableSelection:
             assert_same_report(got, want)
 
     def test_stops_at_first_stable_subset(self, m3, monkeypatch):
-        # the first of model3's four subsets is stable; all four are still
-        # reduced, as one stack, since no verdict is known before reduction
+        # the first of model3's four subsets is stable and is not certified
+        # unstable, so it alone is reduced, and nothing after it
         reductions = count_calls(monkeypatch, minimal_realizations)
         condition_tests = count_calls(monkeypatch, is_invertible)
         assert stable_selection_exists(m3).selection.rows0 == (0,)
-        assert len(reductions) == 1 and reductions[0][0].shape[0] == 4
+        assert len(reductions) == 1 and reductions[0][0].shape[0] == 1
         # one batched test of every subset, and the admissibility check of
-        # the stack that is reduced
-        assert len(condition_tests) == 2
+        # the one selection that is reduced
+        assert [args[0].shape for args in condition_tests] == [(4, 1, 1), (1, 1, 1)]
 
-    def test_one_reduction_of_the_admissible_stack(self, m2, monkeypatch):
-        n_sels = len(enumerate_selections(m2))
+    def test_no_reduction_when_every_selection_is_certified(self, m2, monkeypatch):
+        # both of model2's relations have a real unstable pole that passes
+        # the PBH tests, so no staircase runs at all
         reductions = count_calls(monkeypatch, minimal_realizations)
         assert stable_selection_exists(m2) is None
-        assert len(reductions) == 1 and reductions[0][0].shape[0] == n_sels
+        assert not reductions
 
     def test_cap_raised_before_any_subset(self, m3, monkeypatch):
         condition_tests = count_calls(monkeypatch, is_invertible)
@@ -397,6 +399,143 @@ class TestInvariantZeroOracle:
         m = min(m, n)
         self.check(oracles.random_ct_model(np.random.default_rng(seed), n=n, m=m,
                                            n_out=m + extra))
+
+
+def filtered_input_model(model, z, p=1.0):
+    """``model`` behind the filter (s - z) / (s + p) on every shock
+    channel. Every output gains the zero z and every relation F cancels
+    it, so z is an eigenvalue of each selection's zero dynamics that C~
+    does not observe."""
+    n, m = model.n, model.m
+    a = np.block([[model.A, -(p + z) * model.B], [np.zeros((m, n)), -p * np.eye(m)]])
+    b = np.vstack([model.B, np.eye(m)])
+    c = np.hstack([model.C, np.zeros((model.n_out, m))])
+    return CtModel(ss=StateSpace(a, b, c), m=m)
+
+
+def hidden_mode_model(model, z, rng):
+    """``model`` with one more state, of eigenvalue z, that every output
+    sees and no shock reaches: z is an eigenvalue of each selection's
+    zero dynamics that B~ does not reach. A is no longer Hurwitz, so the
+    model is assembled without validation."""
+    a = scipy.linalg.block_diag(model.A, [[z]])
+    b = np.vstack([model.B, np.zeros((1, model.m))])
+    c = np.hstack([model.C, rng.normal(size=(model.n_out, 1))])
+    return CtModel(ss=StateSpace(a, b, c), m=model.m)
+
+
+def filtered_rows_model(model, rows, zeros, p=1.0):
+    """``model`` with output ``rows[i]`` filtered through
+    (s - zeros[i]) / (s + p): a selection that drives through that row
+    inverts the filter, so its zero dynamics gain the eigenvalue
+    zeros[i]."""
+    n, k = model.n, len(rows)
+    a = np.block([[model.A, np.zeros((n, k))], [model.C[rows], -p * np.eye(k)]])
+    b = np.vstack([model.B, np.zeros((k, model.m))])
+    c = np.hstack([model.C, np.zeros((model.n_out, k))])
+    c[rows, n:] = -np.diag(p + np.asarray(zeros))
+    return CtModel(ss=StateSpace(a, b, c), m=model.m)
+
+
+def certificates(model, sels):
+    """The unstable certificate of every selection in ``sels``."""
+    return relation._certified_unstable(model, *relation._zero_dynamics(model, sels),
+                                        DEFAULT_TOL)
+
+
+@st.composite
+def certificate_models(draw):
+    """Random validated models, and the same behind a cancelled unstable
+    zero (unobservable or unreachable in the zero dynamics), or with
+    outputs filtered so that some zero dynamics have an eigenvalue within
+    a few ulps of ``-stability_margin``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, min(n, 3)))
+    model = oracles.random_ct_model(rng, n=n, m=m, n_out=m + draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["plain", "unobservable", "unreachable", "margin"]))
+    z = draw(st.floats(0.0, 3.0))
+    if kind == "unobservable":
+        return filtered_input_model(model, z)
+    if kind == "unreachable":
+        return hidden_mode_model(model, z, rng)
+    if kind == "margin":
+        margin = DEFAULT_TOL.stability_margin
+        rows = draw(st.lists(st.integers(0, model.n_out - 1), min_size=1, max_size=2,
+                             unique=True))
+        ulps = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+        return filtered_rows_model(model, rows, -margin + np.spacing(margin) * np.array(ulps))
+    return model
+
+
+class TestUnstableCertificate:
+    """``stable_selection_exists`` skips the staircase only on selections
+    certified unstable from their zero dynamics."""
+
+    def test_zero_dynamics_realize_F(self, m3, m2, rng):
+        # F = C1 K + C~ (sI - Gamma11)^{-1} B~ with B~ and C~ scaled back by
+        # ||K||_F and ||C1||_F, and eig(Gamma11) are the invariant zeros
+        s = 1j * np.logspace(-1, 1, 7)
+        for model in (m3, m2, oracles.random_ct_model(rng, n=6, m=2, n_out=5)):
+            sels = enumerate_selections(model)
+            g11, b, c = relation._zero_dynamics(model, sels)
+            for i, rep in enumerate(classify_selections(model, sels)):
+                c0, c1 = model.C[list(rep.selection.rows0)], model.C[list(rep.selection.rows1)]
+                k_norm = np.linalg.norm(model.B @ np.linalg.inv(c0 @ model.B))
+                zd = StateSpace(g11[i], b[i] * k_norm, c[i] * np.linalg.norm(c1), rep.F_raw.D)
+                np.testing.assert_allclose(freq_response(zd, s), freq_response(rep.F, s),
+                                           atol=1e-9)
+                zeros = invariant_zeros(model, rep.selection.rows0)
+                assert oracles.match_gap(np.linalg.eigvals(g11[i]), zeros) < 1e-8
+
+    def test_free_of_units(self):
+        # the certificates do not move when the time unit or a common unit
+        # of the outputs or of the inputs changes
+        model = seeded_model()
+        sels = enumerate_selections(model)
+        want = certificates(model, sels)
+        assert want[:2].all() and not want[2]
+        for a, b, c in ((1e3, np.sqrt(1e3), 1.0), (1e-3, np.sqrt(1e-3), 1.0),
+                        (1.0, 1.0, 1e6), (1.0, 1.0, 1e-6), (1.0, 1e-6, 1.0)):
+            scaled = CtModel(ss=StateSpace(a * model.A, b * model.B, c * model.C), m=model.m)
+            np.testing.assert_array_equal(certificates(scaled, sels), want)
+
+    @pytest.mark.parametrize("kind", ["unobservable", "unreachable"])
+    def test_cancelled_unstable_zero_falls_through(self, m3, kind):
+        # model3's first relation keeps its stable poles -1 and -2; its zero
+        # dynamics gain the cancelled zero 0.5, which must not certify it
+        model = (filtered_input_model(m3, 0.5) if kind == "unobservable"
+                 else hidden_mode_model(m3, 0.5, np.random.default_rng(0)))
+        sels = enumerate_selections(model)
+        g11 = relation._zero_dynamics(model, sels)[0]
+        assert oracles.match_gap(np.linalg.eigvals(g11[0]), [-1.0, -2.0, 0.5]) < 1e-8
+        assert not certificates(model, sels)[0]
+        got = stable_selection_exists(model)
+        assert got.selection.rows0 == (0,) and oracles.match_gap(got.poles, [-1.0, -2.0]) < 1e-8
+        assert_same_report(got, classify_selection(model, sels[0]))
+
+    def test_zero_at_the_margin_falls_through(self, m3):
+        # row 0 filtered with its zero on -stability_margin: the relation of
+        # the first selection gains that pole, which only the staircase decides
+        margin = DEFAULT_TOL.stability_margin
+        model = filtered_rows_model(m3, [0], [-margin])
+        sels = enumerate_selections(model)
+        assert not certificates(model, sels)[0]
+        assert_same_report(stable_selection_exists(model),
+                           next(rep for rep in classify_selections(model, sels) if rep.stable))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(model=certificate_models())
+    def test_certified_selections_are_unstable(self, model):
+        sels = enumerate_selections(model)
+        reps = classify_selections(model, sels)
+        for certified, rep in zip(certificates(model, sels), reps):
+            assert not (certified and rep.stable), rep.selection
+        want = next((rep for rep in reps if rep.stable), None)
+        got = stable_selection_exists(model)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_report(got, want)
 
 
 class TestSpectrumConsistency:

@@ -184,6 +184,21 @@ class TestHiddenRank:
         assert (rep.bbt_rank, rep.qd_rank, rep.recovered_rank) == (3, 3, 3)
 
 
+    def test_one_decomposition_per_matrix(self, monkeypatch, m3):
+        # Q_d's rank is read off the eigvalsh of the Q_d gate, and B B''s
+        # rank off the SVD of the 3 x 1 factor B; no rank decision takes
+        # an SVD of either 3 x 3 matrix
+        qd, bbt = sample(m3, 0.1).Qd, m3.B @ m3.B.T
+        eigvalsh = count_calls(monkeypatch, np.linalg.eigvalsh, packages=("numpy.linalg",))
+        svd = count_calls(monkeypatch, np.linalg.svd, packages=("numpy.linalg",))
+        ranks = count_calls(monkeypatch, numerical_rank)
+        rep = hidden_rank_report(m3, 0.1)
+        assert (rep.bbt_rank, rep.qd_rank, rep.recovered_rank) == (1, 3, 1)
+        assert len(eigvalsh) == 1 and np.array_equal(eigvalsh[0][0], qd)
+        assert any(np.array_equal(args[0], m3.B) for args in svd)
+        assert not any(np.array_equal(args[0], x) for args in ranks for x in (qd, bbt))
+
+
 class TestSharedSchurFactor:
     def test_one_schur_form_per_desample(self, monkeypatch, rng):
         # the logarithm and the discrete solve share one Schur form of A_d
