@@ -13,7 +13,6 @@ from .errors import (
     BColumnDeficient,
     ConditionError,
     DimensionMismatch,
-    DNotInvertible,
     DynrelError,
     ExistenceFailure,
     InadmissibleSelection,
@@ -52,14 +51,11 @@ from .kernels import (
 from .lti import (
     CtModel,
     StateSpace,
-    evaluation_gap,
     freq_response,
     is_strictly_stable,
     minimal_realization,
     minimal_realizations,
     poles,
-    probe_points,
-    ss_inverse,
     validate_ct_model,
 )
 from .spectral import (
@@ -77,7 +73,6 @@ from .relation import (
     classify_selection,
     classify_selections,
     enumerate_selections,
-    has_full_eigenbasis,
     stable_selection_exists,
 )
 from .feedback import (

@@ -23,7 +23,6 @@ __all__ = [
     "BColumnDeficient",
     "RankCBDeficient",
     "PoleHit",
-    "DNotInvertible",
     "PhiUSingular",
     "RankInconsistent",
     "InadmissibleSelection",
@@ -98,11 +97,6 @@ class RankCBDeficient(InputError):
 
 class PoleHit(ConditionError):
     """A transfer function was evaluated numerically at a pole."""
-
-
-class DNotInvertible(ConditionError):
-    """The feedthrough matrix of a realization to be inverted is not
-    square and numerically invertible."""
 
 
 # --------------------------------------------------------------- spectral

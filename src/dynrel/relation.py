@@ -37,7 +37,7 @@ from .errors import (
     NoAdmissibleSelection,
     SelectionLimitExceeded,
 )
-from .kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank, sorted_eigvals
+from .kernels import DEFAULT_TOL, Tolerances, is_invertible, sorted_eigvals
 from .lti import CtModel, StateSpace, minimal_realizations, poles_stable
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "classify_selection",
     "classify_selections",
     "stable_selection_exists",
-    "has_full_eigenbasis",
 ]
 
 #: Hard cap on the number of row subsets enumerated.
@@ -369,11 +368,3 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
                     return rep
         start, size = start + size, 2 * size
     return None
-
-
-def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Numerical test that a square matrix has n independent
-    eigenvectors (eigenvector-matrix rank at the rank tolerance)."""
-    a = np.atleast_2d(np.asarray(m, dtype=float))
-    _, vecs = np.linalg.eig(a)
-    return numerical_rank(vecs, tol) == a.shape[0]

@@ -140,13 +140,17 @@ def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]
     ``P = A_d P A_d' + Q_d``. Both stay below ``residual_tol`` when
     ``sm`` really is a sampling of ``model``."""
     bbt = model.B @ model.B.T
-    return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt))
+    return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt),
+                      np.linalg.norm(model.B, 2) ** 2, np.linalg.norm(sm.Qd, 2))
 
 
-def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray) -> tuple[float, float]:
-    """Relative residuals of ``p`` in the equations of :func:`dual_lyapunov_check`."""
-    r_cont = np.linalg.norm(a @ p + p @ a.T + bbt, 2) / np.linalg.norm(bbt, 2)
-    r_disc = np.linalg.norm(p - sm.Ad @ p @ sm.Ad.T - sm.Qd, 2) / np.linalg.norm(sm.Qd, 2)
+def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray,
+               bbt_norm: float, qd_norm: float) -> tuple[float, float]:
+    """Relative residuals of ``p`` in the equations of
+    :func:`dual_lyapunov_check`; the caller passes ``||B B'||_2`` and
+    ``||Q_d||_2`` from values it already holds."""
+    r_cont = np.linalg.norm(a @ p + p @ a.T + bbt, 2) / bbt_norm
+    r_disc = np.linalg.norm(p - sm.Ad @ p @ sm.Ad.T - sm.Qd, 2) / qd_norm
     return float(r_cont), float(r_disc)
 
 
@@ -207,9 +211,13 @@ def desample(
             "condition (iii) fails"), diag) from exc
     diag.neg_semidef_ok = True
 
-    # validated first: a reachable B is nonzero, so B B' scales the residual
+    # validated first: a reachable B is nonzero, so B B' scales the residual.
+    # B's columns are orthogonal (eigenvectors scaled by the square roots of
+    # their eigenvalues), so ||B B'||_2 is the largest squared column norm;
+    # ||Q_d||_2 is the largest eigenvalue of the Q_d gate, all positive there
     model = validate_ct_model(StateSpace(a, b, sm.Cd.copy()), tol)
-    diag.residuals = _residuals(a, b @ b.T, sm, p)
+    diag.residuals = _residuals(a, b @ b.T, sm, p,
+                                np.linalg.norm(b, axis=0).max() ** 2, w.max())
     diag.recovered_rank = b.shape[1]
     return model, diag
 

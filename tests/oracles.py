@@ -6,13 +6,18 @@ Simpson quadrature for the sampled noise integral, and Kronecker
 vectorization of the Lyapunov equations against the package's
 Bartels-Stewart solvers. The Kronecker route builds an n^2 x n^2 system,
 O(n^6) time and O(n^4) memory, so keep oracle inputs small.
+
+Transfer-function equality in the tests is evaluation-based: two systems
+are equal when their values agree on a probe set (:func:`probe_points`,
+:func:`evaluation_gap`).
 """
 
 import numpy as np
 import scipy.linalg
 
-from dynrel.errors import DynrelError
-from dynrel.lti import StateSpace, validate_ct_model
+from dynrel.errors import ConditionError, DynrelError
+from dynrel.kernels import DEFAULT_TOL, Tolerances, is_invertible, numerical_rank
+from dynrel.lti import StateSpace, freq_response, validate_ct_model
 
 
 def taylor_expm(m, t: float = 1.0, terms: int = 60) -> np.ndarray:
@@ -150,3 +155,84 @@ def random_stable_ss(rng, n_out: int, n_in: int, n: int = None, d_scale: float =
     c = rng.normal(size=(n_out, nn))
     d = d_scale * rng.normal(size=(n_out, n_in))
     return StateSpace(a, b, c, d)
+
+
+class DNotInvertible(ConditionError):
+    """The feedthrough matrix of a realization to be inverted is not
+    square and numerically invertible."""
+
+
+def ss_inverse(ss: StateSpace) -> StateSpace:
+    """Realization of the inverse transfer function.
+
+    Requires square, numerically invertible D; the inverse is
+    ``(A - B D^{-1} C,  B D^{-1},  -D^{-1} C,  D^{-1})``.
+    """
+    d = ss.D
+    if d.shape[0] != d.shape[1] or not is_invertible(d):
+        raise DNotInvertible(
+            f"feedthrough of shape {d.shape} is not numerically invertible")
+    dinv = np.linalg.inv(d)
+    bdi = ss.B @ dinv
+    return StateSpace(ss.A - bdi @ ss.C, bdi, -dinv @ ss.C, dinv)
+
+
+def probe_points(n_imag: int = 20, n_complex: int = 5, seed: int = 0) -> np.ndarray:
+    """Standard probe set for evaluation-based transfer-function equality.
+
+    ``n_imag`` logarithmically spaced points on the imaginary axis with
+    frequencies in [1e-2, 1e2], plus ``n_complex`` seeded random points
+    with positive real part (so they cannot hit poles of stable systems).
+    """
+    pts = list(1j * np.logspace(-2.0, 2.0, n_imag))
+    rng = np.random.default_rng(seed)
+    for _ in range(n_complex):
+        pts.append(complex(rng.uniform(0.1, 10.0), rng.uniform(-10.0, 10.0)))
+    return np.array(pts, dtype=np.complex128)
+
+
+def evaluation_gap(ss1: StateSpace, ss2: StateSpace, points=None) -> float:
+    """Largest 2-norm difference between two transfer functions over the
+    probe set (defaults to :func:`probe_points`)."""
+    if points is None:
+        points = probe_points()
+    if (ss1.n_out, ss1.n_in) != (ss2.n_out, ss2.n_in):
+        raise ValueError("systems must have matching input/output dimensions")
+    gaps = np.linalg.norm(freq_response(ss1, points) - freq_response(ss2, points), 2, axis=(1, 2))
+    return float(gaps.max(initial=0.0))
+
+
+def pointwise_response(ss: StateSpace, points) -> np.ndarray:
+    """``C (sI - A)^{-1} B + D`` by one LU solve per point, as a
+    ``(k, n_out, n_in)`` complex array."""
+    ident = np.eye(ss.n)
+    b = ss.B.astype(np.complex128)
+    return np.array([ss.C @ np.linalg.solve(x * ident - ss.A, b) + ss.D for x in points],
+                    dtype=np.complex128).reshape(len(points), ss.n_out, ss.n_in)
+
+
+def in_random_basis(rng, j) -> np.ndarray:
+    """``T^{-1} j T`` for a random, well-conditioned T."""
+    n = j.shape[0]
+    t = rng.normal(size=(n, n)) + n * np.eye(n)
+    return np.linalg.solve(t, j @ t)
+
+
+def near_defective(rng, lam, delta: float) -> np.ndarray:
+    """Matrix with the real eigenvalues ``lam``, whose second eigenvalue
+    is moved to ``lam[0] + delta`` and coupled to the first by a unit
+    entry, in a random basis: the condition number of its eigenvector
+    matrix grows like 1 / delta."""
+    j = np.diag(np.asarray(lam, dtype=float))
+    if j.shape[0] > 1:
+        j[1, 1] = j[0, 0] + delta
+        j[0, 1] = 1.0
+    return in_random_basis(rng, j)
+
+
+def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Numerical test that a square matrix has n independent
+    eigenvectors (eigenvector-matrix rank at the rank tolerance)."""
+    a = np.atleast_2d(np.asarray(m, dtype=float))
+    _, vecs = np.linalg.eig(a)
+    return numerical_rank(vecs, tol) == a.shape[0]

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 import systems
-from oracles import nonzero_spectrum
+from oracles import evaluation_gap, nonzero_spectrum, probe_points, ss_inverse
 from dynrel.errors import LogFailure, NotSemidefinite, QdSingular
 from dynrel.feedback import FeedbackModel, closed_loop_T, verify_interchange_identities
 from dynrel.kernels import (
@@ -20,12 +20,9 @@ from dynrel.kernels import (
 )
 from dynrel.lti import (
     StateSpace,
-    evaluation_gap,
     freq_response,
     is_strictly_stable,
     minimal_realization,
-    probe_points,
-    ss_inverse,
 )
 from dynrel.relation import classify_selection, enumerate_selections, stable_selection_exists
 from dynrel.sampling import SampledModel, desample, dual_lyapunov_check, sample

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import systems
 from conftest import count_calls
+from oracles import DNotInvertible, evaluation_gap, probe_points, ss_inverse
 from dynrel.errors import (
     BColumnDeficient,
-    DNotInvertible,
     NotObservable,
     NotReachable,
     NotStable,
@@ -17,16 +17,14 @@ from dynrel.errors import (
     RankCBDeficient,
 )
 from dynrel.kernels import POLE_COND_LIMIT, is_invertible
+from dynrel import lti
 from dynrel.lti import (
     StateSpace,
-    evaluation_gap,
     freq_response,
     is_strictly_stable,
     minimal_realization,
     minimal_realizations,
     poles,
-    probe_points,
-    ss_inverse,
     validate_ct_model,
 )
 from dynrel.relation import classify_selection, enumerate_selections
@@ -97,12 +95,50 @@ class TestFreqResponse:
             np.testing.assert_allclose(freq_response(f, s), want, atol=1e-8)
 
     def test_matches_pointwise_solve(self, rng):
+        # kappa2(V) about 1e6: every point is certified, but the modal
+        # form is gated out, so every point takes the batched LU solve
         ss = oracles.random_stable_ss(rng, 3, 2, n=5)
+        a = oracles.near_defective(rng, [-1.0, -1.0, -2.0, -3.0, -0.5], 1e-6)
+        ss = StateSpace(a, ss.B, ss.C, ss.D)
+        assert np.linalg.cond(np.linalg.eig(a)[1]) > lti._MODAL_COND_LIMIT
         s = np.concatenate([1j * np.logspace(-2, 2, 30), probe_points()])
-        want = [ss.C @ np.linalg.solve(x * np.eye(ss.n) - ss.A, ss.B.astype(complex)) + ss.D
-                for x in s]
         # the same arithmetic point by point, so the same bits
-        np.testing.assert_array_equal(freq_response(ss, s), want)
+        np.testing.assert_array_equal(freq_response(ss, s), oracles.pointwise_response(ss, s))
+
+    def test_certified_grid_takes_no_lu(self, monkeypatch, rng):
+        # well-conditioned V and a certified grid: the modal form at every
+        # point, with one 2-d solve (V^{-1} B) and no pole test
+        g = rng.normal(size=(10, 10))
+        a = 0.5 * g / np.abs(np.linalg.eigvals(g)).max() - np.eye(10)
+        ss = StateSpace(a, rng.normal(size=(10, 2)), rng.normal(size=(3, 10)))
+        assert np.linalg.cond(np.linalg.eig(a)[1]) < lti._MODAL_COND_LIMIT
+        solves = []
+        solve = np.linalg.solve
+
+        def counting(m, *args, **kwargs):
+            solves.append(np.ndim(m))
+            return solve(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        calls = count_calls(monkeypatch, is_invertible)
+        s = 1j * default_grid()
+        got = freq_response(ss, s)
+        assert calls == [] and solves == [2]
+        want = oracles.pointwise_response(ss, s)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_uncertified_points_take_the_lu_path(self, rng):
+        # kappa2(V) is small, so 1j is evaluated in modal form; the points
+        # next to two poles are not certified, pass the pole test and are
+        # solved by LU. There the two routes differ well above roundoff.
+        a = oracles.hurwitz(rng, 4)
+        lam = np.linalg.eigvals(a)
+        ss = StateSpace(a, rng.normal(size=(4, 2)), rng.normal(size=(3, 4)))
+        s = np.array([1j, lam[0] + 1e-11, lam[-1] - 1e-10j])
+        got = freq_response(ss, s)
+        want = oracles.pointwise_response(ss, s)
+        np.testing.assert_array_equal(got[1:], want[1:])
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-13)
 
     def test_constant_system_shape(self):
         d = np.array([[3.0, -1.0], [0.5, 2.0], [1.0, 0.0]])
@@ -207,6 +243,48 @@ class TestFreqResponse:
             assert str(exc.value) == want
         else:
             assert freq_response(ss, s).shape == (s.size, 1, 2)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           kind=st.sampled_from(["real", "complex", "repeated", "identity", "near-defective"]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), feedthrough=st.booleans())
+    def test_modal_form_matches_pointwise_solve(self, seed, n, kind, scale, feedthrough):
+        """Where kappa2(V) passes the gate, the modal form agrees with a
+        pointwise LU solve to 1e-12 of ``||C|| ||(sI - A)^{-1}|| ||B|| + ||D||``,
+        the scale of both routes' rounding errors; where it fails the gate,
+        the values are the LU bits. The points stay 0.1 * scale away from
+        every eigenvalue: nearer a pole both routes lose accuracy in
+        proportion to ||A|| / gap, and neither is a reference there."""
+        rng = np.random.default_rng(seed)
+        if kind == "real":  # complex-conjugate pairs
+            a = rng.normal(size=(n, n))
+        elif kind == "complex":
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        elif kind == "identity":
+            a = -np.eye(n)
+        elif kind == "repeated":  # diagonalizable, in a random basis
+            lam = rng.normal(size=n)
+            lam[:n // 2 + 1] = lam[0]
+            a = oracles.in_random_basis(rng, np.diag(lam))
+        else:
+            a = oracles.near_defective(rng, rng.normal(size=n), 10.0 ** rng.uniform(-5, 0))
+        a = scale * a
+        lam = np.linalg.eigvals(a)
+        angles = np.exp(2j * np.pi * rng.uniform(size=n))
+        s = np.concatenate([1j * scale * np.logspace(-2, 2, 8),
+                            lam + scale * 10.0 ** rng.uniform(-1, 0, n) * angles])
+        s = s[np.abs(s[:, None] - lam).min(axis=1) >= 0.1 * scale]
+        ss = StateSpace(a, rng.normal(size=(n, 2)), rng.normal(size=(3, n)),
+                        rng.normal(size=(3, 2)) if feedthrough else None)
+        got = freq_response(ss, s)
+        want = oracles.pointwise_response(ss, s)
+        if np.linalg.cond(np.linalg.eig(a)[1]) > lti._MODAL_COND_LIMIT:
+            np.testing.assert_array_equal(got, want)
+            return
+        size = np.array([np.linalg.norm(np.linalg.inv(x * np.eye(n) - a), 2) for x in s])
+        size = size * np.linalg.norm(ss.C, 2) * np.linalg.norm(ss.B, 2) + np.linalg.norm(ss.D, 2)
+        err = np.linalg.norm(got - want, 2, axis=(1, 2))
+        assert np.all(err <= 1e-12 * size)
 
 
 class TestMinimalRealization:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
-from oracles import nonzero_spectrum
+from oracles import has_full_eigenbasis, nonzero_spectrum
 from conftest import count_calls
 from dynrel import relation
 from dynrel.errors import (
@@ -30,7 +30,6 @@ from dynrel.relation import (
     classify_selection,
     classify_selections,
     enumerate_selections,
-    has_full_eigenbasis,
     stable_selection_exists,
 )
 from dynrel.spectral import PartitionSpec, f_from_spectrum_eval

@@ -14,6 +14,7 @@ from dynrel.kernels import (
     solve_lyap_continuous,
     solve_lyap_discrete,
 )
+from dynrel import sampling
 from dynrel.lti import StateSpace, validate_ct_model
 from dynrel.sampling import (
     SampledModel,
@@ -94,6 +95,33 @@ class TestDualLyapunov:
         assert np.abs(p_cont - p_disc).max() < 1e-8 * scale
         assert np.abs(p_cont - oracles.kron_lyap_continuous(m3.A, bbt)).max() < 1e-8 * scale
         assert np.abs(p_disc - oracles.kron_lyap_discrete(sm.Ad, sm.Qd)).max() < 1e-8 * scale
+
+
+class TestResidualNorms:
+    """Both residual pairs keep their definitions,
+    ``||A P + P A' + B B'||_2 / ||B B'||_2`` and
+    ``||P - A_d P A_d' - Q_d||_2 / ||Q_d||_2``; the denominators come
+    from values at hand (B, and the eigenvalues of the Q_d gate), not
+    from n x n 2-norms."""
+
+    def test_denominators_are_the_two_norms(self, monkeypatch, rng):
+        seen = []
+        residuals = sampling._residuals
+
+        def recording(a, bbt, sm, p, bbt_norm, qd_norm):
+            seen.append((bbt, sm.Qd, bbt_norm, qd_norm))
+            return residuals(a, bbt, sm, p, bbt_norm, qd_norm)
+
+        monkeypatch.setattr(sampling, "_residuals", recording)
+        for _ in range(10):
+            model = oracles.random_ct_model(rng)
+            sm = sample(model, 1.0)
+            dual_lyapunov_check(model, sm)
+            desample(sm)
+        assert len(seen) == 20
+        for bbt, qd, bbt_norm, qd_norm in seen:
+            np.testing.assert_allclose(bbt_norm, np.linalg.norm(bbt, 2), rtol=1e-12)
+            np.testing.assert_allclose(qd_norm, np.linalg.norm(qd, 2), rtol=1e-12)
 
 
 class TestDesample:
