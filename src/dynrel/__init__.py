@@ -26,7 +26,6 @@ from .errors import (
     NotSemidefinite,
     NotStable,
     ParseError,
-    PhiUSingular,
     PoleHit,
     QdSingular,
     RankCBDeficient,
@@ -58,14 +57,7 @@ from .lti import (
     poles,
     validate_ct_model,
 )
-from .spectral import (
-    PartitionSpec,
-    SpectrumSample,
-    default_grid,
-    f_from_spectrum_eval,
-    spectral_density_eval,
-    spectral_rank_profile,
-)
+from .spectral import default_grid, spectral_rank_profile
 from .relation import (
     SELECTION_CAP,
     RelationReport,

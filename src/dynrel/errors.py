@@ -23,7 +23,6 @@ __all__ = [
     "BColumnDeficient",
     "RankCBDeficient",
     "PoleHit",
-    "PhiUSingular",
     "RankInconsistent",
     "InadmissibleSelection",
     "SelectionLimitExceeded",
@@ -100,11 +99,6 @@ class PoleHit(ConditionError):
 
 
 # --------------------------------------------------------------- spectral
-
-class PhiUSingular(ConditionError):
-    """The input-block spectral density is numerically singular at the
-    requested frequency."""
-
 
 class RankInconsistent(ConditionError):
     """Numerical ranks across the frequency grid disagree beyond

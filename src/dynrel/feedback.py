@@ -33,6 +33,9 @@ __all__ = [
     "feedback_free",
 ]
 
+#: Frequencies (rad/s) on which the interchange identities are checked.
+_INTERCHANGE_GRID = np.logspace(-2, 2, 20)
+
 
 @dataclass
 class FeedbackModel:
@@ -59,23 +62,14 @@ class FeedbackModel:
 
 @dataclass
 class ClosedLoop:
-    """The loop (F, H), the combined realization T and its four blocks.
-
-    Block realizations share the loop state (they are not reduced).
-    ``internally_stable`` is decided on T itself: T strictly stable.
+    """The loop (F, H) and the combined realization T, with rows (y, u)
+    and columns (v, r). ``internally_stable`` is decided on T itself:
+    T strictly stable.
     """
 
     loop: FeedbackModel
     T: StateSpace
-    P: StateSpace
-    PF: StateSpace
-    QH: StateSpace
-    Q: StateSpace
     internally_stable: bool
-
-
-def _subsystem(ss: StateSpace, rows: slice, cols: slice) -> StateSpace:
-    return StateSpace(ss.A, ss.B[:, cols], ss.C[rows, :], ss.D[rows, cols])
 
 
 def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoop:
@@ -115,32 +109,29 @@ def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoo
         loop_inv @ c_stack,
         loop_inv,
     )
-    y, u = slice(0, p), slice(p, p + q)  # the rows (y, u) and the columns (v, r) of T
-    return ClosedLoop(loop=fm, T=t, P=_subsystem(t, y, y), PF=_subsystem(t, y, u),
-                      QH=_subsystem(t, u, y), Q=_subsystem(t, u, u),
-                      internally_stable=is_strictly_stable(t, tol))
+    return ClosedLoop(loop=fm, T=t, internally_stable=is_strictly_stable(t, tol))
 
 
-def verify_interchange_identities(cl: ClosedLoop, grid=None) -> float:
-    """Largest residual of ``P F - F Q`` and ``H P - Q H`` over the grid
-    of imaginary-axis frequencies (defaults to the package grid)."""
+def verify_interchange_identities(cl: ClosedLoop) -> float:
+    """Largest residual of ``P F - F Q`` and ``H P - Q H`` over 20
+    log-spaced imaginary-axis frequencies in [1e-2, 1e2] rad/s."""
     fm = cl.loop
-    s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
+    s = 1j * _INTERCHANGE_GRID
     f_val = freq_response(fm.F, s)
     h_val = freq_response(fm.H, s)
     t_val = freq_response(cl.T, s)
     p_val, q_val = t_val[:, :fm.p, :fm.p], t_val[:, fm.p:, fm.p:]  # diagonal blocks of T
     pf_fq = np.linalg.norm(p_val @ f_val - f_val @ q_val, 2, axis=(1, 2))
     hp_qh = np.linalg.norm(h_val @ p_val - q_val @ h_val, 2, axis=(1, 2))
-    return float(max(pf_fq.max(initial=0.0), hp_qh.max(initial=0.0)))
+    return float(max(pf_fq.max(), hp_qh.max()))
 
 
-def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL, grid=None) -> tuple[bool, float]:
+def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether the past of u improves linear prediction of y, and the peak
     gain it was decided on. True iff the forward map is nonzero: its
-    largest 2-norm over the imaginary-axis grid (defaults to the package
-    grid) exceeds ``residual_tol``. :func:`feedback_free` applies it to H."""
-    s = 1j * np.asarray(default_grid() if grid is None else grid, dtype=float)
+    largest 2-norm over the imaginary axis, sampled on the package grid,
+    exceeds ``residual_tol``. :func:`feedback_free` applies it to H."""
+    s = 1j * default_grid()
     peak = float(np.linalg.norm(freq_response(F, s), 2, axis=(1, 2)).max())
     return peak > tol.residual_tol, peak
 
@@ -160,15 +151,11 @@ class FeedbackFreeVerdict:
     inconsistent: bool
 
 
-def feedback_free(
-    H: StateSpace,
-    F: StateSpace,
-    tol: Tolerances = DEFAULT_TOL,
-    grid=None,
-) -> FeedbackFreeVerdict:
+def feedback_free(H: StateSpace, F: StateSpace,
+                  tol: Tolerances = DEFAULT_TOL) -> FeedbackFreeVerdict:
     """Test for absence of feedback (H identically zero) and, when it is
     absent, the consistency requirement that F be strictly stable."""
-    h_zero = not granger_verdict(H, tol, grid)[0]
+    h_zero = not granger_verdict(H, tol)[0]
     if not h_zero:
         return FeedbackFreeVerdict(h_zero=False, f_stable=None, inconsistent=False)
     f_stable = is_strictly_stable(F, tol)

@@ -115,7 +115,7 @@ def parse_model(src) -> ContinuousModelFile | SampledModelFile:
     if not isinstance(data, dict):
         raise ParseError("model file must hold a JSON object")
     version = data.get("v")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1 in Python
         raise SchemaVersionUnsupported(
             f"schema version {version!r} unsupported; expected {SCHEMA_VERSION}")
     if "A" in data:

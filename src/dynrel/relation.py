@@ -89,7 +89,7 @@ class RelationReport:
     poles: np.ndarray
 
 
-def enumerate_selections(model: CtModel, cap: int = SELECTION_CAP) -> list[RowSelection]:
+def enumerate_selections(model: CtModel) -> list[RowSelection]:
     """All admissible selections, in lexicographic order of ``rows0``.
 
     A subset is admissible when its C0 B has condition number below the
@@ -100,15 +100,15 @@ def enumerate_selections(model: CtModel, cap: int = SELECTION_CAP) -> list[RowSe
     Raises
     ------
     SelectionLimitExceeded
-        More than ``cap`` subsets would have to be examined; raised
-        before any subset is tested.
+        More than ``SELECTION_CAP`` subsets would have to be examined;
+        raised before any subset is tested.
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
     n_out, m = model.n_out, model.m
-    if comb(n_out, m) > cap:
+    if comb(n_out, m) > SELECTION_CAP:
         raise SelectionLimitExceeded(
-            f"{comb(n_out, m)} candidate subsets exceed the cap of {cap}")
+            f"{comb(n_out, m)} candidate subsets exceed the cap of {SELECTION_CAP}")
     subsets = np.array(list(itertools.combinations(range(n_out), m)), dtype=np.intp)
     ok = is_invertible(model.C[subsets.reshape(-1, m)] @ model.B)
     if not ok.any():
@@ -356,7 +356,7 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
     NoAdmissibleSelection
         Every subset fails the invertibility test.
     """
-    sels = enumerate_selections(model, SELECTION_CAP)
+    sels = enumerate_selections(model)
     start, size = 0, 1
     while start < len(sels):
         chunk = sels[start:start + size]

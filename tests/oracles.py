@@ -9,7 +9,9 @@ O(n^6) time and O(n^4) memory, so keep oracle inputs small.
 
 Transfer-function equality in the tests is evaluation-based: two systems
 are equal when their values agree on a probe set (:func:`probe_points`,
-:func:`evaluation_gap`).
+:func:`evaluation_gap`). The relation's defining identity
+``F = Phi_yu Phi_u^{-1}`` is evaluated from the spectral density
+(:func:`f_from_spectrum`).
 """
 
 import numpy as np
@@ -228,6 +230,46 @@ def near_defective(rng, lam, delta: float) -> np.ndarray:
         j[1, 1] = j[0, 0] + delta
         j[0, 1] = 1.0
     return in_random_basis(rng, j)
+
+
+class PhiUSingular(ConditionError):
+    """The input-block spectral density is numerically singular."""
+
+
+def spectral_density(model, omegas) -> np.ndarray:
+    """``W(iw) W(iw)*`` of the model output at each frequency of the 1-d
+    ``omegas``, made exactly Hermitian, as a ``(k, n_out, n_out)`` array."""
+    w = freq_response(model.ss, 1j * np.asarray(omegas, dtype=float))
+    phi = w @ w.conj().mT
+    return 0.5 * (phi + phi.conj().mT)
+
+
+def f_from_spectrum(model, rows0, omegas) -> np.ndarray:
+    """The relation from the density blocks, ``Phi_yu(iw) Phi_u(iw)^{-1}``,
+    at each frequency of ``omegas``; u are the rows ``rows0`` in that
+    order, y the other rows in original order. This is the definition of
+    F that the relation module's realization must satisfy, so it is
+    formed from the blocks of the density, not from a factor of it.
+
+    Raises :class:`PhiUSingular` where ``Phi_u`` fails :func:`is_invertible`.
+    """
+    phi = spectral_density(model, omegas)
+    u = list(rows0)
+    y = [i for i in range(model.n_out) if i not in u]
+    phi_u, phi_yu = phi[:, u][:, :, u], phi[:, y][:, :, u]
+    singular = ~is_invertible(phi_u)
+    if singular.any():
+        omega = np.asarray(omegas, dtype=float)[singular][0]
+        raise PhiUSingular(f"Phi_u is numerically singular at omega = {omega:.6g}")
+    return np.linalg.solve(phi_u.mT, phi_yu.mT).mT
+
+
+def loop_blocks(cl) -> tuple[StateSpace, ...]:
+    """The blocks P, PF, QH, Q of a closed loop's T = [[P, PF], [QH, Q]],
+    each sharing the loop state (not reduced)."""
+    t, y, u = cl.T, slice(0, cl.loop.p), slice(cl.loop.p, None)
+    return tuple(StateSpace(t.A, t.B[:, c], t.C[r], t.D[r, c])
+                 for r, c in ((y, y), (y, u), (u, y), (u, u)))
 
 
 def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:

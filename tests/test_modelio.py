@@ -10,6 +10,7 @@ from dynrel.errors import (
     ParseError,
     SchemaVersionUnsupported,
 )
+from dynrel.cli import run
 from dynrel.modelio import (
     ContinuousModelFile,
     SampledModelFile,
@@ -82,11 +83,18 @@ class TestParseContinuous:
         with pytest.raises(ParseError):
             parse_model("/nonexistent/model.json")
 
-    def test_bad_version(self):
-        with pytest.raises(SchemaVersionUnsupported):
-            parse_model('{"v": 2, "A": [[-1]], "B": [[1]], "C": [[1]]}')
+    def test_bad_version(self, tmp_path, capsys):
         with pytest.raises(SchemaVersionUnsupported):
             parse_model('{"A": [[-1]], "B": [[1]], "C": [[1]]}')
+        # only the JSON integer 1, although true == 1.0 == 1 in Python
+        for version in ("2", "true", "1.0", '"1"'):
+            text = '{"v": %s, "A": [[-1]], "B": [[1]], "C": [[1]]}' % version
+            with pytest.raises(SchemaVersionUnsupported):
+                parse_model(text)
+            path = tmp_path / "model.json"
+            path.write_text(text, encoding="utf-8")
+            assert run(["validate", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemaVersionUnsupported"
 
     def test_wrong_label_count(self):
         with pytest.raises(DimensionMismatch, match="labels"):

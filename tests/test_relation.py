@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
-from oracles import has_full_eigenbasis, nonzero_spectrum
+from oracles import f_from_spectrum, has_full_eigenbasis, nonzero_spectrum
 from conftest import count_calls
 from dynrel import relation
 from dynrel.errors import (
@@ -32,7 +32,6 @@ from dynrel.relation import (
     enumerate_selections,
     stable_selection_exists,
 )
-from dynrel.spectral import PartitionSpec, f_from_spectrum_eval
 
 
 def constant_relation_model():
@@ -105,9 +104,10 @@ class TestEnumerate:
                             if is_invertible(model.C[list(rows0)] @ model.B)]
         assert len(kept) == 8
 
-    def test_cap(self, m3):
+    def test_cap(self, m3, monkeypatch):
+        monkeypatch.setattr(relation, "SELECTION_CAP", 3)
         with pytest.raises(SelectionLimitExceeded):
-            enumerate_selections(m3, cap=3)
+            enumerate_selections(m3)
 
     def test_no_admissible_selection(self):
         # hand-assembled (unvalidated) triple whose single row kills C0 B
@@ -541,9 +541,8 @@ class TestSpectrumConsistency:
     def test_f_matches_spectrum_everywhere(self, m3, m2):
         for model in (m3, m2):
             for sel in enumerate_selections(model):
-                part = PartitionSpec.from_u_rows(sel.rows0, model.n_out)
                 w = np.logspace(-2, 2, 50)
-                want = [f_from_spectrum_eval(model, part, x) for x in w]
+                want = f_from_spectrum(model, sel.rows0, w)
                 gap = np.abs(freq_response(relation_F(model, sel), 1j * w) - want).max()
                 assert gap < 1e-6
 
@@ -551,8 +550,7 @@ class TestSpectrumConsistency:
         for _ in range(5):
             model = oracles.random_ct_model(rng, n=4, m=2, n_out=3)
             for sel in enumerate_selections(model)[:2]:
-                part = PartitionSpec.from_u_rows(sel.rows0, model.n_out)
                 w = np.logspace(-1, 1, 10)
-                want = [f_from_spectrum_eval(model, part, x) for x in w]
+                want = f_from_spectrum(model, sel.rows0, w)
                 gap = np.abs(freq_response(relation_F(model, sel), 1j * w) - want).max()
                 assert gap < 1e-6

@@ -4,16 +4,11 @@ import pytest
 import oracles
 import systems
 from conftest import count_calls
-from dynrel.errors import PhiUSingular, RankInconsistent
+from oracles import PhiUSingular, f_from_spectrum, spectral_density
+from dynrel.errors import RankInconsistent
 from dynrel.kernels import numerical_rank
 from dynrel.lti import StateSpace, freq_response, validate_ct_model
-from dynrel.spectral import (
-    PartitionSpec,
-    default_grid,
-    f_from_spectrum_eval,
-    spectral_density_eval,
-    spectral_rank_profile,
-)
+from dynrel.spectral import default_grid, spectral_rank_profile
 
 
 def full_rank_model():
@@ -21,53 +16,27 @@ def full_rank_model():
     return validate_ct_model(StateSpace(a, np.eye(2), np.eye(2)))
 
 
-class TestPartitionSpec:
-    def test_from_u_rows(self):
-        part = PartitionSpec.from_u_rows((1,), 4)
-        assert part.p == 3 and part.q == 1
-        assert part.row_order == (0, 2, 3, 1)
-
-    def test_invalid_permutation(self):
-        with pytest.raises(ValueError):
-            PartitionSpec(p=1, q=1, row_order=(0, 0))
-
-
 class TestSpectralDensityEval:
     def test_scalar_at_zero(self):
         model = validate_ct_model(StateSpace([[-1.0]], [[1.0]], [[1.0]]))
-        sample = spectral_density_eval(model, 0.0)
-        np.testing.assert_allclose(sample.phi, [[1.0]], rtol=1e-12)
+        phi = spectral_density(model, [0.0])[0]
+        np.testing.assert_allclose(phi, [[1.0]], rtol=1e-12)
 
     def test_golden_hermitian_psd_rank_one(self, m3):
-        sample = spectral_density_eval(m3, 1.0)
-        phi = sample.phi
+        phi = spectral_density(m3, [1.0])[0]
         assert phi.shape == (4, 4)
         assert np.abs(phi - phi.conj().T).max() < 1e-12
         assert np.linalg.eigvalsh(phi).min() > -1e-10
         assert numerical_rank(phi) == 1
 
     def test_conjugate_pair(self, m2):
-        pos = spectral_density_eval(m2, 2.3).phi
-        neg = spectral_density_eval(m2, -2.3).phi
+        pos, neg = spectral_density(m2, [2.3, -2.3])
         assert np.abs(neg - pos.conj()).max() < 1e-12
-
-    def test_blocks_need_partition(self, m3):
-        sample = spectral_density_eval(m3, 1.0)
-        with pytest.raises(ValueError):
-            _ = sample.phi_u
-
-    def test_partitioned_blocks(self, m3):
-        part = PartitionSpec.from_u_rows((0,), 4)
-        sample = spectral_density_eval(m3, 1.0, part)
-        w = freq_response(m3.ss, [1j])[0]
-        phi_full = w @ w.conj().T
-        np.testing.assert_allclose(sample.phi_u, phi_full[:1, :1], atol=1e-12)
-        np.testing.assert_allclose(sample.phi_y, phi_full[1:, 1:], atol=1e-12)
 
     def test_random_hermitian_psd(self, rng):
         for _ in range(10):
             model = oracles.random_ct_model(rng)
-            phi = spectral_density_eval(model, float(rng.uniform(0.01, 50))).phi
+            phi = spectral_density(model, [rng.uniform(0.01, 50)])[0]
             assert np.abs(phi - phi.conj().T).max() < 1e-10
             assert np.linalg.eigvalsh(phi).min() > -1e-8 * max(
                 1.0, np.abs(np.linalg.eigvalsh(phi)).max())
@@ -109,13 +78,11 @@ class TestRankProfile:
 
 class TestFFromSpectrum:
     def test_golden_first_selection(self, m3):
-        part = PartitionSpec.from_u_rows((0,), 4)
-        got = f_from_spectrum_eval(m3, part, 1.0)
+        got = f_from_spectrum(m3, (0,), [1.0])[0]
         np.testing.assert_allclose(got, systems.f3_first(1j), atol=1e-8)
 
     def test_golden_second_model(self, m2):
-        part = PartitionSpec.from_u_rows((1,), 2)
-        got = f_from_spectrum_eval(m2, part, 2.0)
+        got = f_from_spectrum(m2, (1,), [2.0])[0]
         np.testing.assert_allclose(got, systems.f2_second(2j), atol=1e-10)
 
     def test_zero_driven_block(self):
@@ -123,15 +90,13 @@ class TestFFromSpectrum:
         b = np.array([[1.0], [1.0]])
         c = np.array([[0.0, 0.0], [1.0, 0.0]])  # driven row identically zero
         model = validate_ct_model(StateSpace(a, b, c))
-        part = PartitionSpec.from_u_rows((1,), 2)
-        got = f_from_spectrum_eval(model, part, 0.7)
+        got = f_from_spectrum(model, (1,), [0.7])[0]
         np.testing.assert_allclose(got, np.zeros((1, 1)), atol=1e-14)
 
     def test_singular_phi_u(self):
         model = systems.model_with_axis_zero()
-        part = PartitionSpec.from_u_rows((1,), 2)
         with pytest.raises(PhiUSingular):
-            f_from_spectrum_eval(model, part, 1.0)  # axis zero kills Phi_u
+            f_from_spectrum(model, (1,), [1.0])  # axis zero kills Phi_u
 
 
 class TestFactorIdentities:
@@ -140,7 +105,6 @@ class TestFactorIdentities:
         c1 = systems.C3[1:, :]
         n_sys = StateSpace(systems.A3, systems.B3, c1 @ systems.A3, c1 @ systems.B3)
         m_sys = StateSpace(systems.A3, systems.B3, c0 @ systems.A3, c0 @ systems.B3)
-        part = PartitionSpec.from_u_rows((0,), 4)
         w = np.logspace(-1.5, 1.5, 12)
         s = 1j * w
         w_full = freq_response(m3.ss, s)
@@ -150,7 +114,7 @@ class TestFactorIdentities:
         np.testing.assert_allclose(stacked, w_full[:, [1, 2, 3, 0], :], atol=1e-10)
         np.testing.assert_allclose(
             n_val @ np.linalg.inv(m_val),
-            [f_from_spectrum_eval(m3, part, x) for x in w], atol=1e-8)
+            f_from_spectrum(m3, (0,), w), atol=1e-8)
 
     def test_block_identity_without_return_path(self, rng):
         # W = [[G, F K], [0, K]] is the spectral factor of a loop with no
