@@ -246,22 +246,16 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args):
-    tol = DEFAULT_TOL
-    overrides = {}
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["rank_rtol"] = args.tol_rank
-    if getattr(args, "tol_psd", None) is not None:
-        overrides["psd_tol"] = args.tol_psd
-    if getattr(args, "tol_stability", None) is not None:
-        overrides["stability_margin"] = args.tol_stability
-    if getattr(args, "tol_residual", None) is not None:
-        overrides["residual_tol"] = args.tol_residual
-    if overrides:
-        try:
-            tol = replace(tol, **overrides)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    return tol
+    """DEFAULT_TOL with the ``--tol-*`` flags that were given."""
+    flags = {"rank_rtol": args.tol_rank, "psd_tol": args.tol_psd,
+             "stability_margin": args.tol_stability, "residual_tol": args.tol_residual}
+    overrides = {k: v for k, v in flags.items() if v is not None}
+    if not overrides:
+        return DEFAULT_TOL
+    try:
+        return replace(DEFAULT_TOL, **overrides)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _parse_grid(spec: str | None) -> np.ndarray:
@@ -512,14 +506,10 @@ def run(argv) -> int:
     try:
         tol = _tolerances(args)
         body, code = _HANDLERS[args.command](args, tol)
-    except (InputError, ValueError) as err:
+    except (InputError, ValueError, ConditionError) as err:
         sys.stdout.write(dumps_report(header | _error_report(err)))
         sys.stderr.write(f"error: {err}\n")
-        return 2
-    except ConditionError as err:
-        sys.stdout.write(dumps_report(header | _error_report(err)))
-        sys.stderr.write(f"error: {err}\n")
-        return 3
+        return 3 if isinstance(err, ConditionError) else 2
     sys.stdout.write(dumps_report(header | body))
     return code
 

@@ -228,8 +228,7 @@ def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
-                        b_scale: np.ndarray | None = None,
-                        a_scale: np.ndarray | None = None) -> list:
+                        b_scale: np.ndarray | None = None) -> list:
     """Orthonormal basis of the smallest A-invariant subspace containing
     range(B), by staircase expansion with SVD rank decisions, for every
     member of the stacks ``a`` (k, n, n) and ``b`` (k, n, p) in lockstep.
@@ -240,18 +239,17 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     ``[(idx, basis), ...]``, one entry per group of members that went
     through the same rank profile.
 
-    Rank cutoffs are referenced to ``b_scale`` (first block) and to
-    ``a_scale`` (grown blocks), so the decisions are invariant under a
+    Rank cutoffs are referenced to ``b_scale`` (first block) and to each
+    ``||A||_2`` (grown blocks), so the decisions are invariant under a
     global rescaling of the system. ``b_scale`` defaults to each
     ``||B||_2``; a caller whose B is a projection of a larger input
     matrix passes that matrix's norm, so a block that is zero up to
-    roundoff has rank 0. ``a_scale`` defaults to each ``||A||_2``.
+    roundoff has rank 0.
     """
     k, n = a.shape[0], a.shape[-1]
     if n == 0:
         return [(np.arange(k), np.zeros((k, 0, 0)))]
-    if a_scale is None:
-        a_scale = np.linalg.norm(a, 2, axis=(-2, -1))
+    a_scale = np.linalg.norm(a, 2, axis=(-2, -1))
     work = [(idx, v, v) for idx, v in _orth(b, tol.rank_rtol * max(b.shape[-2:]), b_scale)]
     done = []
     while work:
@@ -271,8 +269,7 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
 
 
 def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-                         tol: Tolerances = DEFAULT_TOL,
-                         a_scale: np.ndarray | None = None) -> list[StateSpace]:
+                         tol: Tolerances = DEFAULT_TOL) -> list[StateSpace]:
     """Minimal realizations of the stack of systems ``(a, b, c, d)``,
     shaped (k, n, n), (k, n, p), (k, q, n) and (k, q, p), one per member.
 
@@ -282,14 +279,13 @@ def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndar
     :func:`_controllable_basis`; members of different rank continue in
     groups). Each returned state dimension is that member's McMillan
     degree up to the rank tolerance, and each member's reduction is
-    bit-for-bit the one of that member alone. ``a_scale`` (k,) passes
-    ``||a_i||_2`` when the caller has it already.
+    bit-for-bit the one of that member alone.
     """
     real = np.isrealobj(a) and np.isrealobj(b) and np.isrealobj(c)
     # cutoff from ||C||, not from ``C v``, which can be zero up to roundoff
     c_scale = np.linalg.norm(c, 2, axis=(-2, -1))
     out = [None] * a.shape[0]
-    for idx, v in _controllable_basis(a, b, tol, a_scale=a_scale):
+    for idx, v in _controllable_basis(a, b, tol):
         vh = v.conj().mT
         ar = vh @ _take(a, idx) @ v
         br = vh @ _take(b, idx)

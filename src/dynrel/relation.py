@@ -4,31 +4,35 @@ Given a validated model with m shock channels, any m rows of C whose
 product with B is invertible can serve as the driving channels u; the
 remaining rows become the driven channels y. Each admissible selection
 induces the matrix ``Gamma = A - B (C0 B)^{-1} C0 A`` and an exact
-rational map F(s) from u to y, realized as
+rational map F(s) from u to y.
 
-    F(s) = C1 B (C0 B)^{-1} + C1 Gamma (sI - Gamma)^{-1} B (C0 B)^{-1},
+Let V be an orthonormal basis of ker C0, K = B (C0 B)^{-1} and
+Pi = I - K C0. Since C0 Pi = 0, Gamma = Pi A maps into ker C0, so
+Gamma = V W with W = V' Pi A: its rank is at most n - m, it has at
+least m zero eigenvalues, and it is exactly zero when m = n. In the
+coordinates (V' x, C0 x) the relation has the realization with n - m
+states
 
-equivalently ``s C1 (sI - Gamma)^{-1} B (C0 B)^{-1}``. Since
-``B (C0 B)^{-1} C0`` is an oblique projection with trace m, Gamma has
-rank n - m with at least m zero eigenvalues; these cancel in the
-reduction, so the minimal degree is at most n - m and the nonzero
-eigenvalues of Gamma are the candidate poles of F. Whether a selection
-with strictly stable F exists is a property of the model, not a given:
-some models admit none.
+    F(s) = C1 K + C1 V (sI - W V)^{-1} W K,
 
-In the coordinates (V' Pi x, C0 x), with V an orthonormal basis of
-ker C0 and Pi = I - B (C0 B)^{-1} C0, Gamma drops its m zero
-eigenvalues and keeps the zero dynamics of (A, B, C0), a realization of
-F with n - m states. The search for a stable selection certifies on
-those: a selection whose zero dynamics have an unstable eigenvalue that
-passes both PBH tests with margin has an unstable F and is skipped
-unreduced. Every other selection is reduced alone, from the raw
-realization above, so its report is the one ``relation`` gives.
+and it is the only one built. W V = V' Pi A V is the zero dynamics of
+(A, B, C0) (Isidori, *Nonlinear Control Systems*): its eigenvalues are
+the invariant zeros of (A, B, C0), and the poles of F are those that are
+reachable from W K and observable through C1 V. So the minimal degree is
+at most n - m. Whether a selection with strictly stable F exists is a
+property of the model, not a given: some models admit none.
+
+The search for a stable selection certifies on the same realizations:
+a selection whose zero dynamics have an unstable eigenvalue that passes
+both PBH tests with margin has an unstable F and is skipped unreduced.
+Every other selection is reduced alone, so its report is the one
+``relation`` gives.
 """
 
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,17 +77,16 @@ class RowSelection:
 
 @dataclass
 class RelationReport:
-    """Everything a selection yields: Gamma and its spectrum, the raw
-    dimension-n realization, the minimal realization, the degree, and
-    the stability verdict. An unstable F means the configuration only
-    exists inside a stabilizing feedback loop; a stable F means the
-    plain causal map exists with no feedback."""
+    """Everything a selection yields: Gamma and its spectrum, the
+    minimal realization of F, its degree, and the stability verdict. An
+    unstable F means the configuration only exists inside a stabilizing
+    feedback loop; a stable F means the plain causal map exists with no
+    feedback."""
 
     selection: RowSelection
     gamma: np.ndarray
     gamma_eigs: np.ndarray
     F: StateSpace
-    F_raw: StateSpace
     degree: int
     stable: bool
     poles: np.ndarray
@@ -136,51 +139,79 @@ def _channel_rows(model: CtModel, sels: list[RowSelection]):
     return c0, c1
 
 
-def _raw_stacks(model: CtModel, sels: list[RowSelection], tol: Tolerances):
-    """The raw realizations of F for ``sels`` as (k, ., .) stacks:
-    ``(Gamma, B (C0 B)^{-1}, C1 Gamma, C1 B (C0 B)^{-1}, ||Gamma||_2)``.
+class _Stack(NamedTuple):
+    """The realizations of F for a list of selections, as (k, ., .)
+    stacks (see :func:`_realizations`): ``gamma`` = V W for the report,
+    ``(a, b, c, d)`` = (W V, W K, C1 V, C1 K), the (n - m)-state
+    realization of F, and the K and C1 it was built from. ``a`` is
+    Gamma11, the zero dynamics of (A, B, C0); ``b`` and ``c`` are B~ and
+    C~."""
 
-    One batched condition test of the C0 B, one batched solve for each
-    of ``(C0 B)^{-1} C0 A`` and ``B (C0 B)^{-1}``, and one batched SVD
-    for the norms, which serve both the noise-floor snap and, as the
-    A-scale, the staircase.
+    gamma: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    k: np.ndarray
+    c1: np.ndarray
+
+    def member(self, i: int) -> "_Stack":
+        """The stack of member ``i`` alone."""
+        return _Stack(*(x[i:i + 1] for x in self))
+
+
+def _realizations(model: CtModel, sels: list[RowSelection]) -> _Stack:
+    """The raw realizations of F for the admissible selections ``sels``.
+
+    One batched QR of C0' gives V, an orthonormal basis of ker C0, and
+    one batched solve gives K = B (C0 B)^{-1}. With
+    W = V' A - (V' K)(C0 A) = V' Pi A, Gamma = V W and F is
+    ``(W V, W K, C1 V, C1 K)``.
     """
-    for sel in sels:
-        _check_rows(model, sel)
-    if len({len(sel.rows1) for sel in sels}) > 1:
-        raise ValueError("selections must all have the same number of driven rows")
     c0, c1 = _channel_rows(model, sels)
-    c0b = c0 @ model.B
-    ok = is_invertible(c0b)
-    if not ok.all():
-        raise InadmissibleSelection(
-            f"C0 B for rows {sels[int(np.argmin(ok))].rows0} is not numerically invertible")
-    x = np.linalg.solve(c0b, c0 @ model.A)
-    gamma = model.A - model.B @ x
-    # when m = n the projection is the identity and Gamma vanishes in
-    # exact arithmetic; snap the all-cancellation case to a true zero so
-    # rank and degree decisions downstream are not fooled by noise
-    norm = np.linalg.norm(gamma, 2, axis=(-2, -1))
-    snap = norm <= tol.rank_rtol * model.n * np.linalg.norm(model.A, 2)
-    gamma[snap] = 0.0
-    norm[snap] = 0.0
-    kb = np.linalg.solve(c0b.mT, model.B.T).mT  # B (C0 B)^{-1}
-    return gamma, kb, c1 @ gamma, c1 @ kb, norm
+    v = np.linalg.qr(c0.mT, mode="complete")[0][..., model.m:]
+    k = np.linalg.solve((c0 @ model.B).mT, model.B.T).mT
+    vt = v.mT
+    w = vt @ model.A - (vt @ k) @ (c0 @ model.A)
+    return _Stack(v @ w, w @ v, w @ k, c1 @ v, c1 @ k, k, c1)
+
+
+def _reports(sels: list[RowSelection], raw: _Stack, tol: Tolerances) -> list[RelationReport]:
+    """The reports of ``sels`` from their realizations ``raw``: one
+    lockstep :func:`minimal_realizations` for the stack, one batched
+    eigenvalue call for Gamma and one for the poles of each group of
+    equal degree."""
+    f_min = minimal_realizations(raw.a, raw.b, raw.c, raw.d, tol)
+    by_degree = {}
+    for i, f in enumerate(f_min):
+        by_degree.setdefault(f.n, []).append(i)
+    f_poles = [None] * len(sels)
+    for idx in by_degree.values():
+        for i, p in zip(idx, sorted_eigvals(np.stack([f_min[i].A for i in idx]))):
+            f_poles[i] = p
+    gamma_eigs = sorted_eigvals(raw.gamma)
+    return [RelationReport(
+        selection=sel,
+        gamma=raw.gamma[i],
+        gamma_eigs=gamma_eigs[i],
+        F=f_min[i],
+        degree=f_min[i].n,
+        stable=poles_stable(f_poles[i], tol),
+        poles=f_poles[i],
+    ) for i, sel in enumerate(sels)]
 
 
 def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> list[RelationReport]:
     """Full reports for the admissible selections ``sels``, in order,
     classified as one stack.
 
-    The raw realizations come from one condition test and one batched
-    solve per factor; all of them are reduced by one call of
-    :func:`minimal_realizations`, which runs the staircase for every
-    selection in lockstep. The Gamma eigenvalues come from one batched
-    eigenvalue call, and so do the poles of each group of equal degree.
-    Gamma is the state matrix of the raw realization; ``poles`` are the
-    sorted eigenvalues of the reported minimal F, and ``stable`` is
-    decided on those same poles. Every report is bit-for-bit the one the
-    selection gets alone.
+    The raw realizations come from one condition test of the C0 B and
+    one stack build (:func:`_realizations`); all of them are reduced by
+    one call of :func:`minimal_realizations`, which runs the staircase
+    for every selection in lockstep. ``poles`` are the sorted
+    eigenvalues of the reported minimal F, and ``stable`` is decided on
+    those same poles. Every report is bit-for-bit the one the selection
+    gets alone.
 
     Raises
     ------
@@ -193,30 +224,15 @@ def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> 
     sels = list(sels)
     if not sels:
         return []
-    gamma, kb, c, d, norm = _raw_stacks(model, sels, tol)
-    f_min = minimal_realizations(gamma, kb, c, d, tol, a_scale=norm)
-    by_degree = {}
-    for i, f in enumerate(f_min):
-        by_degree.setdefault(f.n, []).append(i)
-    f_poles = [None] * len(sels)
-    for idx in by_degree.values():
-        for i, p in zip(idx, sorted_eigvals(np.stack([f_min[i].A for i in idx]))):
-            f_poles[i] = p
-    gamma_eigs = sorted_eigvals(gamma)
-    reports = []
-    for i, sel in enumerate(sels):
-        f_raw = StateSpace(gamma[i], kb[i], c[i], d[i])
-        reports.append(RelationReport(
-            selection=sel,
-            gamma=f_raw.A,
-            gamma_eigs=gamma_eigs[i],
-            F=f_min[i],
-            F_raw=f_raw,
-            degree=f_min[i].n,
-            stable=poles_stable(f_poles[i], tol),
-            poles=f_poles[i],
-        ))
-    return reports
+    for sel in sels:
+        _check_rows(model, sel)
+    if len({len(sel.rows1) for sel in sels}) > 1:
+        raise ValueError("selections must all have the same number of driven rows")
+    ok = is_invertible(_channel_rows(model, sels)[0] @ model.B)
+    if not ok.all():
+        raise InadmissibleSelection(
+            f"C0 B for rows {sels[int(np.argmin(ok))].rows0} is not numerically invertible")
+    return _reports(sels, _realizations(model, sels), tol)
 
 
 def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
@@ -227,40 +243,10 @@ def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFA
 
 #: Safety factor of the unstable-relation certificate in
 #: :func:`stable_selection_exists`, in units of the staircase's rank
-#: cutoff ``rank_rtol * n``: an eigenvalue of the zero dynamics counts when
-#: it lies that far right of ``-stability_margin`` and passes both PBH
-#: tests by that much, each relative to the scale of what it tests.
+#: cutoff ``rank_rtol * n``: an eigenvalue of Gamma11 counts when it lies
+#: that far right of ``-stability_margin`` and passes both PBH tests by
+#: that much, each relative to the scale of what it tests.
 _UNSTABLE_CERT_FACTOR = 1e3
-
-
-def _zero_dynamics(model: CtModel, sels: list[RowSelection]):
-    """The zero dynamics of every selection in ``sels`` as (k, ., .)
-    stacks ``(Gamma11, B~, C~)``: with B~ and C~ multiplied by
-    ``||K||_F`` and ``||C1||_F``, ``C1 K + C~ (sI - Gamma11)^{-1} B~`` is
-    F, with n - m states.
-
-    V is an orthonormal basis of ker C0, from one batched QR of C0';
-    K = B (C0 B)^{-1} and Pi = I - K C0. Then Gamma11 = V' Pi A V,
-    B~ = V' Pi A K / ||K||_F and C~ = C1 V / ||C1||_F: Gamma in the
-    coordinates (V' Pi x, C0 x), without its m structural zero
-    eigenvalues. The eigenvalues of Gamma11 are the invariant zeros of
-    (A, B, C0), and the poles of F are those that are reachable from B~
-    and observable through C~. Dividing by the norms B~ and C~ are
-    computed from takes the units of the inputs and the outputs out of
-    them and leaves both PBH tests as they are. The selections must be
-    admissible.
-    """
-    c0, c1 = _channel_rows(model, sels)
-    v = np.linalg.qr(c0.mT, mode="complete")[0][..., model.m:]
-    kb = np.linalg.solve((c0 @ model.B).mT, model.B.T).mT  # B (C0 B)^{-1}
-    vt = v.mT
-    av, ak = model.A @ v, model.A @ kb
-    vk = vt @ kb
-    gamma11 = vt @ av - vk @ (c0 @ av)
-    b = (vt @ ak - vk @ (c0 @ ak)) / np.linalg.norm(kb, axis=(-2, -1), keepdims=True)
-    # a C1 of zeros gives a C~ of zeros, not 0 / 0
-    c1_norm = np.maximum(np.linalg.norm(c1, axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
-    return gamma11, b, c1 @ v / c1_norm
 
 
 def _pbh_passes(gamma11: np.ndarray, b: np.ndarray, c: np.ndarray, mu: np.ndarray,
@@ -281,29 +267,32 @@ def _pbh_passes(gamma11: np.ndarray, b: np.ndarray, c: np.ndarray, mu: np.ndarra
     return ok
 
 
-def _certified_unstable(model: CtModel, gamma11: np.ndarray, b: np.ndarray, c: np.ndarray,
-                        tol: Tolerances) -> np.ndarray:
-    """One verdict per member of the zero-dynamics stacks of
-    :func:`_zero_dynamics`: True when its relation F has, for certain, a
-    pole with real part at least ``-stability_margin``.
+def _certified_unstable(model: CtModel, raw: _Stack, tol: Tolerances) -> np.ndarray:
+    """One verdict per member of the stack ``raw``: True when its
+    relation F has, for certain, a pole with real part at least
+    ``-stability_margin``.
 
-    An eigenvalue lam of Gamma11 is a pole of F when it passes the PBH
-    tests (Hautus 1969): [lam I - Gamma11, B~] has full row rank and
-    [lam I - Gamma11; C~] full column rank. Let the cutoff be
+    The test runs on Gamma11 with B~ and C~ divided by ``||K||_F`` and
+    ``||C1||_F``, the norms of the matrices they are built from. That
+    takes the units of the inputs and of the outputs out of them and
+    leaves both PBH tests as they are. An eigenvalue lam of Gamma11 is a
+    pole of F when it passes the PBH tests (Hautus 1969):
+    [lam I - Gamma11, B~] has full row rank and [lam I - Gamma11; C~]
+    full column rank. Let the cutoff be
     ``_UNSTABLE_CERT_FACTOR * rank_rtol * n``, and the scale of a matrix
     the larger of its Frobenius norm and ``||A||_F``; the floor keeps a
-    Gamma11 that is roundoff from passing on its own scale, as the
-    noise-floor snap of the raw realization does. C~, which has no units
-    here, is first multiplied by the scale of Gamma11. lam is a candidate
-    when its real part exceeds ``-stability_margin`` by the cutoff times
-    the scale of Gamma11, and it certifies its member when it passes
-    both tests with the cutoff times the scale of the tested matrix
-    (:func:`_pbh_passes`). One batched eigenvalue call serves the stack.
-    Round r tries the r-th candidate from the right of every member not
-    yet certified; of a conjugate pair only the upper member is tried,
-    since both give the same singular values. A member that is not
-    certified may still be unstable.
+    Gamma11 that is roundoff from passing on its own scale. C~, which has
+    no units here, is first multiplied by the scale of Gamma11. lam is a
+    candidate when its real part exceeds ``-stability_margin`` by the
+    cutoff times the scale of Gamma11, and it certifies its member when
+    it passes both tests with the cutoff times the scale of the tested
+    matrix (:func:`_pbh_passes`). One batched eigenvalue call serves the
+    stack. Round r tries the r-th candidate from the right of every
+    member not yet certified; of a conjugate pair only the upper member
+    is tried, since both give the same singular values. A member that is
+    not certified may still be unstable.
     """
+    gamma11 = raw.a
     k, d = gamma11.shape[:2]
     certified = np.zeros(k, dtype=bool)
     if d == 0:
@@ -311,7 +300,11 @@ def _certified_unstable(model: CtModel, gamma11: np.ndarray, b: np.ndarray, c: n
     cut = _UNSTABLE_CERT_FACTOR * tol.rank_rtol * model.n
     floor = float(np.linalg.norm(model.A))
     g = np.maximum(np.linalg.norm(gamma11, axis=(-2, -1)), floor)
-    c = c * g[:, None, None]
+    b = raw.b / np.linalg.norm(raw.k, axis=(-2, -1), keepdims=True)
+    # a C1 of zeros gives a C~ of zeros, not 0 / 0
+    c1_norm = np.maximum(np.linalg.norm(raw.c1, axis=(-2, -1), keepdims=True),
+                         np.finfo(float).tiny)
+    c = raw.c / c1_norm * g[:, None, None]
     lam = np.linalg.eigvals(gamma11).astype(np.complex128)
     lam = np.take_along_axis(lam, np.argsort(-lam.real, axis=-1, kind="stable"), axis=-1)
     live = (lam.real > -tol.stability_margin + cut * g[:, None]) & (lam.imag >= 0)
@@ -338,15 +331,16 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
     Certify, then reduce. The admissible selections are walked in order
     in chunks of 1, 2, 4, ... members, so that an early stable selection
     costs little and a search through all of them takes few batched
-    calls. The zero dynamics of a chunk are built as one stack
-    (:func:`_zero_dynamics`) and certified by one batched eigenvalue
-    call (:func:`_certified_unstable`). A selection
-    certified unstable is skipped without a staircase; every other one
-    is reduced alone by :func:`classify_selection`, and the first whose
-    report is stable is returned. The certificate holds only where F
-    has an unstable pole, so the result is the first stable report of
-    :func:`classify_selections` on all admissible selections, bit for
-    bit.
+    calls. The realizations of a chunk are built once, as one stack
+    (:func:`_realizations`), and certified by one batched eigenvalue
+    call (:func:`_certified_unstable`). A selection certified unstable
+    is skipped without a staircase; every other one is reduced alone,
+    from its member of the chunk's stack, and the first whose report is
+    stable is returned. The selections are admissible by construction,
+    so the condition test of :func:`enumerate_selections` is the only
+    one. The certificate holds only where F has an unstable pole, so the
+    result is the first stable report of :func:`classify_selections` on
+    all admissible selections, bit for bit.
 
     Raises
     ------
@@ -360,11 +354,10 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
     start, size = 0, 1
     while start < len(sels):
         chunk = sels[start:start + size]
-        unstable = _certified_unstable(model, *_zero_dynamics(model, chunk), tol)
-        for sel, skip in zip(chunk, unstable.tolist()):
-            if not skip:
-                rep = classify_selection(model, sel, tol)
-                if rep.stable:
-                    return rep
+        raw = _realizations(model, chunk)
+        for i in np.flatnonzero(~_certified_unstable(model, raw, tol)).tolist():
+            rep = _reports([chunk[i]], raw.member(i), tol)[0]
+            if rep.stable:
+                return rep
         start, size = start + size, 2 * size
     return None

@@ -264,6 +264,18 @@ def f_from_spectrum(model, rows0, omegas) -> np.ndarray:
     return np.linalg.solve(phi_u.mT, phi_yu.mT).mT
 
 
+def gamma_realization(model, rows0) -> StateSpace:
+    """The n-state realization ``(Gamma, K, C1 Gamma, C1 K)`` of the
+    relation F whose driving rows are ``rows0``, with K = B (C0 B)^{-1}
+    and Gamma = A - K C0 A. It is not minimal: Gamma's m zero
+    eigenvalues cancel, so it reduces to at most n - m states."""
+    u = list(rows0)
+    c0, c1 = model.C[u], model.C[[i for i in range(model.n_out) if i not in u]]
+    k = model.B @ np.linalg.inv(c0 @ model.B)
+    gamma = model.A - k @ (c0 @ model.A)
+    return StateSpace(gamma, k, c1 @ gamma, c1 @ k)
+
+
 def loop_blocks(cl) -> tuple[StateSpace, ...]:
     """The blocks P, PF, QH, Q of a closed loop's T = [[P, PF], [QH, Q]],
     each sharing the loop state (not reduced)."""

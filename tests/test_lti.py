@@ -289,8 +289,7 @@ class TestFreqResponse:
 
 class TestMinimalRealization:
     def test_golden_reduction(self, m3):
-        sel = enumerate_selections(m3)[0]
-        raw = classify_selection(m3, sel).F_raw
+        raw = oracles.gamma_realization(m3, enumerate_selections(m3)[0].rows0)
         assert raw.n == 3
         reduced = minimal_realization(raw)
         assert reduced.n == 2
@@ -298,8 +297,7 @@ class TestMinimalRealization:
         assert evaluation_gap(reduced, raw) < 1e-8
 
     def test_golden_reduction_second_model(self, m2):
-        sel = enumerate_selections(m2)[0]
-        raw = classify_selection(m2, sel).F_raw
+        raw = oracles.gamma_realization(m2, enumerate_selections(m2)[0].rows0)
         assert raw.n == 2
         reduced = minimal_realization(raw)
         assert reduced.n == 1

@@ -60,10 +60,9 @@ def assert_same_report(got, want):
     for x, y in ((got.gamma, want.gamma), (got.gamma_eigs, want.gamma_eigs),
                  (got.poles, want.poles)):
         assert x.shape == y.shape and np.all(x == y)
-    for x, y in ((got.F, want.F), (got.F_raw, want.F_raw)):
-        for name in "ABCD":
-            assert getattr(x, name).shape == getattr(y, name).shape
-            assert np.all(getattr(x, name) == getattr(y, name))
+    for name in "ABCD":
+        x, y = getattr(got.F, name), getattr(want.F, name)
+        assert x.shape == y.shape and np.all(x == y)
 
 
 def relation_F(model, sel):
@@ -193,16 +192,6 @@ class TestComputeF:
                 if p.size:
                     assert np.abs(p).min() > 1e-6
 
-    def test_degree_bound(self, rng):
-        for _ in range(20):
-            model = oracles.random_ct_model(rng)
-            for sel in enumerate_selections(model)[:3]:
-                k = model.B @ np.linalg.solve(
-                    model.C[list(sel.rows0), :] @ model.B, model.C[list(sel.rows0), :])
-                if not has_full_eigenbasis(k):
-                    continue
-                assert minimal_realization(classify_selection(model, sel).F_raw).n <= model.n - model.m
-
     def test_projection_spectrum(self, m3, rng):
         models = [m3] + [oracles.random_ct_model(rng) for _ in range(10)]
         for model in models:
@@ -216,10 +205,11 @@ class TestComputeF:
 
 class TestClassify:
     def test_golden_first(self, m3):
-        rep = classify_selection(m3, enumerate_selections(m3)[0])
+        sel = enumerate_selections(m3)[0]
+        rep = classify_selection(m3, sel)
         assert rep.stable
         assert rep.degree == 2
-        assert rep.F_raw.n == 3
+        assert relation._realizations(m3, [sel]).a.shape == (1, 2, 2)  # n - m raw states
         assert oracles.match_gap(rep.poles, [-1.0, -2.0]) < 1e-8
 
     def test_golden_second(self, m3):
@@ -261,7 +251,7 @@ class TestClassify:
     def test_one_reduction_and_one_gamma_per_selection(self, m3, monkeypatch):
         sels = enumerate_selections(m3)
         reductions = count_calls(monkeypatch, minimal_realizations)
-        gammas = count_calls(monkeypatch, relation._raw_stacks)
+        gammas = count_calls(monkeypatch, relation._realizations)
         for sel in sels:
             classify_selection(m3, sel)
         assert len(reductions) == len(gammas) == len(sels)
@@ -327,9 +317,8 @@ class TestStableSelection:
         condition_tests = count_calls(monkeypatch, is_invertible)
         assert stable_selection_exists(m3).selection.rows0 == (0,)
         assert len(reductions) == 1 and reductions[0][0].shape[0] == 1
-        # one batched test of every subset, and the admissibility check of
-        # the one selection that is reduced
-        assert [args[0].shape for args in condition_tests] == [(4, 1, 1), (1, 1, 1)]
+        # one batched test of every subset, and no other
+        assert [args[0].shape for args in condition_tests] == [(4, 1, 1)]
 
     def test_no_reduction_when_every_selection_is_certified(self, m2, monkeypatch):
         # both of model2's relations have a real unstable pole that passes
@@ -391,6 +380,11 @@ class TestInvariantZeroOracle:
         for model in (m3, m2, constant_relation_model()):
             self.check(model)
 
+    def test_bench_size(self):
+        # n = 30, m = 3 and nine outputs, 84 selections: the size of the
+        # models in the benchmark's relations workload
+        self.check(oracles.random_ct_model(np.random.default_rng(30), n=30, m=3, n_out=9))
+
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), m=st.integers(1, 3),
            extra=st.integers(0, 2))
@@ -438,7 +432,7 @@ def filtered_rows_model(model, rows, zeros, p=1.0):
 
 def certificates(model, sels):
     """The unstable certificate of every selection in ``sels``."""
-    return relation._certified_unstable(model, *relation._zero_dynamics(model, sels),
+    return relation._certified_unstable(model, relation._realizations(model, sels),
                                         DEFAULT_TOL)
 
 
@@ -472,20 +466,19 @@ class TestUnstableCertificate:
     certified unstable from their zero dynamics."""
 
     def test_zero_dynamics_realize_F(self, m3, m2, rng):
-        # F = C1 K + C~ (sI - Gamma11)^{-1} B~ with B~ and C~ scaled back by
-        # ||K||_F and ||C1||_F, and eig(Gamma11) are the invariant zeros
+        # F = C1 K + C1 V (sI - Gamma11)^{-1} W K agrees with the n-state
+        # realization on Gamma, and eig(Gamma11) are the invariant zeros
         s = 1j * np.logspace(-1, 1, 7)
         for model in (m3, m2, oracles.random_ct_model(rng, n=6, m=2, n_out=5)):
             sels = enumerate_selections(model)
-            g11, b, c = relation._zero_dynamics(model, sels)
-            for i, rep in enumerate(classify_selections(model, sels)):
-                c0, c1 = model.C[list(rep.selection.rows0)], model.C[list(rep.selection.rows1)]
-                k_norm = np.linalg.norm(model.B @ np.linalg.inv(c0 @ model.B))
-                zd = StateSpace(g11[i], b[i] * k_norm, c[i] * np.linalg.norm(c1), rep.F_raw.D)
-                np.testing.assert_allclose(freq_response(zd, s), freq_response(rep.F, s),
+            raw = relation._realizations(model, sels)
+            for i, sel in enumerate(sels):
+                zd = StateSpace(raw.a[i], raw.b[i], raw.c[i], raw.d[i])
+                want = oracles.gamma_realization(model, sel.rows0)
+                np.testing.assert_allclose(freq_response(zd, s), freq_response(want, s),
                                            atol=1e-9)
-                zeros = invariant_zeros(model, rep.selection.rows0)
-                assert oracles.match_gap(np.linalg.eigvals(g11[i]), zeros) < 1e-8
+                zeros = invariant_zeros(model, sel.rows0)
+                assert oracles.match_gap(np.linalg.eigvals(raw.a[i]), zeros) < 1e-8
 
     def test_free_of_units(self):
         # the certificates do not move when the time unit or a common unit
@@ -506,7 +499,7 @@ class TestUnstableCertificate:
         model = (filtered_input_model(m3, 0.5) if kind == "unobservable"
                  else hidden_mode_model(m3, 0.5, np.random.default_rng(0)))
         sels = enumerate_selections(model)
-        g11 = relation._zero_dynamics(model, sels)[0]
+        g11 = relation._realizations(model, sels).a
         assert oracles.match_gap(np.linalg.eigvals(g11[0]), [-1.0, -2.0, 0.5]) < 1e-8
         assert not certificates(model, sels)[0]
         got = stable_selection_exists(model)
