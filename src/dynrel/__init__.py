@@ -61,7 +61,6 @@ from .spectral import default_grid, spectral_rank_profile
 from .relation import (
     SELECTION_CAP,
     RelationReport,
-    RowSelection,
     classify_selection,
     classify_selections,
     enumerate_selections,

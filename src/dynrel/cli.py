@@ -26,16 +26,8 @@ from .feedback import (
     verify_interchange_identities,
 )
 from .kernels import DEFAULT_TOL, psd_factor, sorted_eigvals
-from .modelio import (
-    ContinuousModelFile,
-    SampledModelFile,
-    build_ct_model,
-    build_sampled_model,
-    build_state_space,
-    parse_model,
-)
+from .modelio import load_ct_model, load_sampled_model, load_state_space
 from .relation import (
-    RowSelection,
     classify_selection,
     classify_selections,
     enumerate_selections,
@@ -162,10 +154,6 @@ def dumps_report(obj: dict) -> str:
     return "".join(lines) + "\n"
 
 
-def _mat(m: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(m, dtype=float))
-
-
 # --------------------------------------------------------------------------
 # argument parsing
 
@@ -274,26 +262,12 @@ def _parse_grid(spec: str | None) -> np.ndarray:
         raise InputError(f"--grid {spec!r}: {exc}") from exc
 
 
-def _continuous_file(path: str) -> ContinuousModelFile:
-    mf = parse_model(path)
-    if not isinstance(mf, ContinuousModelFile):
-        raise InputError(f"{path}: expected a continuous model file")
-    return mf
-
-
-def _sampled_file(path: str) -> SampledModelFile:
-    mf = parse_model(path)
-    if not isinstance(mf, SampledModelFile):
-        raise InputError(f"{path}: expected a sampled model file")
-    return mf
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers: each returns (report body, exit_code); ``run``
 # puts the header {"v": 1, "command": ...} in front of the body
 
 def _cmd_validate(args, tol):
-    model = build_ct_model(_continuous_file(args.model), tol)
+    model = load_ct_model(args.model, tol)
     eigs = sorted_eigvals(model.A)
     report = {
         "input": args.model,
@@ -308,7 +282,7 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_spectrum(args, tol):
-    model = build_ct_model(_continuous_file(args.model), tol)
+    model = load_ct_model(args.model, tol)
     grid = _parse_grid(args.grid)
     modal = spectral_rank_profile(model, grid, tol)
     match = modal == model.m
@@ -324,44 +298,39 @@ def _cmd_spectrum(args, tol):
 
 def _selection_entry(model, report):
     entry = {
-        "rows0": list(report.selection.rows0),
-        "rows1": list(report.selection.rows1),
-        "gamma": _mat(report.gamma),
+        "rows0": list(report.rows0),
+        "rows1": list(report.rows1),
+        "gamma": report.gamma,
         "gamma_eigenvalues": report.gamma_eigs,
         "degree": report.degree,
         "stable": report.stable,
         "poles": report.poles,
         "F": {
-            "A": _mat(report.F.A),
-            "B": _mat(report.F.B),
-            "C": _mat(report.F.C),
-            "D": _mat(report.F.D),
+            "A": report.F.A,
+            "B": report.F.B,
+            "C": report.F.C,
+            "D": report.F.D,
         },
     }
     if model.labels:
-        entry["u_labels"] = [model.labels[i] for i in report.selection.rows0]
+        entry["u_labels"] = [model.labels[i] for i in report.rows0]
     return entry
 
 
-def _parse_rows(spec: str, m: int) -> tuple[int, ...]:
+def _parse_rows(spec: str) -> tuple[int, ...]:
+    """The integers of ``--rows``; :func:`classify_selection` checks them
+    as a selection."""
     try:
-        rows = tuple(int(p) for p in spec.split(","))
+        return tuple(int(p) for p in spec.split(","))
     except ValueError as exc:
         raise InputError(f"--rows must be comma-separated integers, got {spec!r}") from exc
-    if len(set(rows)) != len(rows):
-        raise InputError(f"--rows has repeated indices: {spec!r}")
-    if len(rows) != m:
-        raise InputError(f"--rows must pick exactly m = {m} rows, got {len(rows)}")
-    return rows
 
 
 def _cmd_relation(args, tol):
-    model = build_ct_model(_continuous_file(args.model), tol)
+    model = load_ct_model(args.model, tol)
     base = {"input": args.model, "m": model.m}
     if args.rows is not None:
-        rows0 = _parse_rows(args.rows, model.m)
-        rows1 = tuple(i for i in range(model.n_out) if i not in rows0)
-        rep = classify_selection(model, RowSelection(rows0, rows1), tol)
+        rep = classify_selection(model, _parse_rows(args.rows), tol)
         base["selection"] = _selection_entry(model, rep)
         return base, 0 if rep.stable else 1
     entries = [
@@ -375,7 +344,7 @@ def _cmd_relation(args, tol):
 
 
 def _cmd_stable_selection(args, tol):
-    model = build_ct_model(_continuous_file(args.model), tol)
+    model = load_ct_model(args.model, tol)
     rep = stable_selection_exists(model, tol)
     report = {"input": args.model}
     if rep is None:
@@ -387,8 +356,8 @@ def _cmd_stable_selection(args, tol):
 
 
 def _cmd_feedback(args, tol):
-    f_sys = build_state_space(_continuous_file(args.f_path))
-    h_sys = build_state_space(_continuous_file(args.h_path))
+    f_sys = load_state_space(args.f_path)
+    h_sys = load_state_space(args.h_path)
     fm = FeedbackModel(F=f_sys, H=h_sys)
     cl = closed_loop_T(fm, tol)
     residual = verify_interchange_identities(cl)
@@ -408,7 +377,7 @@ def _cmd_feedback(args, tol):
 
 
 def _cmd_granger(args, tol):
-    f_sys = build_state_space(_continuous_file(args.f_path))
+    f_sys = load_state_space(args.f_path)
     causes, peak = granger_verdict(f_sys, tol)
     report = {
         "f": args.f_path,
@@ -419,16 +388,16 @@ def _cmd_granger(args, tol):
 
 
 def _cmd_sample(args, tol):
-    model = build_ct_model(_continuous_file(args.model), tol)
+    model = load_ct_model(args.model, tol)
     sm = sample(model, args.period)
     r_cont, r_disc = dual_lyapunov_check(model, sm)
     report = {
         "input": args.model,
         "h": float(args.period),
-        "Ad": _mat(sm.Ad),
-        "Bd": _mat(psd_factor(sm.Qd, tol)),
-        "Qd": _mat(sm.Qd),
-        "Cd": _mat(sm.Cd),
+        "Ad": sm.Ad,
+        "Bd": psd_factor(sm.Qd, tol),
+        "Qd": sm.Qd,
+        "Cd": sm.Cd,
         "dual_residuals": {"continuous": r_cont, "discrete": r_disc},
     }
     return report, 0
@@ -448,23 +417,23 @@ def _diag_dict(diag) -> dict:
 
 
 def _cmd_desample(args, tol):
-    sm = build_sampled_model(_sampled_file(args.model), h=args.period)
+    sm = load_sampled_model(args.model, h=args.period)
     model, diag = desample(sm, tol)
     report = {
         "input": args.model,
         "h": sm.h,
         "diagnostics": _diag_dict(diag),
-        "A": _mat(model.A),
-        "B": _mat(model.B),
-        "BBt": _mat(model.B @ model.B.T),
-        "C": _mat(model.C),
+        "A": model.A,
+        "B": model.B,
+        "BBt": model.B @ model.B.T,
+        "C": model.C,
         "m": model.m,
     }
     return report, 0
 
 
 def _cmd_hidden_rank(args, tol):
-    model = build_ct_model(_continuous_file(args.model), tol)
+    model = load_ct_model(args.model, tol)
     rep = hidden_rank_report(model, args.period, tol)
     report = {
         "input": args.model,

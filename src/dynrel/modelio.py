@@ -5,64 +5,33 @@ with optional ``"D"`` (needed only for general transfer-function inputs)
 and optional ``"labels"``. Sampled files carry
 ``{"v": 1, "Ad": [[..]], "Qd": [[..]] or "Bd": [[..]], "Cd": [[..]], "h": ..}``;
 when both ``Qd`` and ``Bd`` are present, ``Qd`` wins.
+
+Each loader takes a path and returns the object the analyses take:
+:func:`load_ct_model` a validated :class:`CtModel`,
+:func:`load_state_space` a plain :class:`StateSpace` (D allowed) and
+:func:`load_sampled_model` a :class:`SampledModel`. All three read the
+file through :func:`parse_model`, the one site that checks a file.
 """
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, SchemaVersionUnsupported
+from .errors import DimensionMismatch, InputError, ParseError, SchemaVersionUnsupported
 from .kernels import DEFAULT_TOL, Tolerances
 from .lti import CtModel, StateSpace, validate_ct_model
 from .sampling import SampledModel
 
 __all__ = [
     "SCHEMA_VERSION",
-    "ContinuousModelFile",
-    "SampledModelFile",
     "parse_model",
-    "build_ct_model",
-    "build_state_space",
-    "build_sampled_model",
+    "load_ct_model",
+    "load_state_space",
+    "load_sampled_model",
 ]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class ContinuousModelFile:
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray | None
-    labels: tuple[str, ...] | None
-
-
-@dataclass
-class SampledModelFile:
-    Ad: np.ndarray
-    Qd: np.ndarray | None
-    Bd: np.ndarray | None
-    Cd: np.ndarray
-    h: float | None
-
-
-def _load_text(src) -> str:
-    if isinstance(src, Path):
-        try:
-            return src.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read model file {src}: {exc}") from exc
-    text = str(src)
-    if text.lstrip().startswith("{"):
-        return text
-    try:
-        return Path(text).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read model file {text}: {exc}") from exc
-
 
 #: Types a JSON number parses to; ``bool`` is excluded although it subclasses int.
 _REAL_TYPES = frozenset((int, float))
@@ -101,13 +70,20 @@ def _require_shape(name: str, arr: np.ndarray, rows: int | None, cols: int | Non
         raise DimensionMismatch(f"{name}: expected {cols} columns, got {c}")
 
 
-def parse_model(src) -> ContinuousModelFile | SampledModelFile:
-    """Parse a model file from a path, Path, or raw JSON text.
+def parse_model(path, kind: str) -> dict:
+    """The checked fields of the model file at ``path``, which must be of
+    ``kind``, "continuous" or "sampled".
 
-    Strings starting with ``{`` are treated as JSON text, anything else
-    as a filesystem path.
+    The one site that reads a model file: the file, its JSON, its schema
+    version and its kind are checked here, in that order, then every
+    field's type and shape. A continuous file gives ``A, B, C, D,
+    labels`` and a sampled file ``Ad, Qd, Cd, h``; an absent optional
+    field is None, and a ``Bd`` file gives ``Qd = Bd Bd'``.
     """
-    text = _load_text(src)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read model file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -118,14 +94,14 @@ def parse_model(src) -> ContinuousModelFile | SampledModelFile:
     if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1 in Python
         raise SchemaVersionUnsupported(
             f"schema version {version!r} unsupported; expected {SCHEMA_VERSION}")
-    if "A" in data:
-        return _parse_continuous(data)
-    if "Ad" in data:
-        return _parse_sampled(data)
-    raise ParseError("model file carries neither 'A' (continuous) nor 'Ad' (sampled)")
+    if "A" not in data and "Ad" not in data:
+        raise ParseError("model file carries neither 'A' (continuous) nor 'Ad' (sampled)")
+    if ("A" in data) != (kind == "continuous"):  # 'A' wins when a file carries both
+        raise InputError(f"{path}: expected a {kind} model file")
+    return _parse_continuous(data) if kind == "continuous" else _parse_sampled(data)
 
 
-def _parse_continuous(data: dict) -> ContinuousModelFile:
+def _parse_continuous(data: dict) -> dict:
     a = _matrix_field(data, "A")
     _require_shape("A", a, a.shape[0], a.shape[0])
     n = a.shape[0]
@@ -144,10 +120,10 @@ def _parse_continuous(data: dict) -> ContinuousModelFile:
             raise DimensionMismatch(
                 f"labels: expected {c.shape[0]} entries, got {len(labels)}")
         labels = tuple(labels)
-    return ContinuousModelFile(A=a, B=b, C=c, D=d, labels=labels)
+    return {"A": a, "B": b, "C": c, "D": d, "labels": labels}
 
 
-def _parse_sampled(data: dict) -> SampledModelFile:
+def _parse_sampled(data: dict) -> dict:
     ad = _matrix_field(data, "Ad")
     _require_shape("Ad", ad, ad.shape[0], ad.shape[0])
     n = ad.shape[0]
@@ -166,26 +142,28 @@ def _parse_sampled(data: dict) -> SampledModelFile:
         if type(h) not in (int, float) or not h > 0:
             raise ParseError(f"h: must be a positive number, got {h!r}")
         h = float(h)
-    return SampledModelFile(Ad=ad, Qd=qd, Bd=bd, Cd=cd, h=h)
+    return {"Ad": ad, "Qd": qd if qd is not None else bd @ bd.T, "Cd": cd, "h": h}
 
 
-def build_ct_model(mf: ContinuousModelFile, tol: Tolerances = DEFAULT_TOL) -> CtModel:
-    """Validate a continuous model file into a CtModel (D must be absent
-    or zero)."""
-    ss = StateSpace(mf.A, mf.B, mf.C, mf.D)
-    return validate_ct_model(ss, tol, labels=mf.labels)
+def load_state_space(path) -> StateSpace:
+    """The continuous model file at ``path`` as a plain realization (D
+    allowed)."""
+    f = parse_model(path, "continuous")
+    return StateSpace(f["A"], f["B"], f["C"], f["D"])
 
 
-def build_state_space(mf: ContinuousModelFile) -> StateSpace:
-    """Read a continuous file as a plain realization (D allowed)."""
-    return StateSpace(mf.A, mf.B, mf.C, mf.D)
+def load_ct_model(path, tol: Tolerances = DEFAULT_TOL) -> CtModel:
+    """The continuous model file at ``path``, validated into a CtModel
+    (D must be absent or zero)."""
+    f = parse_model(path, "continuous")
+    return validate_ct_model(StateSpace(f["A"], f["B"], f["C"], f["D"]), tol, labels=f["labels"])
 
 
-def build_sampled_model(mf: SampledModelFile, h: float | None = None) -> SampledModel:
-    """Build a SampledModel from a sampled file; ``h`` overrides the
-    file's period when given, and a ``Bd`` file gives ``Qd = Bd Bd'``."""
-    period = h if h is not None else mf.h
+def load_sampled_model(path, h: float | None = None) -> SampledModel:
+    """The sampled model file at ``path`` as a SampledModel; ``h``
+    overrides the file's period when given."""
+    f = parse_model(path, "sampled")
+    period = h if h is not None else f["h"]
     if period is None:
         raise ParseError("h: sampling period missing from file and command line")
-    qd = mf.Qd if mf.Qd is not None else mf.Bd @ mf.Bd.T
-    return SampledModel(Ad=mf.Ad, Qd=qd, Cd=mf.Cd, h=period)
+    return SampledModel(Ad=f["Ad"], Qd=f["Qd"], Cd=f["Cd"], h=period)

@@ -2,9 +2,11 @@
 
 Given a validated model with m shock channels, any m rows of C whose
 product with B is invertible can serve as the driving channels u; the
-remaining rows become the driven channels y. Each admissible selection
-induces the matrix ``Gamma = A - B (C0 B)^{-1} C0 A`` and an exact
-rational map F(s) from u to y.
+remaining rows, in ascending order, become the driven channels y. A
+selection is the tuple ``rows0`` of its driving rows; they form C0 and
+the driven rows form C1. Each admissible selection induces the matrix
+``Gamma = A - B (C0 B)^{-1} C0 A`` and an exact rational map F(s) from
+u to y.
 
 Let V be an orthonormal basis of ker C0, K = B (C0 B)^{-1} and
 Pi = I - K C0. Since C0 Pi = 0, Gamma = Pi A maps into ker C0, so
@@ -46,7 +48,6 @@ from .lti import CtModel, StateSpace, minimal_realizations, poles_stable
 
 __all__ = [
     "SELECTION_CAP",
-    "RowSelection",
     "RelationReport",
     "enumerate_selections",
     "classify_selection",
@@ -58,32 +59,23 @@ __all__ = [
 SELECTION_CAP = 10_000
 
 
-@dataclass
-class RowSelection:
-    """Choice of driving rows: ``rows0`` index the m rows of C forming
-    C0 (the u-channels), ``rows1`` the complementary rows forming C1."""
-
-    rows0: tuple[int, ...]
-    rows1: tuple[int, ...]
-
-    def __post_init__(self):
-        self.rows0 = tuple(int(i) for i in self.rows0)
-        self.rows1 = tuple(int(i) for i in self.rows1)
-        if not self.rows0:
-            raise ValueError("rows0 must select at least one row")
-        if set(self.rows0) & set(self.rows1):
-            raise ValueError("rows0 and rows1 must be disjoint")
+def _driven_rows(n_out: int, rows0: tuple[int, ...]) -> tuple[int, ...]:
+    """``rows1``: every row of C that ``rows0`` does not drive, in
+    ascending order."""
+    return tuple(i for i in range(n_out) if i not in rows0)
 
 
 @dataclass
 class RelationReport:
-    """Everything a selection yields: Gamma and its spectrum, the
-    minimal realization of F, its degree, and the stability verdict. An
-    unstable F means the configuration only exists inside a stabilizing
-    feedback loop; a stable F means the plain causal map exists with no
+    """Everything a selection yields: its driving rows ``rows0`` and
+    driven rows ``rows1``, Gamma and its spectrum, the minimal
+    realization of F, its degree, and the stability verdict. An unstable
+    F means the configuration only exists inside a stabilizing feedback
+    loop; a stable F means the plain causal map exists with no
     feedback."""
 
-    selection: RowSelection
+    rows0: tuple[int, ...]
+    rows1: tuple[int, ...]
     gamma: np.ndarray
     gamma_eigs: np.ndarray
     F: StateSpace
@@ -92,8 +84,9 @@ class RelationReport:
     poles: np.ndarray
 
 
-def enumerate_selections(model: CtModel) -> list[RowSelection]:
-    """All admissible selections, in lexicographic order of ``rows0``.
+def enumerate_selections(model: CtModel) -> list[tuple[int, ...]]:
+    """The ``rows0`` of all admissible selections, in lexicographic
+    order.
 
     A subset is admissible when its C0 B has condition number below the
     invertibility ceiling. All ``comb(n_out, m)`` subsets are tested by
@@ -116,26 +109,35 @@ def enumerate_selections(model: CtModel) -> list[RowSelection]:
     ok = is_invertible(model.C[subsets.reshape(-1, m)] @ model.B)
     if not ok.any():
         raise NoAdmissibleSelection("no row subset gives an invertible C0 B")
-    return [RowSelection(rows0, tuple(i for i in range(n_out) if i not in rows0))
-            for rows0 in subsets[ok].tolist()]
+    return [tuple(rows0) for rows0 in subsets[ok].tolist()]
 
 
-def _check_rows(model: CtModel, sel: RowSelection):
+def _check_rows(model: CtModel, rows0) -> tuple[int, ...]:
+    """``rows0`` as a tuple of ints, once it is checked as a selection:
+    integer entries, each in range, distinct, exactly m of them. The one
+    check of a selection that comes from outside."""
+    rows0 = tuple(rows0)
     n_out = model.n_out
-    for idx in sel.rows0 + sel.rows1:
+    for idx in rows0:
+        if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
+            raise InadmissibleSelection(f"row index {idx!r} is not an integer")
         if not 0 <= idx < n_out:
             raise InadmissibleSelection(f"row index {idx} out of range 0..{n_out - 1}")
-    if len(sel.rows0) != model.m:
+    if len(set(rows0)) != len(rows0):
+        raise InadmissibleSelection(f"selection {rows0} repeats a row")
+    if len(rows0) != model.m:
         raise InadmissibleSelection(
-            f"selection picks {len(sel.rows0)} rows, model needs m = {model.m}")
+            f"selection picks {len(rows0)} rows, model needs m = {model.m}")
+    return tuple(int(i) for i in rows0)
 
 
-def _channel_rows(model: CtModel, sels: list[RowSelection]):
+def _channel_rows(model: CtModel, sels: list[tuple[int, ...]]):
     """C0 and C1 of every selection in ``sels``, as (k, m, n) and
     (k, n_out - m, n) stacks."""
     k = len(sels)
-    c0 = model.C[np.array([sel.rows0 for sel in sels], dtype=np.intp).reshape(k, -1)]
-    c1 = model.C[np.array([sel.rows1 for sel in sels], dtype=np.intp).reshape(k, -1)]
+    c0 = model.C[np.array(sels, dtype=np.intp).reshape(k, -1)]
+    c1 = model.C[np.array([_driven_rows(model.n_out, rows0) for rows0 in sels],
+                          dtype=np.intp).reshape(k, -1)]
     return c0, c1
 
 
@@ -160,7 +162,7 @@ class _Stack(NamedTuple):
         return _Stack(*(x[i:i + 1] for x in self))
 
 
-def _realizations(model: CtModel, sels: list[RowSelection]) -> _Stack:
+def _realizations(model: CtModel, sels: list[tuple[int, ...]]) -> _Stack:
     """The raw realizations of F for the admissible selections ``sels``.
 
     One batched QR of C0' gives V, an orthonormal basis of ker C0, and
@@ -176,7 +178,8 @@ def _realizations(model: CtModel, sels: list[RowSelection]) -> _Stack:
     return _Stack(v @ w, w @ v, w @ k, c1 @ v, c1 @ k, k, c1)
 
 
-def _reports(sels: list[RowSelection], raw: _Stack, tol: Tolerances) -> list[RelationReport]:
+def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack,
+             tol: Tolerances) -> list[RelationReport]:
     """The reports of ``sels`` from their realizations ``raw``: one
     lockstep :func:`minimal_realizations` for the stack, one batched
     eigenvalue call for Gamma and one for the poles of each group of
@@ -191,19 +194,20 @@ def _reports(sels: list[RowSelection], raw: _Stack, tol: Tolerances) -> list[Rel
             f_poles[i] = p
     gamma_eigs = sorted_eigvals(raw.gamma)
     return [RelationReport(
-        selection=sel,
+        rows0=rows0,
+        rows1=_driven_rows(model.n_out, rows0),
         gamma=raw.gamma[i],
         gamma_eigs=gamma_eigs[i],
         F=f_min[i],
         degree=f_min[i].n,
         stable=poles_stable(f_poles[i], tol),
         poles=f_poles[i],
-    ) for i, sel in enumerate(sels)]
+    ) for i, rows0 in enumerate(sels)]
 
 
 def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> list[RelationReport]:
-    """Full reports for the admissible selections ``sels``, in order,
-    classified as one stack.
+    """Full reports for the admissible selections ``sels`` (each the
+    ``rows0`` of a selection), in order, classified as one stack.
 
     The raw realizations come from one condition test of the C0 B and
     one stack build (:func:`_realizations`); all of them are reduced by
@@ -216,29 +220,25 @@ def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> 
     Raises
     ------
     InadmissibleSelection
-        For the first selection with a row out of range or a wrong
-        count, else for the first whose C0 B fails the condition test.
-    ValueError
-        The selections drive different numbers of rows.
+        For the first selection with an entry that is not an integer,
+        out of range or repeated, or with other than m entries
+        (:func:`_check_rows`), else for the first whose C0 B fails the
+        condition test.
     """
-    sels = list(sels)
+    sels = [_check_rows(model, rows0) for rows0 in sels]
     if not sels:
         return []
-    for sel in sels:
-        _check_rows(model, sel)
-    if len({len(sel.rows1) for sel in sels}) > 1:
-        raise ValueError("selections must all have the same number of driven rows")
     ok = is_invertible(_channel_rows(model, sels)[0] @ model.B)
     if not ok.all():
         raise InadmissibleSelection(
-            f"C0 B for rows {sels[int(np.argmin(ok))].rows0} is not numerically invertible")
-    return _reports(sels, _realizations(model, sels), tol)
+            f"C0 B for rows {sels[int(np.argmin(ok))]} is not numerically invertible")
+    return _reports(model, sels, _realizations(model, sels), tol)
 
 
-def classify_selection(model: CtModel, sel: RowSelection, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
-    """Full report for one admissible selection:
+def classify_selection(model: CtModel, rows0, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
+    """Full report for the one admissible selection ``rows0``:
     :func:`classify_selections` of a stack of one."""
-    return classify_selections(model, [sel], tol)[0]
+    return classify_selections(model, [rows0], tol)[0]
 
 
 #: Safety factor of the unstable-relation certificate in
@@ -356,7 +356,7 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
         chunk = sels[start:start + size]
         raw = _realizations(model, chunk)
         for i in np.flatnonzero(~_certified_unstable(model, raw, tol)).tolist():
-            rep = _reports([chunk[i]], raw.member(i), tol)[0]
+            rep = _reports(model, [chunk[i]], raw.member(i), tol)[0]
             if rep.stable:
                 return rep
         start, size = start + size, 2 * size

@@ -1,5 +1,6 @@
 """Frequency-domain view of a model: the frequency grid and the rank
-profile of the spectral density ``W(iw) W(iw)*`` over it. The relation
+profile of the spectral density ``W(iw) W(iw)*`` over it, read off the
+singular values of ``W(iw)``. The relation
 module computes F from a realization; the density-block formula
 ``F = Phi_yu Phi_u^{-1}`` is an identity the tests check against it."""
 
@@ -7,7 +8,7 @@ import numpy as np
 from collections import Counter
 
 from .errors import RankInconsistent
-from .kernels import DEFAULT_TOL, Tolerances, numerical_rank
+from .kernels import DEFAULT_TOL, Tolerances, rank_from_values
 from .lti import CtModel, freq_response
 
 __all__ = ["default_grid", "spectral_rank_profile"]
@@ -21,15 +22,12 @@ def default_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200) -> np.ndar
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
-def _density(w: np.ndarray) -> np.ndarray:
-    """``W W*`` of each matrix in the stack ``w``, made exactly Hermitian."""
-    phi = w @ w.conj().swapaxes(1, 2)
-    return 0.5 * (phi + phi.conj().swapaxes(1, 2))
-
-
 def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -> int:
     """Modal numerical rank of the spectral density over the grid.
 
+    The rank of ``W W*`` at each point is the rank rule of
+    :func:`numerical_rank` applied to the squared singular values of
+    ``W``, which are its eigenvalues; ``W W*`` itself is not formed.
     Isolated deviations (rank drops at zeros of the spectral factor) are
     tolerated up to 5% of the grid; beyond that the grid is considered
     inconsistent. For a validated model the result equals ``model.m``
@@ -38,7 +36,9 @@ def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    ranks = numerical_rank(_density(freq_response(model.ss, 1j * grid)), tol)
+    w = freq_response(model.ss, 1j * grid)
+    s = np.linalg.svd(w, compute_uv=False)
+    ranks = rank_from_values(s * s, model.n_out, tol)
     mode, _ = Counter(ranks.tolist()).most_common(1)[0]  # ties go to the first seen
     deviations = int(np.count_nonzero(ranks != mode))
     allowed = max(1, grid.size // 20)

@@ -95,7 +95,7 @@ def test_c4_spectral_consistency(m3, m2):
     for model in (m3, m2):
         for sel in enumerate_selections(model):
             f = classify_selection(model, sel).F
-            want = f_from_spectrum(model, sel.rows0, grid)
+            want = f_from_spectrum(model, sel, grid)
             assert np.abs(freq_response(f, 1j * grid) - want).max() < 1e-6
 
 

@@ -145,6 +145,15 @@ class TestValidate:
         assert code == 2
         assert data["error"]["kind"] == "ParseError"
 
+    def test_sampled_file_exits_2(self, capsys, model2_file, tmp_path):
+        sampled = tmp_path / "sampled.json"
+        assert run(["sample", model2_file, "--h", "0.1"]) == 0
+        sampled.write_text(capsys.readouterr().out, encoding="utf-8")
+        code, data = run_json(capsys, ["validate", str(sampled)])
+        assert code == 2
+        assert data["error"] == {"kind": "InputError",
+                                 "message": f"{sampled}: expected a continuous model file"}
+
 
 class TestSpectrum:
     def test_golden(self, capsys, model3_file):
@@ -228,10 +237,17 @@ class TestRelation:
         assert reductions[0][0].shape[0] == 4
 
     def test_bad_rows_exits_2(self, capsys, model3_file):
-        code, _ = run_json(capsys, ["relation", model3_file, "--rows", "0,1"])
-        assert code == 2
-        code, _ = run_json(capsys, ["relation", model3_file, "--rows", "x"])
-        assert code == 2
+        # the CLI parses the integers; relation checks them as a selection
+        for spec, kind, message in (
+                ("0,0", "InadmissibleSelection", "selection (0, 0) repeats a row"),
+                ("4", "InadmissibleSelection", "row index 4 out of range 0..3"),
+                ("-1", "InadmissibleSelection", "row index -1 out of range 0..3"),
+                ("0,1", "InadmissibleSelection", "selection picks 2 rows, model needs m = 1"),
+                ("x", "InputError", "--rows must be comma-separated integers, got 'x'"),
+                ("0.5", "InputError", "--rows must be comma-separated integers, got '0.5'")):
+            code, data = run_json(capsys, ["relation", model3_file, "--rows", spec])
+            assert code == 2
+            assert data["error"] == {"kind": kind, "message": message}
 
 
 @pytest.fixture
@@ -433,6 +449,12 @@ class TestSamplingCommands:
         diag = data["diagnostics"]
         assert diag["logm_exists"] and diag["qd_nonsingular"]
         assert diag["neg_semidef_ok"] is False
+
+    def test_desample_continuous_file_exits_2(self, capsys, model2_file):
+        code, data = run_json(capsys, ["desample", model2_file, "--h", "0.1"])
+        assert code == 2
+        assert data["error"] == {"kind": "InputError",
+                                 "message": f"{model2_file}: expected a sampled model file"}
 
     def test_hidden_rank(self, capsys, model2_file):
         code, data = run_json(capsys, ["hidden-rank", model2_file, "--h", "0.1"])

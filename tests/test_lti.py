@@ -289,7 +289,7 @@ class TestFreqResponse:
 
 class TestMinimalRealization:
     def test_golden_reduction(self, m3):
-        raw = oracles.gamma_realization(m3, enumerate_selections(m3)[0].rows0)
+        raw = oracles.gamma_realization(m3, enumerate_selections(m3)[0])
         assert raw.n == 3
         reduced = minimal_realization(raw)
         assert reduced.n == 2
@@ -297,7 +297,7 @@ class TestMinimalRealization:
         assert evaluation_gap(reduced, raw) < 1e-8
 
     def test_golden_reduction_second_model(self, m2):
-        raw = oracles.gamma_realization(m2, enumerate_selections(m2)[0].rows0)
+        raw = oracles.gamma_realization(m2, enumerate_selections(m2)[0])
         assert raw.n == 2
         reduced = minimal_realization(raw)
         assert reduced.n == 1

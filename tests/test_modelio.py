@@ -7,111 +7,130 @@ import systems
 from conftest import write_model
 from dynrel.errors import (
     DimensionMismatch,
+    InputError,
     ParseError,
     SchemaVersionUnsupported,
 )
 from dynrel.cli import run
 from dynrel.modelio import (
-    ContinuousModelFile,
-    SampledModelFile,
-    build_ct_model,
-    build_sampled_model,
-    build_state_space,
+    load_ct_model,
+    load_sampled_model,
+    load_state_space,
     parse_model,
 )
 
 
+def one_state(tmp_path, **fields):
+    """A continuous one-state model file, A = B = C = 1 unless ``fields``
+    say otherwise."""
+    return write_model(tmp_path / "model.json", **({"A": [[-1]], "B": [[1]], "C": [[1]]} | fields))
+
+
+def one_state_sampled(tmp_path, **fields):
+    """A sampled one-state model file with ``fields`` added."""
+    return write_model(tmp_path / "sampled.json", **({"Ad": [[0.5]], "Cd": [[1]]} | fields))
+
+
 class TestParseContinuous:
     def test_golden_file(self, model3_file):
-        mf = parse_model(model3_file)
-        assert isinstance(mf, ContinuousModelFile)
-        np.testing.assert_allclose(mf.A, systems.A3)
-        np.testing.assert_allclose(mf.B, systems.B3)
-        assert mf.labels == ("zeta1", "zeta2", "zeta3", "zeta4")
-        model = build_ct_model(mf)
+        model = load_ct_model(model3_file)
+        np.testing.assert_allclose(model.A, systems.A3)
+        np.testing.assert_allclose(model.B, systems.B3)
+        assert model.labels == ("zeta1", "zeta2", "zeta3", "zeta4")
         assert model.m == 1
 
-    def test_inline_text(self):
-        mf = parse_model('{"v": 1, "A": [[-1]], "B": [[1]], "C": [[1]]}')
-        assert isinstance(mf, ContinuousModelFile)
-        assert mf.A.shape == (1, 1)
+    def test_one_state_file(self, tmp_path):
+        ss = load_state_space(one_state(tmp_path))
+        assert ss.A.shape == (1, 1)
 
-    def test_optional_feedthrough(self):
-        mf = parse_model('{"v": 1, "A": [[-1]], "B": [[1]], "C": [[1]], "D": [[2]]}')
-        ss = build_state_space(mf)
+    def test_optional_feedthrough(self, tmp_path):
+        ss = load_state_space(one_state(tmp_path, D=[[2]]))
         np.testing.assert_allclose(ss.D, [[2.0]])
 
     def test_wrong_b_rows(self, tmp_path):
         path = write_model(tmp_path / "bad.json", A=np.eye(3) * -1,
                            B=np.ones((2, 1)), C=np.ones((1, 3)))
         with pytest.raises(DimensionMismatch, match="B"):
-            parse_model(path)
+            parse_model(path, "continuous")
 
-    def test_wrong_c_cols(self):
+    def test_wrong_c_cols(self, tmp_path):
         with pytest.raises(DimensionMismatch, match="C"):
-            parse_model('{"v": 1, "A": [[-1]], "B": [[1]], "C": [[1, 0]]}')
+            parse_model(one_state(tmp_path, C=[[1, 0]]), "continuous")
 
-    def test_nonsquare_a(self):
+    def test_nonsquare_a(self, tmp_path):
         with pytest.raises(DimensionMismatch, match="A"):
-            parse_model('{"v": 1, "A": [[-1, 0]], "B": [[1]], "C": [[1]]}')
+            parse_model(one_state(tmp_path, A=[[-1, 0]]), "continuous")
 
-    def test_ragged_rows(self):
+    def test_ragged_rows(self, tmp_path):
+        path = one_state(tmp_path, A=[[-1, 0], [1]], B=[[1], [0]], C=[[1, 0]])
         with pytest.raises(DimensionMismatch, match="A"):
-            parse_model('{"v": 1, "A": [[-1, 0], [1]], "B": [[1], [0]], "C": [[1, 0]]}')
+            parse_model(path, "continuous")
 
-    def test_non_numeric_entry(self):
-        for entry in ('"x"', "true", "null", '"1"', "[1]"):
+    def test_non_numeric_entry(self, tmp_path):
+        for entry in ("x", True, None, "1", [1]):
             with pytest.raises(ParseError, match=r"B\[0\]\[1\]: not a real number"):
-                parse_model('{"v": 1, "A": [[-1]], "B": [[1, %s]], "C": [[1]]}' % entry)
+                parse_model(one_state(tmp_path, B=[[1, entry]]), "continuous")
 
-    def test_offender_in_later_row(self):
+    def test_offender_in_later_row(self, tmp_path):
+        path = one_state(tmp_path, A=[[-1, 0, 0], [0, -2, 0], [0, 0, -3]],
+                         B=[[1.0, 2.0], [0.5, 1], [None, 3.0]], C=[[1, 0, 0]])
         with pytest.raises(ParseError, match=r"^B\[2\]\[0\]: not a real number: None$"):
-            parse_model('{"v": 1, "A": [[-1, 0, 0], [0, -2, 0], [0, 0, -3]], '
-                        '"B": [[1.0, 2.0], [0.5, 1], [null, 3.0]], "C": [[1, 0, 0]]}')
+            parse_model(path, "continuous")
 
-    def test_true_in_float_row(self):
+    def test_true_in_float_row(self, tmp_path):
         with pytest.raises(ParseError, match=r"^B\[0\]\[2\]: not a real number: True$"):
-            parse_model('{"v": 1, "A": [[-1]], "B": [[1.5, 2.5, true, 0.5]], "C": [[1]]}')
+            parse_model(one_state(tmp_path, B=[[1.5, 2.5, True, 0.5]]), "continuous")
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"v": 1, "A": [[-1')
         with pytest.raises(ParseError):
-            parse_model(str(path))
+            parse_model(str(path), "continuous")
 
     def test_missing_file(self):
         with pytest.raises(ParseError):
-            parse_model("/nonexistent/model.json")
+            parse_model("/nonexistent/model.json", "continuous")
 
     def test_bad_version(self, tmp_path, capsys):
+        path = tmp_path / "unversioned.json"
+        path.write_text('{"A": [[-1]], "B": [[1]], "C": [[1]]}', encoding="utf-8")
         with pytest.raises(SchemaVersionUnsupported):
-            parse_model('{"A": [[-1]], "B": [[1]], "C": [[1]]}')
+            parse_model(path, "continuous")
         # only the JSON integer 1, although true == 1.0 == 1 in Python
-        for version in ("2", "true", "1.0", '"1"'):
-            text = '{"v": %s, "A": [[-1]], "B": [[1]], "C": [[1]]}' % version
+        for version in (2, True, 1.0, "1"):
+            path = one_state(tmp_path, v=version)
             with pytest.raises(SchemaVersionUnsupported):
-                parse_model(text)
-            path = tmp_path / "model.json"
-            path.write_text(text, encoding="utf-8")
-            assert run(["validate", str(path)]) == 2
+                parse_model(path, "continuous")
+            assert run(["validate", path]) == 2
             assert json.loads(capsys.readouterr().out)["error"]["kind"] == "SchemaVersionUnsupported"
 
-    def test_wrong_label_count(self):
+    def test_wrong_label_count(self, tmp_path):
         with pytest.raises(DimensionMismatch, match="labels"):
-            parse_model('{"v": 1, "A": [[-1]], "B": [[1]], "C": [[1]], "labels": ["a", "b"]}')
+            parse_model(one_state(tmp_path, labels=["a", "b"]), "continuous")
 
-    def test_neither_kind(self):
+    def test_neither_kind(self, tmp_path):
         with pytest.raises(ParseError):
-            parse_model('{"v": 1, "X": [[1]]}')
+            parse_model(write_model(tmp_path / "x.json", X=[[1]]), "continuous")
+
+
+class TestKind:
+    def test_kind_checked_before_fields(self, tmp_path):
+        # a sampled file without Qd or Bd: the kind is the error, not the fields
+        with pytest.raises(InputError, match="expected a continuous model file"):
+            parse_model(one_state_sampled(tmp_path), "continuous")
+
+    def test_a_wins_over_ad(self, tmp_path):
+        path = one_state(tmp_path, Ad=[[0.5]], Qd=[[1]], Cd=[[1]], h=0.1)
+        assert load_state_space(path).n == 1
+        with pytest.raises(InputError, match="expected a sampled model file"):
+            load_sampled_model(path)
 
 
 class TestParseSampled:
     def test_qd_form(self, tmp_path):
         path = write_model(tmp_path / "s.json", Ad=np.diag([0.5, 0.4]),
                            Qd=np.eye(2), Cd=np.eye(2), h=0.1)
-        mf = parse_model(path)
-        assert isinstance(mf, SampledModelFile)
-        sm = build_sampled_model(mf)
+        sm = load_sampled_model(path)
         assert sm.h == 0.1
         np.testing.assert_allclose(sm.Qd, np.eye(2))
 
@@ -119,32 +138,31 @@ class TestParseSampled:
         bd = np.array([[1.0, 0.0], [0.5, 1.0]])
         path = write_model(tmp_path / "s.json", Ad=np.diag([0.5, 0.4]),
                            Bd=bd, Cd=np.eye(2), h=0.2)
-        sm = build_sampled_model(parse_model(path))
+        sm = load_sampled_model(path)
         np.testing.assert_allclose(sm.Qd, bd @ bd.T)
 
     def test_qd_wins_over_bd(self, tmp_path):
         path = write_model(tmp_path / "s.json", Ad=np.diag([0.5, 0.4]),
                            Qd=2 * np.eye(2), Bd=np.eye(2), Cd=np.eye(2), h=0.2)
-        sm = build_sampled_model(parse_model(path))
+        sm = load_sampled_model(path)
         np.testing.assert_allclose(sm.Qd, 2 * np.eye(2))
 
-    def test_missing_intensity(self):
+    def test_missing_intensity(self, tmp_path):
         with pytest.raises(DimensionMismatch, match="Qd"):
-            parse_model('{"v": 1, "Ad": [[0.5]], "Cd": [[1]], "h": 0.1}')
+            parse_model(one_state_sampled(tmp_path, h=0.1), "sampled")
 
     def test_h_override_and_missing(self, tmp_path):
         path = write_model(tmp_path / "s.json", Ad=[[0.5]], Qd=[[1.0]], Cd=[[1.0]])
-        mf = parse_model(path)
-        assert mf.h is None
-        sm = build_sampled_model(mf, h=0.3)
+        assert parse_model(path, "sampled")["h"] is None
+        sm = load_sampled_model(path, h=0.3)
         assert sm.h == 0.3
         with pytest.raises(ParseError, match="h"):
-            build_sampled_model(mf)
+            load_sampled_model(path)
 
-    def test_bad_h(self):
-        for h in ("-1", "true", '"1"', "[1]"):
+    def test_bad_h(self, tmp_path):
+        for h in (-1, True, "1", [1]):
             with pytest.raises(ParseError, match="h: must be a positive number"):
-                parse_model('{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": %s}' % h)
+                parse_model(one_state_sampled(tmp_path, Qd=[[1]], h=h), "sampled")
 
 
 class TestSampleReportIsParseable:
@@ -156,5 +174,5 @@ class TestSampleReportIsParseable:
         assert data["v"] == 1 and "Ad" in data and "Qd" in data
         path = tmp_path / "sampled.json"
         path.write_text(out)
-        sm = build_sampled_model(parse_model(str(path)))
+        sm = load_sampled_model(str(path))
         assert sm.h == 0.1

@@ -26,7 +26,6 @@ from dynrel.lti import (
     validate_ct_model,
 )
 from dynrel.relation import (
-    RowSelection,
     classify_selection,
     classify_selections,
     enumerate_selections,
@@ -55,7 +54,7 @@ def seeded_model():
 
 def assert_same_report(got, want):
     """Every field of two relation reports equal with ``==``."""
-    assert got.selection == want.selection
+    assert got.rows0 == want.rows0 and got.rows1 == want.rows1
     assert got.degree == want.degree and got.stable == want.stable
     for x, y in ((got.gamma, want.gamma), (got.gamma_eigs, want.gamma_eigs),
                  (got.poles, want.poles)):
@@ -73,14 +72,15 @@ def relation_F(model, sel):
 class TestEnumerate:
     def test_golden_four_singletons(self, m3):
         sels = enumerate_selections(m3)
-        assert [s.rows0 for s in sels] == [(0,), (1,), (2,), (3,)]
-        assert [s.rows1 for s in sels] == [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
+        assert sels == [(0,), (1,), (2,), (3,)]
+        assert [rep.rows1 for rep in classify_selections(m3, sels)] == [
+            (1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
         c0b = [float(systems.C3[i] @ systems.B3[:, 0]) for i in range(4)]
         np.testing.assert_allclose(c0b, [4.0, 4.0, -4.0, -4.0])
 
     def test_golden_two_selections(self, m2):
         sels = enumerate_selections(m2)
-        assert [s.rows0 for s in sels] == [(0,), (1,)]
+        assert sels == [(0,), (1,)]
         c0b = [float(systems.C2[i] @ systems.B2[:, 0]) for i in range(2)]
         np.testing.assert_allclose(c0b, [-3.0, -1.0])
 
@@ -90,7 +90,7 @@ class TestEnumerate:
         c = np.eye(2)  # row 1 is orthogonal to the column of B
         model = validate_ct_model(StateSpace(a, b, c))
         sels = enumerate_selections(model)
-        assert [s.rows0 for s in sels] == [(0,)]
+        assert sels == [(0,)]
 
     def test_batched_verdicts_match_per_subset(self, m3, m2):
         near = near_threshold_model()
@@ -98,7 +98,7 @@ class TestEnumerate:
                  for rows0 in itertools.combinations(range(near.n_out), near.m)]
         assert any(1e11 < x < 1e12 for x in conds) and any(1e12 < x < 1e13 for x in conds)
         for model in (m3, m2, near):
-            kept = [s.rows0 for s in enumerate_selections(model)]
+            kept = enumerate_selections(model)
             assert kept == [rows0 for rows0 in itertools.combinations(range(model.n_out), model.m)
                             if is_invertible(model.C[list(rows0)] @ model.B)]
         assert len(kept) == 8
@@ -136,14 +136,14 @@ class TestGamma:
 
     def test_inadmissible_rejected(self, m3):
         with pytest.raises(InadmissibleSelection):
-            classify_selection(m3, RowSelection((0, 1), (2, 3)))
+            classify_selection(m3, (0, 1))
 
     def test_rank_drop(self, rng):
         for _ in range(20):
             model = oracles.random_ct_model(rng)
             for sel in enumerate_selections(model)[:2]:
                 k = model.B @ np.linalg.solve(
-                    model.C[list(sel.rows0), :] @ model.B, model.C[list(sel.rows0), :])
+                    model.C[list(sel), :] @ model.B, model.C[list(sel), :])
                 if not has_full_eigenbasis(k):
                     continue
                 gamma = classify_selection(model, sel).gamma
@@ -177,8 +177,8 @@ class TestComputeF:
         sel = enumerate_selections(m3)[1]
         gamma = classify_selection(m3, sel).gamma
         f = relation_F(m3, sel)
-        c0 = systems.C3[list(sel.rows0), :]
-        c1 = systems.C3[list(sel.rows1), :]
+        c0 = systems.C3[list(sel), :]
+        c1 = systems.C3[[i for i in range(4) if i not in sel], :]
         k = systems.B3 @ np.linalg.inv(c0 @ systems.B3)
         s = 1j * rng.uniform(0.1, 10.0, size=8)
         alt = [x * c1 @ np.linalg.solve(x * np.eye(3) - gamma, k) for x in s]
@@ -196,7 +196,7 @@ class TestComputeF:
         models = [m3] + [oracles.random_ct_model(rng) for _ in range(10)]
         for model in models:
             sel = enumerate_selections(model)[0]
-            c0 = model.C[list(sel.rows0), :]
+            c0 = model.C[list(sel), :]
             k = model.B @ np.linalg.solve(c0 @ model.B, c0)
             got = nonzero_spectrum(k)
             assert got.shape == (model.m,)
@@ -272,31 +272,41 @@ class TestClassify:
     def test_first_inadmissible_selection_named(self, m3):
         sels = enumerate_selections(m3)
         with pytest.raises(InadmissibleSelection, match="out of range"):
-            classify_selections(m3, [sels[0], RowSelection((7,), (0,))])
+            classify_selections(m3, [sels[0], (7,)])
         with pytest.raises(InadmissibleSelection, match="needs m = 1"):
-            classify_selections(m3, [sels[0], RowSelection((0, 1), (2, 3))])
-        with pytest.raises(ValueError, match="same number of driven rows"):
-            classify_selections(m3, [sels[0], RowSelection((1,), (0,))])
+            classify_selections(m3, [sels[0], (0, 1)])
         assert classify_selections(m3, []) == []
+
+    def test_one_check_per_selection(self):
+        # m = 3: (0, 0, 1) has the right count and is caught as a repeat
+        model = seeded_model()
+        first = enumerate_selections(model)[0]
+        for rows0, match in (((0, 0, 1), "repeats a row"), ((0, 1), "needs m = 3"),
+                             ((0, 1, 6), "out of range"), ((0, 1, -1), "out of range"),
+                             ((0, 1, 2.0), "not an integer"), ((0, 1, True), "not an integer")):
+            with pytest.raises(InadmissibleSelection, match=match):
+                classify_selections(model, [first, rows0])
+        np_rows = np.array(first)
+        assert classify_selection(model, np_rows).rows0 == first
 
     def test_ill_conditioned_member_named(self):
         # the second and third rows give a singular C0 B; the first is fine
         ss = StateSpace([[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]],
                         [[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
         model = CtModel(ss=ss, m=1)
-        sels = [RowSelection((0,), (1, 2)), RowSelection((1,), (0, 2)), RowSelection((2,), (0, 1))]
+        sels = [(0,), (1,), (2,)]
         with pytest.raises(InadmissibleSelection, match=r"rows \(1,\)"):
             classify_selections(model, sels)
 
 
 class TestStableSelection:
     def test_golden(self, m3, m2):
-        assert stable_selection_exists(m3).selection.rows0 == (0,)
+        assert stable_selection_exists(m3).rows0 == (0,)
         assert stable_selection_exists(m2) is None
 
     def test_constant_relation_model(self):
         model = constant_relation_model()
-        assert stable_selection_exists(model).selection.rows0 == (0,)
+        assert stable_selection_exists(model).rows0 == (0,)
 
     @pytest.mark.parametrize("name", ["model3", "model2", "constant", "seeded"])
     def test_first_stable_report_of_the_stack(self, m3, m2, name):
@@ -315,7 +325,7 @@ class TestStableSelection:
         # unstable, so it alone is reduced, and nothing after it
         reductions = count_calls(monkeypatch, minimal_realizations)
         condition_tests = count_calls(monkeypatch, is_invertible)
-        assert stable_selection_exists(m3).selection.rows0 == (0,)
+        assert stable_selection_exists(m3).rows0 == (0,)
         assert len(reductions) == 1 and reductions[0][0].shape[0] == 1
         # one batched test of every subset, and no other
         assert [args[0].shape for args in condition_tests] == [(4, 1, 1)]
@@ -369,7 +379,7 @@ class TestInvariantZeroOracle:
     def check(self, model):
         margin = DEFAULT_TOL.stability_margin
         for rep in classify_selections(model, enumerate_selections(model)):
-            zeros = invariant_zeros(model, rep.selection.rows0)
+            zeros = invariant_zeros(model, rep.rows0)
             assert rep.degree <= model.n - model.m
             for p in rep.poles:
                 assert np.abs(zeros - p).min() <= ZERO_RTOL * max(1.0, abs(p))
@@ -474,10 +484,10 @@ class TestUnstableCertificate:
             raw = relation._realizations(model, sels)
             for i, sel in enumerate(sels):
                 zd = StateSpace(raw.a[i], raw.b[i], raw.c[i], raw.d[i])
-                want = oracles.gamma_realization(model, sel.rows0)
+                want = oracles.gamma_realization(model, sel)
                 np.testing.assert_allclose(freq_response(zd, s), freq_response(want, s),
                                            atol=1e-9)
-                zeros = invariant_zeros(model, sel.rows0)
+                zeros = invariant_zeros(model, sel)
                 assert oracles.match_gap(np.linalg.eigvals(raw.a[i]), zeros) < 1e-8
 
     def test_free_of_units(self):
@@ -503,7 +513,7 @@ class TestUnstableCertificate:
         assert oracles.match_gap(np.linalg.eigvals(g11[0]), [-1.0, -2.0, 0.5]) < 1e-8
         assert not certificates(model, sels)[0]
         got = stable_selection_exists(model)
-        assert got.selection.rows0 == (0,) and oracles.match_gap(got.poles, [-1.0, -2.0]) < 1e-8
+        assert got.rows0 == (0,) and oracles.match_gap(got.poles, [-1.0, -2.0]) < 1e-8
         assert_same_report(got, classify_selection(model, sels[0]))
 
     def test_zero_at_the_margin_falls_through(self, m3):
@@ -522,7 +532,7 @@ class TestUnstableCertificate:
         sels = enumerate_selections(model)
         reps = classify_selections(model, sels)
         for certified, rep in zip(certificates(model, sels), reps):
-            assert not (certified and rep.stable), rep.selection
+            assert not (certified and rep.stable), rep.rows0
         want = next((rep for rep in reps if rep.stable), None)
         got = stable_selection_exists(model)
         assert (got is None) == (want is None)
@@ -535,7 +545,7 @@ class TestSpectrumConsistency:
         for model in (m3, m2):
             for sel in enumerate_selections(model):
                 w = np.logspace(-2, 2, 50)
-                want = f_from_spectrum(model, sel.rows0, w)
+                want = f_from_spectrum(model, sel, w)
                 gap = np.abs(freq_response(relation_F(model, sel), 1j * w) - want).max()
                 assert gap < 1e-6
 
@@ -544,6 +554,6 @@ class TestSpectrumConsistency:
             model = oracles.random_ct_model(rng, n=4, m=2, n_out=3)
             for sel in enumerate_selections(model)[:2]:
                 w = np.logspace(-1, 1, 10)
-                want = f_from_spectrum(model, sel.rows0, w)
+                want = f_from_spectrum(model, sel, w)
                 gap = np.abs(freq_response(relation_F(model, sel), 1j * w) - want).max()
                 assert gap < 1e-6

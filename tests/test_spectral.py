@@ -6,7 +6,7 @@ import systems
 from conftest import count_calls
 from oracles import PhiUSingular, f_from_spectrum, spectral_density
 from dynrel.errors import RankInconsistent
-from dynrel.kernels import numerical_rank
+from dynrel.kernels import numerical_rank, rank_from_values
 from dynrel.lti import StateSpace, freq_response, validate_ct_model
 from dynrel.spectral import default_grid, spectral_rank_profile
 
@@ -66,9 +66,21 @@ class TestRankProfile:
         assert spectral_rank_profile(model, [2.0, 1.0]) == 1
 
     def test_one_rank_call(self, monkeypatch, m3):
-        calls = count_calls(monkeypatch, numerical_rank)
+        calls = count_calls(monkeypatch, rank_from_values)
         assert spectral_rank_profile(m3, default_grid()) == 1
-        assert len(calls) == 1 and calls[0][0].shape == (200, 4, 4)
+        # the squared singular values of W, one per shock channel, for n_out = 4
+        assert len(calls) == 1 and calls[0][0].shape == (200, 1) and calls[0][1] == 4
+
+    def test_rank_of_w_is_rank_of_density(self, rng):
+        # the rank rule on the squared singular values of W gives the rank
+        # of the formed W W* at every point, rank drops at zeros included
+        models = [oracles.random_ct_model(rng) for _ in range(5)]
+        for model, grid in [(systems.model_with_axis_zero(), np.array([0.5, 1.0, 2.0]))] + [
+                (model, default_grid(count=50)) for model in models]:
+            w = freq_response(model.ss, 1j * grid)
+            s = np.linalg.svd(w, compute_uv=False)
+            want = numerical_rank(w @ w.conj().swapaxes(1, 2))
+            np.testing.assert_array_equal(rank_from_values(s * s, model.n_out), want)
 
     def test_random_rank_matches_m(self, rng):
         for _ in range(10):
