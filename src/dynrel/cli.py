@@ -177,13 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="check every model assumption")
     sp.add_argument("model")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("spectrum", help="spectral density rank profile over a grid")
     sp.add_argument("model")
     sp.add_argument("--grid", default=None, metavar="LO:HI:N",
                     help="log-spaced frequency grid (default 1e-3:1e3:200)")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("relation", help="extract the deterministic relation")
     sp.add_argument("model")
@@ -192,38 +190,33 @@ def build_parser() -> argparse.ArgumentParser:
                        help="driving rows of C (the u-channels)")
     group.add_argument("--all", action="store_true",
                        help="classify every admissible selection (default)")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("stable-selection",
                         help="first selection with a strictly stable relation")
     sp.add_argument("model")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("feedback", help="closed-loop analysis of a pair (F, H)")
     sp.add_argument("--f", required=True, dest="f_path", metavar="F.json")
     sp.add_argument("--h", required=True, dest="h_path", metavar="H.json")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("granger", help="does the input channel help predict the output")
     sp.add_argument("--f", required=True, dest="f_path", metavar="F.json")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("sample", help="exact discretization at period h")
     sp.add_argument("model")
     sp.add_argument("--h", required=True, type=float, dest="period")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("desample", help="invert the sampling map")
     sp.add_argument("model")
     sp.add_argument("--h", type=float, default=None, dest="period",
                     help="sampling period (overrides the file's h)")
-    _add_tol_flags(sp)
 
     sp = sub.add_parser("hidden-rank", help="rank bookkeeping across a round trip")
     sp.add_argument("model")
     sp.add_argument("--h", required=True, type=float, dest="period")
-    _add_tol_flags(sp)
 
+    for sp in sub.choices.values():  # every subcommand takes the tolerance flags
+        _add_tol_flags(sp)
     return parser
 
 
@@ -305,12 +298,7 @@ def _selection_entry(model, report):
         "degree": report.degree,
         "stable": report.stable,
         "poles": report.poles,
-        "F": {
-            "A": report.F.A,
-            "B": report.F.B,
-            "C": report.F.C,
-            "D": report.F.D,
-        },
+        "F": {name: getattr(report.F, name) for name in "ABCD"},
     }
     if model.labels:
         entry["u_labels"] = [model.labels[i] for i in report.rows0]

@@ -25,21 +25,27 @@ __all__ = [
     "matrix_log_principal",
     "solve_lyap_continuous",
     "solve_lyap_discrete",
+    "norm2",
     "numerical_rank",
+    "rank_cut",
     "rank_from_values",
     "psd_factor",
     "sorted_eigvals",
 ]
 
 #: Condition-number ceiling for "numerically invertible" decisions
-#: (row selections, feedthrough inversion, spectral input blocks).
+#: (row selections, feedthrough inversion, spectral input blocks). A fixed safety
+#: factor: a solve with such a matrix keeps about four digits (1e12 eps = 2e-4).
 COND_LIMIT = 1e12
 
-#: Condition-number ceiling of ``sI - A`` at an evaluation point that is not a pole.
+#: Condition-number ceiling of ``sI - A`` at an evaluation point that is not a pole: a fixed
+#: safety factor a digit above ``COND_LIMIT``, so only a point no invertibility test passes fails.
 POLE_COND_LIMIT = 1e13
 
 #: Smallest ``|lam_i + lam_j|`` over eigenvalue pairs of A, relative to
 #: ``n * max(1, max |lam|)``, for which ``A P + P A' + Q = 0`` counts as solvable.
+#: A fixed safety factor: the solution's error grows like eps / separation, so
+#: about four digits remain, as at ``COND_LIMIT``.
 LYAP_SEP_RTOL = 1e-12
 
 
@@ -50,8 +56,10 @@ class Tolerances:
     Attributes
     ----------
     rank_rtol : float
-        Relative singular-value cutoff. A singular value counts toward
-        rank when it exceeds ``rank_rtol * sigma_max * max_dim``.
+        The one rank rule (:func:`rank_cut`): a value counts when above
+        ``rank_rtol * dim * scale``; scale is sigma_max for a plain rank,
+        and in a staircase the caller's ``||B||_2`` or ``||C||_2`` from
+        before any projection (first block) or ``||A||_2`` (grown blocks).
     psd_tol : float
         How negative an eigenvalue may be, relative to the largest
         eigenvalue magnitude, before a matrix stops counting as PSD.
@@ -165,11 +173,10 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.nda
     if n == 0:
         return a.copy()
     t_mat, z_mat, eigs = schur_form(a) if schur is None else schur
-    scale = float(np.abs(eigs).max())
-    cut = n * tol.rank_rtol * scale
-    if scale == 0.0 or np.any(np.abs(eigs) <= cut):
+    modulus = np.abs(eigs)
+    if rank_from_values(modulus, n, tol) < n:
         raise SingularInput("matrix is numerically singular; no logarithm")
-    on_negative_axis = (eigs.real < 0) & (np.abs(eigs.imag) <= cut)
+    on_negative_axis = (eigs.real < 0) & (np.abs(eigs.imag) <= rank_cut(n, modulus.max(), tol))
     if np.any(on_negative_axis):
         bad = eigs[on_negative_axis][0]
         raise ExistenceFailure(
@@ -249,10 +256,15 @@ def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
 # --------------------------------------------------------------------------
 # rank, PSD factorization, sorted spectra
 
+def norm2(m) -> np.ndarray:
+    """The 2-norm of a matrix, or of each matrix of a stack; 0 when empty."""
+    return np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
+
+
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
-    """Number of singular values above ``rank_rtol * sigma_max * max_dim``.
-    A stack ``(..., r, c)`` gives an int array, one rank per matrix; a 2-d
-    input gives an ``int``."""
+    """Number of singular values above :func:`rank_cut` at scale sigma_max
+    and dim max(r, c). A stack ``(..., r, c)`` gives an int array, one rank
+    per matrix; a 2-d input gives an ``int``."""
     a = np.asarray(m)
     if a.ndim <= 2:
         a = as_matrix(a, name="rank input")
@@ -262,16 +274,21 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
     return rank_from_values(s, max(a.shape[-2:]), tol)
 
 
+def rank_cut(dim: int, scale, tol: Tolerances = DEFAULT_TOL):
+    """The one rank rule: a value counts toward rank when it exceeds
+    ``rank_rtol * dim * scale``; the caller names ``scale`` (see
+    :class:`Tolerances`) and ``dim``, the larger dimension of the matrix."""
+    return tol.rank_rtol * dim * scale
+
+
 def rank_from_values(s, dim: int, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
-    """The rule of :func:`numerical_rank` applied to singular values at
-    hand: the number of ``s`` (along the last axis) above
-    ``rank_rtol * max(s) * dim``, for a matrix whose larger dimension is
-    ``dim``. The absolute eigenvalues of a symmetric matrix, or the
-    squared singular values of a factor B of ``B B'``, serve as well.
-    A 1-d ``s`` gives an ``int``."""
+    """The number of ``s`` (along the last axis) above :func:`rank_cut` at
+    scale ``max(s)``: the rule of :func:`numerical_rank` applied to values
+    at hand. The absolute eigenvalues of a symmetric matrix, or the squared
+    singular values of a factor B of ``B B'``, serve as well. A 1-d ``s``
+    gives an ``int``."""
     s = np.asarray(s)
-    cutoff = tol.rank_rtol * s.max(axis=-1, keepdims=True, initial=0.0) * dim
-    ranks = np.count_nonzero(s > cutoff, axis=-1)
+    ranks = (s > rank_cut(dim, s.max(axis=-1, keepdims=True, initial=0.0), tol)).sum(axis=-1)
     return int(ranks) if s.ndim == 1 else ranks
 
 
@@ -301,8 +318,7 @@ def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         err = NotPSD(f"eigenvalue {w.min():.6g} below -psd_tol * {scale:.6g}; not PSD")
         err.eigenvalue = float(w.min())
         raise err
-    order = np.argsort(w)[::-1]
-    keep = order[w[order] > tol.rank_rtol * scale * n]
+    keep = np.argsort(w)[::-1][:rank_from_values(w, n, tol)]
     cols = v[:, keep] * np.sqrt(w[keep])
     lead = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
     return np.where(lead.real < 0, -cols, cols)

@@ -19,7 +19,7 @@ from .errors import (
     RankCBDeficient,
 )
 from .kernels import (DEFAULT_TOL, POLE_COND_LIMIT, Tolerances, as_matrix, is_invertible,
-                      numerical_rank, sorted_eigvals)
+                      norm2, numerical_rank, rank_cut, sorted_eigvals)
 
 __all__ = [
     "StateSpace",
@@ -124,16 +124,17 @@ class CtModel:
         return self.ss.n_out
 
 
-#: Safety factor of the pole certificate in :func:`freq_response`: a
-#: certified point has cond2(sI - A) below this fraction of ``POLE_COND_LIMIT``.
+#: Fixed safety factor of the pole certificate in :func:`freq_response`: a
+#: certified point has cond2(sI - A) below this fraction of ``POLE_COND_LIMIT``
+#: (three digits of margin for the roundoff in the eigenvalues and in kappa2(V)).
 _POLE_CERT_FACTOR = 1e-3
 
-#: Ceiling on kappa2(V), the condition number of the eigenvector matrix
+#: Fixed ceiling on kappa2(V), the condition number of the eigenvector matrix
 #: of A, for the modal evaluation in :func:`freq_response`. The solve with
 #: V and the products with ``C V`` and ``V^{-1} B`` add a relative error of
 #: about ``kappa2(V) n eps`` to the value, beyond what the LU route has. At
 #: this ceiling and n = 30 that is 1e3 * 30 * 2.2e-16 = 7e-12, about 100
-#: times below the rank cutoff ``rank_rtol * max_dim`` (max_dim = 6 on a
+#: times below the default rank cutoff (``kernels.rank_cut``, 1e-10 * 6 on a
 #: six-channel spectrum) that the spectral verdict applies to the values.
 _MODAL_COND_LIMIT = 1e3
 
@@ -195,10 +196,10 @@ def freq_response(ss: StateSpace, points) -> np.ndarray:
     return out
 
 
-def _orth(m: np.ndarray, rtol: float, scale: np.ndarray | None = None) -> list:
+def _orth(m: np.ndarray, dim: int, scale: np.ndarray, tol: Tolerances) -> list:
     """Orthonormal bases for the columns of each member of the stack
-    ``m`` (k, rows, cols) whose singular value exceeds ``rtol * scale``;
-    ``scale`` (k,) defaults to each member's largest singular value.
+    ``m`` (k, rows, cols) whose singular values pass the rank rule at
+    ``dim`` and at the member's ``scale`` (k,).
 
     One batched SVD for the whole stack. Members of equal rank r form a
     group: the result is ``[(idx, basis), ...]`` in ascending r, with
@@ -207,17 +208,13 @@ def _orth(m: np.ndarray, rtol: float, scale: np.ndarray | None = None) -> list:
     each basis the column-major layout of a 2-d boolean-mask slice, so
     the products downstream sum in the same order as on a single system.
     """
-    k, rows, cols = m.shape
-    if rows == 0 or cols == 0:
-        return [(np.arange(k), np.zeros((k, rows, 0), dtype=m.dtype))]
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    keep = s > rtol * (s[:, :1] if scale is None else scale[:, None])
     groups = {}
-    for i, row in enumerate(keep.tolist()):
+    for i, row in enumerate((s > rank_cut(dim, scale[:, None], tol)).tolist()):
         groups.setdefault(row.count(True), []).append(i)
     if len(groups) == 1:
         (r,) = groups
-        return [(np.arange(k), u[..., np.arange(r)])]
+        return [(np.arange(len(s)), u[..., np.arange(r)])]
     return [(np.array(idx), u[idx][..., np.arange(r)]) for r, idx in sorted(groups.items())]
 
 
@@ -227,8 +224,8 @@ def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return x if idx.size == x.shape[0] else x[idx]
 
 
-def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
-                        b_scale: np.ndarray | None = None) -> list:
+def _controllable_basis(a: np.ndarray, b: np.ndarray, b_scale: np.ndarray,
+                        tol: Tolerances) -> list:
     """Orthonormal basis of the smallest A-invariant subspace containing
     range(B), by staircase expansion with SVD rank decisions, for every
     member of the stacks ``a`` (k, n, n) and ``b`` (k, n, p) in lockstep.
@@ -239,18 +236,14 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
     ``[(idx, basis), ...]``, one entry per group of members that went
     through the same rank profile.
 
-    Rank cutoffs are referenced to ``b_scale`` (first block) and to each
-    ``||A||_2`` (grown blocks), so the decisions are invariant under a
-    global rescaling of the system. ``b_scale`` defaults to each
-    ``||B||_2``; a caller whose B is a projection of a larger input
-    matrix passes that matrix's norm, so a block that is zero up to
-    roundoff has rank 0.
+    Rank cutoffs are referenced to ``b_scale`` (k,) (first block), which
+    the caller takes from the matrix B was built from, since a projected B
+    can be roundoff, and to each ``||A||_2`` (grown blocks), so the
+    decisions are invariant under a global rescaling of the system.
     """
-    k, n = a.shape[0], a.shape[-1]
-    if n == 0:
-        return [(np.arange(k), np.zeros((k, 0, 0)))]
-    a_scale = np.linalg.norm(a, 2, axis=(-2, -1))
-    work = [(idx, v, v) for idx, v in _orth(b, tol.rank_rtol * max(b.shape[-2:]), b_scale)]
+    n = a.shape[-1]
+    a_scale = norm2(a)
+    work = [(idx, v, v) for idx, v in _orth(b, max(b.shape[-2:]), b_scale, tol)]
     done = []
     while work:
         idx, v, fresh = work.pop()
@@ -260,7 +253,7 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
         w = _take(a, idx) @ fresh
         w = w - v @ (v.conj().mT @ w)
         w = w - v @ (v.conj().mT @ w)
-        for jdx, fresh in _orth(w, tol.rank_rtol * n, _take(a_scale, idx)):
+        for jdx, fresh in _orth(w, n, _take(a_scale, idx), tol):
             vj = _take(v, jdx)
             if fresh.shape[-1]:
                 vj = np.concatenate([vj, fresh], axis=-1)
@@ -269,6 +262,7 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, tol: Tolerances,
 
 
 def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+                         b_scale: np.ndarray, c_scale: np.ndarray,
                          tol: Tolerances = DEFAULT_TOL) -> list[StateSpace]:
     """Minimal realizations of the stack of systems ``(a, b, c, d)``,
     shaped (k, n, n), (k, n, p), (k, q, n) and (k, q, p), one per member.
@@ -276,27 +270,23 @@ def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndar
     Staircase reduction in lockstep: project every member onto its
     reachable subspace, then onto the observable subspace of the result,
     with one batched SVD per staircase step for all members (see
-    :func:`_controllable_basis`; members of different rank continue in
-    groups). Each returned state dimension is that member's McMillan
-    degree up to the rank tolerance, and each member's reduction is
-    bit-for-bit the one of that member alone.
+    :func:`_controllable_basis`, which scales the first rank decision on B
+    and on C by ``b_scale`` and ``c_scale`` (k,); members of different
+    rank continue in groups). Each returned state dimension is that
+    member's McMillan degree up to the rank tolerance, and each member's
+    reduction is bit-for-bit the one of that member alone.
     """
-    real = np.isrealobj(a) and np.isrealobj(b) and np.isrealobj(c)
-    # cutoff from ||C||, not from ``C v``, which can be zero up to roundoff
-    c_scale = np.linalg.norm(c, 2, axis=(-2, -1))
     out = [None] * a.shape[0]
-    for idx, v in _controllable_basis(a, b, tol):
+    for idx, v in _controllable_basis(a, b, b_scale, tol):
         vh = v.conj().mT
         ar = vh @ _take(a, idx) @ v
         br = vh @ _take(b, idx)
         cr = _take(c, idx) @ v
-        for jdx, w in _controllable_basis(ar.conj().mT, cr.conj().mT, tol, _take(c_scale, idx)):
+        for jdx, w in _controllable_basis(ar.conj().mT, cr.conj().mT, _take(c_scale, idx), tol):
             wh = w.conj().mT
             a2 = wh @ _take(ar, jdx) @ w
             b2 = wh @ _take(br, jdx)
             c2 = _take(cr, jdx) @ w
-            if real:
-                a2, b2, c2 = a2.real, b2.real, c2.real
             for i, j in enumerate(_take(idx, jdx).tolist()):
                 out[j] = StateSpace(a2[i], b2[i], c2[i], d[j])
     return out
@@ -306,11 +296,12 @@ def minimal_realization(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> StateS
     """Minimal realization with the same transfer function:
     :func:`minimal_realizations` of a stack of one.
 
-    Staircase reduction: project onto the reachable subspace, then onto
-    the observable subspace of the result. The returned state dimension
-    is the McMillan degree up to the rank tolerance.
+    Staircase reduction with cutoffs scaled by ``||B||_2`` and ``||C||_2``;
+    the returned state dimension is the McMillan degree up to the rank
+    tolerance.
     """
-    return minimal_realizations(ss.A[None], ss.B[None], ss.C[None], ss.D[None], tol)[0]
+    a, b, c, d = (x[None] for x in (ss.A, ss.B, ss.C, ss.D))
+    return minimal_realizations(a, b, c, d, norm2(b), norm2(c), tol)[0]
 
 
 def poles_stable(p: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -356,9 +347,10 @@ def validate_ct_model(
     m = ss.B.shape[1]
     if numerical_rank(ss.B, tol) != m:
         raise BColumnDeficient("B does not have full column rank")
-    if _controllable_basis(ss.A[None], ss.B[None], tol)[0][1].shape[-1] != n:
+    a, b, c = ss.A[None], ss.B[None], ss.C[None]
+    if _controllable_basis(a, b, norm2(b), tol)[0][1].shape[-1] != n:
         raise NotReachable("(A, B) is not reachable")
-    if _controllable_basis(ss.A.conj().T[None], ss.C.conj().T[None], tol)[0][1].shape[-1] != n:
+    if _controllable_basis(a.conj().mT, c.conj().mT, norm2(c), tol)[0][1].shape[-1] != n:
         raise NotObservable("(C, A) is not observable")
     rank_cb = numerical_rank(ss.C @ ss.B, tol)
     if rank_cb != m:

@@ -43,7 +43,7 @@ from .errors import (
     NoAdmissibleSelection,
     SelectionLimitExceeded,
 )
-from .kernels import DEFAULT_TOL, Tolerances, is_invertible, sorted_eigvals
+from .kernels import DEFAULT_TOL, Tolerances, is_invertible, norm2, rank_cut, sorted_eigvals
 from .lti import CtModel, StateSpace, minimal_realizations, poles_stable
 
 __all__ = [
@@ -178,13 +178,17 @@ def _realizations(model: CtModel, sels: list[tuple[int, ...]]) -> _Stack:
     return _Stack(v @ w, w @ v, w @ k, c1 @ v, c1 @ k, k, c1)
 
 
-def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack,
+def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack, a_norm: float,
              tol: Tolerances) -> list[RelationReport]:
     """The reports of ``sels`` from their realizations ``raw``: one
     lockstep :func:`minimal_realizations` for the stack, one batched
     eigenvalue call for Gamma and one for the poles of each group of
-    equal degree."""
-    f_min = minimal_realizations(raw.a, raw.b, raw.c, raw.d, tol)
+    equal degree. The staircase scales come from before the projections:
+    ``||C1||_2`` for C1 V, which is roundoff when driven rows combine
+    driving rows, and ``a_norm * ||K||_2`` (``a_norm`` = ``||A||_2``) for
+    W K, whose roundoff it bounds."""
+    f_min = minimal_realizations(raw.a, raw.b, raw.c, raw.d, a_norm * norm2(raw.k),
+                                 norm2(raw.c1), tol)
     by_degree = {}
     for i, f in enumerate(f_min):
         by_degree.setdefault(f.n, []).append(i)
@@ -232,7 +236,7 @@ def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> 
     if not ok.all():
         raise InadmissibleSelection(
             f"C0 B for rows {sels[int(np.argmin(ok))]} is not numerically invertible")
-    return _reports(model, sels, _realizations(model, sels), tol)
+    return _reports(model, sels, _realizations(model, sels), norm2(model.A), tol)
 
 
 def classify_selection(model: CtModel, rows0, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
@@ -241,11 +245,11 @@ def classify_selection(model: CtModel, rows0, tol: Tolerances = DEFAULT_TOL) -> 
     return classify_selections(model, [rows0], tol)[0]
 
 
-#: Safety factor of the unstable-relation certificate in
-#: :func:`stable_selection_exists`, in units of the staircase's rank
-#: cutoff ``rank_rtol * n``: an eigenvalue of Gamma11 counts when it lies
-#: that far right of ``-stability_margin`` and passes both PBH tests by
-#: that much, each relative to the scale of what it tests.
+#: Fixed safety factor of the unstable-relation certificate in
+#: :func:`stable_selection_exists`, in units of the rank cutoff at dim n:
+#: an eigenvalue of Gamma11 counts when it lies that far right of
+#: ``-stability_margin`` and passes both PBH tests by that much, each relative
+#: to the scale of what it tests, so roundoff cannot certify a removable pole.
 _UNSTABLE_CERT_FACTOR = 1e3
 
 
@@ -278,8 +282,8 @@ def _certified_unstable(model: CtModel, raw: _Stack, tol: Tolerances) -> np.ndar
     leaves both PBH tests as they are. An eigenvalue lam of Gamma11 is a
     pole of F when it passes the PBH tests (Hautus 1969):
     [lam I - Gamma11, B~] has full row rank and [lam I - Gamma11; C~]
-    full column rank. Let the cutoff be
-    ``_UNSTABLE_CERT_FACTOR * rank_rtol * n``, and the scale of a matrix
+    full column rank. Let the cutoff be ``_UNSTABLE_CERT_FACTOR`` times
+    the rank cutoff at dim n and unit scale, and the scale of a matrix
     the larger of its Frobenius norm and ``||A||_F``; the floor keeps a
     Gamma11 that is roundoff from passing on its own scale. C~, which has
     no units here, is first multiplied by the scale of Gamma11. lam is a
@@ -295,9 +299,7 @@ def _certified_unstable(model: CtModel, raw: _Stack, tol: Tolerances) -> np.ndar
     gamma11 = raw.a
     k, d = gamma11.shape[:2]
     certified = np.zeros(k, dtype=bool)
-    if d == 0:
-        return certified
-    cut = _UNSTABLE_CERT_FACTOR * tol.rank_rtol * model.n
+    cut = _UNSTABLE_CERT_FACTOR * rank_cut(model.n, 1.0, tol)
     floor = float(np.linalg.norm(model.A))
     g = np.maximum(np.linalg.norm(gamma11, axis=(-2, -1)), floor)
     b = raw.b / np.linalg.norm(raw.k, axis=(-2, -1), keepdims=True)
@@ -351,12 +353,13 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
         Every subset fails the invertibility test.
     """
     sels = enumerate_selections(model)
+    a_norm = norm2(model.A)
     start, size = 0, 1
     while start < len(sels):
         chunk = sels[start:start + size]
         raw = _realizations(model, chunk)
         for i in np.flatnonzero(~_certified_unstable(model, raw, tol)).tolist():
-            rep = _reports(model, [chunk[i]], raw.member(i), tol)[0]
+            rep = _reports(model, [chunk[i]], raw.member(i), a_norm, tol)[0]
             if rep.stable:
                 return rep
         start, size = start + size, 2 * size

@@ -207,6 +207,20 @@ class TestRelation:
         assert len(data["selections"]) == 4
         assert data["any_stable"]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_row_relation_is_a_constant(self, capsys, tmp_path, seed):
+        # C = [c; 2c]: both relations are constants, so both are stable
+        rng = np.random.default_rng(seed)
+        a, b, c = oracles.hurwitz(rng, 4), rng.normal(size=(4, 1)), rng.normal(size=(1, 4))
+        path = write_model(tmp_path / "m.json", A=a, B=b, C=np.vstack([c, 2 * c]))
+        code, data = run_json(capsys, ["relation", path, "--all"])
+        assert code == 0
+        for sel, gain in zip(data["selections"], (2.0, 0.5)):
+            assert sel["degree"] == 0 and sel["stable"]
+            np.testing.assert_allclose(sel["F"]["D"], [[gain]], rtol=1e-12)
+        code, data = run_json(capsys, ["stable-selection", path])
+        assert code == 0 and data["selection"]["rows0"] == [0]
+
     def test_all_is_default(self, capsys, model2_file):
         code, data = run_json(capsys, ["relation", model2_file])
         assert code == 1

@@ -22,6 +22,7 @@ from dynrel.kernels import (
     is_invertible,
     matrix_exp,
     matrix_log_principal,
+    norm2,
     numerical_rank,
     psd_factor,
     schur_form,
@@ -153,6 +154,28 @@ class TestMatrixLog:
     def test_singular(self):
         with pytest.raises(SingularInput):
             matrix_log_principal(np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("rtol, exists", [(1e-15, (True, True)), (1e-6, (True, False)),
+                                              (1.0, (False, False))])
+    def test_singular_follows_the_rank_cut(self, rtol, exists):
+        # the cut rank_rtol * 2 * max|lam| is 2e-6 at rtol = 1e-6: an
+        # eigenvalue 1% above it has a logarithm, one 1% below it has none
+        tol = Tolerances(rank_rtol=rtol)
+        for small, ok in zip((2.02e-6, 1.98e-6), exists):
+            if ok:
+                got = matrix_log_principal(np.diag([1.0, small]), tol)
+                np.testing.assert_allclose(got, np.diag(np.log([1.0, small])), atol=1e-12)
+            else:
+                with pytest.raises(SingularInput):
+                    matrix_log_principal(np.diag([1.0, small]), tol)
+
+    def test_negative_axis_follows_the_rank_cut(self):
+        # the pair -1 +/- iy lies on the negative axis when y is within the cut
+        tol = Tolerances(rank_rtol=1e-6)
+        above = np.array([[-1.0, 2.02e-6], [-2.02e-6, -1.0]])
+        assert np.abs(matrix_exp(matrix_log_principal(above, tol)) - above).max() < 1e-12
+        with pytest.raises(ExistenceFailure):
+            matrix_log_principal(np.array([[-1.0, 1.98e-6], [-1.98e-6, -1.0]]), tol)
 
     def test_complex_pair_ok(self):
         a = np.array([[-1.0, 2.0], [-2.0, -1.0]])  # eigenvalues -1 +/- 2i
@@ -394,6 +417,13 @@ class TestPsdFactor:
         assert b.shape[1] == 1
         np.testing.assert_allclose(b @ b.T, bbt, atol=1e-10)
 
+    @pytest.mark.parametrize("rtol, cols", [(1e-15, 3), (1e-6, 2), (1.0, 0)])
+    def test_columns_follow_the_rank_cut(self, rtol, cols):
+        # the cut rank_rtol * 3 * max(w) is 3e-6 at rtol = 1e-6: the
+        # eigenvalue 1% above it is kept and the one 1% below it dropped
+        s = np.diag([1.0, 3.03e-6, 2.97e-6])
+        assert psd_factor(s, Tolerances(rank_rtol=rtol)).shape == (3, cols)
+
     def test_not_psd(self):
         with pytest.raises(NotPSD):
             psd_factor(np.diag([1.0, -1.0]))
@@ -470,8 +500,8 @@ def mixed_stack(rng, k, r, c, complex_):
 
 
 class TestStacks:
-    """The stack forms of numerical_rank and is_invertible against a
-    per-matrix loop."""
+    """The stack forms of numerical_rank, is_invertible and norm2 against
+    a per-matrix loop."""
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("shape", [(12, 3, 3), (12, 4, 2), (12, 2, 5), (12, 1, 1),
@@ -481,6 +511,8 @@ class TestStacks:
         ranks = numerical_rank(stack)
         assert ranks.shape == shape[:1]
         assert ranks.tolist() == [numerical_rank(m) for m in stack]
+        want = [np.linalg.norm(m, 2) if m.size else 0.0 for m in stack]
+        np.testing.assert_allclose(norm2(stack), np.reshape(want, shape[:1]), rtol=1e-14)
         for limit in (COND_LIMIT, POLE_COND_LIMIT):
             ok = is_invertible(stack, limit)
             assert ok.shape == shape[:1]

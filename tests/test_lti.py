@@ -16,7 +16,7 @@ from dynrel.errors import (
     PoleHit,
     RankCBDeficient,
 )
-from dynrel.kernels import POLE_COND_LIMIT, is_invertible
+from dynrel.kernels import POLE_COND_LIMIT, is_invertible, norm2
 from dynrel import lti
 from dynrel.lti import (
     StateSpace,
@@ -359,7 +359,7 @@ class TestMinimalRealizationStack:
 
     def test_members_match_single_reductions_exactly(self, rng):
         a, b, c, d = self.stack(rng)
-        got = minimal_realizations(a, b, c, d)
+        got = minimal_realizations(a, b, c, d, norm2(b), norm2(c))
         assert len({f.n for f in got}) > 2
         for i, f in enumerate(got):
             alone = minimal_realization(StateSpace(a[i], b[i], c[i], d[i]))
@@ -369,7 +369,7 @@ class TestMinimalRealizationStack:
 
     def test_degrees_follow_the_hidden_states(self, rng):
         a, b, c, d = self.stack(rng)
-        got = minimal_realizations(a, b, c, d)
+        got = minimal_realizations(a, b, c, d, norm2(b), norm2(c))
         for i, ((u, o, _), f) in enumerate(zip(self.PROFILES, got)):
             assert f.n == 6 - u - o
             assert evaluation_gap(f, StateSpace(a[i], b[i], c[i], d[i])) < 1e-8
@@ -380,6 +380,7 @@ class TestMinimalRealizationStack:
         members = [hidden_state_system(rng, 5, 1, 1) for _ in range(4)]
         a, b, c = (np.stack(x) for x in zip(*members))
         d = np.zeros((4, 2, 2))
+        b_scale, c_scale = norm2(b), norm2(c)
         svds = []
         svd = np.linalg.svd
 
@@ -388,10 +389,10 @@ class TestMinimalRealizationStack:
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        minimal_realizations(a[:1], b[:1], c[:1], d[:1])
+        minimal_realizations(a[:1], b[:1], c[:1], d[:1], b_scale[:1], c_scale[:1])
         alone = len(svds)
         svds.clear()
-        minimal_realizations(a, b, c, d)
+        minimal_realizations(a, b, c, d, b_scale, c_scale)
         assert len(svds) == alone
         assert all(shape[0] == 4 for shape in svds)
 

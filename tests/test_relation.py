@@ -52,6 +52,17 @@ def seeded_model():
     return oracles.random_ct_model(np.random.default_rng(15), n=10, m=3, n_out=6)
 
 
+def dependent_rows_model(rng, n, mix, out_scale):
+    """Validated model with outputs ``out_scale * [C0; mix C0]`` (A, B, C0
+    drawn in that order): every row after the first m is a combination of
+    the first m, so the relation they drive is the constant
+    ``D1 mix D0^-1`` with ``D = diag(out_scale)``."""
+    a = oracles.hurwitz(rng, n)
+    b = rng.normal(size=(n, mix.shape[1]))
+    c0 = rng.normal(size=(mix.shape[1], n))
+    return validate_ct_model(StateSpace(a, b, out_scale[:, None] * np.vstack([c0, mix @ c0])))
+
+
 def assert_same_report(got, want):
     """Every field of two relation reports equal with ``==``."""
     assert got.rows0 == want.rows0 and got.rows1 == want.rows1
@@ -297,6 +308,37 @@ class TestClassify:
         sels = [(0,), (1,), (2,)]
         with pytest.raises(InadmissibleSelection, match=r"rows \(1,\)"):
             classify_selections(model, sels)
+
+
+class TestDependentRows:
+    """Driven rows that are combinations of driving rows make C1 V
+    roundoff; the observability cutoff comes from ||C1||, so the relation
+    is the constant it is, of degree 0."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_row_gives_a_constant(self, seed):
+        # C = [c; 2c]: F is 2 for rows0 = (0,) and 0.5 for rows0 = (1,)
+        model = dependent_rows_model(np.random.default_rng(seed), 4, np.array([[2.0]]),
+                                     np.ones(2))
+        reps = classify_selections(model, enumerate_selections(model))
+        assert [rep.rows0 for rep in reps] == [(0,), (1,)]
+        for rep, gain in zip(reps, (2.0, 0.5)):
+            assert rep.degree == 0 and rep.stable
+            np.testing.assert_allclose(rep.F.D, [[gain]], rtol=1e-12)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), m=st.integers(1, 3),
+           extra=st.integers(1, 3))
+    def test_combination_rows_give_a_constant(self, seed, n, m, extra):
+        m = min(m, n)
+        rng = np.random.default_rng(seed)
+        mix = rng.normal(size=(extra, m))
+        out_scale = np.exp(rng.uniform(-3.0, 3.0, size=m + extra))
+        model = dependent_rows_model(rng, n, mix, out_scale)
+        rep = classify_selection(model, tuple(range(m)))
+        assert rep.degree == 0 and rep.stable
+        want = out_scale[m:, None] * mix / out_scale[:m]
+        np.testing.assert_allclose(rep.F.D, want, rtol=1e-8, atol=1e-8 * np.abs(want).max())
 
 
 class TestStableSelection:
