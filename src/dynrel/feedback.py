@@ -19,7 +19,7 @@ import scipy.linalg
 from dataclasses import dataclass
 
 from .errors import AlgebraicLoopSingular
-from .kernels import DEFAULT_TOL, Tolerances, is_invertible
+from .kernels import DEFAULT_TOL, Tolerances, is_invertible, norm2
 from .lti import StateSpace, freq_response, is_strictly_stable
 from .spectral import default_grid
 
@@ -121,8 +121,8 @@ def verify_interchange_identities(cl: ClosedLoop) -> float:
     h_val = freq_response(fm.H, s)
     t_val = freq_response(cl.T, s)
     p_val, q_val = t_val[:, :fm.p, :fm.p], t_val[:, fm.p:, fm.p:]  # diagonal blocks of T
-    pf_fq = np.linalg.norm(p_val @ f_val - f_val @ q_val, 2, axis=(1, 2))
-    hp_qh = np.linalg.norm(h_val @ p_val - q_val @ h_val, 2, axis=(1, 2))
+    pf_fq = norm2(p_val @ f_val - f_val @ q_val)
+    hp_qh = norm2(h_val @ p_val - q_val @ h_val)
     return float(max(pf_fq.max(), hp_qh.max()))
 
 
@@ -132,7 +132,7 @@ def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL) -> tuple[bool,
     largest 2-norm over the imaginary axis, sampled on the package grid,
     exceeds ``residual_tol``. :func:`feedback_free` applies it to H."""
     s = 1j * default_grid()
-    peak = float(np.linalg.norm(freq_response(F, s), 2, axis=(1, 2)).max())
+    peak = float(norm2(freq_response(F, s)).max())
     return peak > tol.residual_tol, peak
 
 

@@ -59,10 +59,12 @@ class Tolerances:
         The one rank rule (:func:`rank_cut`): a value counts when above
         ``rank_rtol * dim * scale``; scale is sigma_max for a plain rank,
         and in a staircase the caller's ``||B||_2`` or ``||C||_2`` from
-        before any projection (first block) or ``||A||_2`` (grown blocks).
+        before any projection (first block) or, for the grown blocks of
+        both passes, ``||A||_2`` of the system handed to the reduction.
     psd_tol : float
         How negative an eigenvalue may be, relative to the largest
-        eigenvalue magnitude, before a matrix stops counting as PSD.
+        eigenvalue magnitude, before a matrix stops counting as PSD;
+        below 1, or a negative definite matrix would pass.
     stability_margin : float
         Continuous-time eigenvalues must have real part below
         ``-stability_margin`` to count as strictly stable.
@@ -80,6 +82,8 @@ class Tolerances:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
+        if self.psd_tol >= 1:
+            raise ValueError(f"psd_tol must be below 1, got {self.psd_tol!r}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -19,7 +19,7 @@ from .errors import (
     RankCBDeficient,
 )
 from .kernels import (DEFAULT_TOL, POLE_COND_LIMIT, Tolerances, as_matrix, is_invertible,
-                      norm2, numerical_rank, rank_cut, sorted_eigvals)
+                      norm2, numerical_rank, rank_cut, rank_from_values, sorted_eigvals)
 
 __all__ = [
     "StateSpace",
@@ -212,10 +212,8 @@ def _orth(m: np.ndarray, dim: int, scale: np.ndarray, tol: Tolerances) -> list:
     groups = {}
     for i, row in enumerate((s > rank_cut(dim, scale[:, None], tol)).tolist()):
         groups.setdefault(row.count(True), []).append(i)
-    if len(groups) == 1:
-        (r,) = groups
-        return [(np.arange(len(s)), u[..., np.arange(r)])]
-    return [(np.array(idx), u[idx][..., np.arange(r)]) for r, idx in sorted(groups.items())]
+    idxs = {r: np.array(idx) for r, idx in groups.items()}
+    return [(idx, _take(u, idx)[..., np.arange(r)]) for r, idx in sorted(idxs.items())]
 
 
 def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -224,8 +222,8 @@ def _take(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return x if idx.size == x.shape[0] else x[idx]
 
 
-def _controllable_basis(a: np.ndarray, b: np.ndarray, b_scale: np.ndarray,
-                        tol: Tolerances) -> list:
+def _controllable_basis(a: np.ndarray, b: np.ndarray, a_scale: np.ndarray,
+                        b_scale: np.ndarray, tol: Tolerances) -> list:
     """Orthonormal basis of the smallest A-invariant subspace containing
     range(B), by staircase expansion with SVD rank decisions, for every
     member of the stacks ``a`` (k, n, n) and ``b`` (k, n, p) in lockstep.
@@ -236,13 +234,13 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, b_scale: np.ndarray,
     ``[(idx, basis), ...]``, one entry per group of members that went
     through the same rank profile.
 
-    Rank cutoffs are referenced to ``b_scale`` (k,) (first block), which
-    the caller takes from the matrix B was built from, since a projected B
-    can be roundoff, and to each ``||A||_2`` (grown blocks), so the
-    decisions are invariant under a global rescaling of the system.
+    Rank cutoffs are referenced to ``b_scale`` (first block) and ``a_scale``
+    (grown blocks), each (k,) and taken by the caller from before any
+    projection, since a projected B can be roundoff and a projected A has a
+    smaller norm than the roundoff it carries; so a global rescaling changes
+    no decision.
     """
     n = a.shape[-1]
-    a_scale = norm2(a)
     work = [(idx, v, v) for idx, v in _orth(b, max(b.shape[-2:]), b_scale, tol)]
     done = []
     while work:
@@ -271,18 +269,21 @@ def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndar
     reachable subspace, then onto the observable subspace of the result,
     with one batched SVD per staircase step for all members (see
     :func:`_controllable_basis`, which scales the first rank decision on B
-    and on C by ``b_scale`` and ``c_scale`` (k,); members of different
-    rank continue in groups). Each returned state dimension is that
-    member's McMillan degree up to the rank tolerance, and each member's
-    reduction is bit-for-bit the one of that member alone.
+    and on C by ``b_scale`` and ``c_scale`` (k,), and the grown blocks of
+    both passes by each member's ``||a||_2``, taken once here; members of
+    different rank continue in groups). Each returned state dimension is
+    that member's McMillan degree up to the rank tolerance, and each
+    member's reduction is bit-for-bit the one of that member alone.
     """
     out = [None] * a.shape[0]
-    for idx, v in _controllable_basis(a, b, b_scale, tol):
+    a_scale = norm2(a)
+    for idx, v in _controllable_basis(a, b, a_scale, b_scale, tol):
         vh = v.conj().mT
         ar = vh @ _take(a, idx) @ v
         br = vh @ _take(b, idx)
         cr = _take(c, idx) @ v
-        for jdx, w in _controllable_basis(ar.conj().mT, cr.conj().mT, _take(c_scale, idx), tol):
+        for jdx, w in _controllable_basis(ar.conj().mT, cr.conj().mT, _take(a_scale, idx),
+                                          _take(c_scale, idx), tol):
             wh = w.conj().mT
             a2 = wh @ _take(ar, jdx) @ w
             b2 = wh @ _take(br, jdx)
@@ -296,9 +297,9 @@ def minimal_realization(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> StateS
     """Minimal realization with the same transfer function:
     :func:`minimal_realizations` of a stack of one.
 
-    Staircase reduction with cutoffs scaled by ``||B||_2`` and ``||C||_2``;
-    the returned state dimension is the McMillan degree up to the rank
-    tolerance.
+    Staircase reduction with the first blocks cut at ``||B||_2`` and
+    ``||C||_2`` and the grown blocks of both passes at ``||A||_2``; the
+    returned state dimension is the McMillan degree up to the rank tolerance.
     """
     a, b, c, d = (x[None] for x in (ss.A, ss.B, ss.C, ss.D))
     return minimal_realizations(a, b, c, d, norm2(b), norm2(c), tol)[0]
@@ -334,7 +335,8 @@ def validate_ct_model(
     Verifies, in order: zero feedthrough, Hurwitz A, full column rank of
     B, reachability of (A, B), observability of (C, A), and
     rank(CB) equal to the number of shock channels. Each failure raises
-    the error naming the violated assumption.
+    the error naming the violated assumption. One SVD of B gives its rank
+    and the staircase scale ``||B||_2``; both staircases share one ``||A||_2``.
     """
     if np.any(ss.D):
         raise ValueError("continuous-time model must have zero feedthrough")
@@ -345,12 +347,14 @@ def validate_ct_model(
     if not poles_stable(eigs, tol):
         raise NotStable(f"eigenvalue with real part {eigs.real.max():.6g} is not strictly stable")
     m = ss.B.shape[1]
-    if numerical_rank(ss.B, tol) != m:
+    s_b = np.linalg.svd(ss.B, compute_uv=False)
+    if rank_from_values(s_b, max(n, m), tol) != m:
         raise BColumnDeficient("B does not have full column rank")
     a, b, c = ss.A[None], ss.B[None], ss.C[None]
-    if _controllable_basis(a, b, norm2(b), tol)[0][1].shape[-1] != n:
+    a_scale, b_scale = norm2(a), s_b.max(keepdims=True, initial=0.0)
+    if _controllable_basis(a, b, a_scale, b_scale, tol)[0][1].shape[-1] != n:
         raise NotReachable("(A, B) is not reachable")
-    if _controllable_basis(a.conj().mT, c.conj().mT, norm2(c), tol)[0][1].shape[-1] != n:
+    if _controllable_basis(a.conj().mT, c.conj().mT, a_scale, norm2(c), tol)[0][1].shape[-1] != n:
         raise NotObservable("(C, A) is not observable")
     rank_cb = numerical_rank(ss.C @ ss.B, tol)
     if rank_cb != m:

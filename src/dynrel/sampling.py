@@ -38,6 +38,7 @@ from .kernels import (
     as_matrix,
     matrix_exp,
     matrix_log_principal,
+    norm2,
     psd_factor,
     rank_from_values,
     schur_form,
@@ -141,7 +142,7 @@ def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]
     ``sm`` really is a sampling of ``model``."""
     bbt = model.B @ model.B.T
     return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt),
-                      np.linalg.norm(model.B, 2) ** 2, np.linalg.norm(sm.Qd, 2))
+                      norm2(model.B) ** 2, norm2(sm.Qd))
 
 
 def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray,
@@ -149,8 +150,8 @@ def _residuals(a: np.ndarray, bbt: np.ndarray, sm: SampledModel, p: np.ndarray,
     """Relative residuals of ``p`` in the equations of
     :func:`dual_lyapunov_check`; the caller passes ``||B B'||_2`` and
     ``||Q_d||_2`` from values it already holds."""
-    r_cont = np.linalg.norm(a @ p + p @ a.T + bbt, 2) / bbt_norm
-    r_disc = np.linalg.norm(p - sm.Ad @ p @ sm.Ad.T - sm.Qd, 2) / qd_norm
+    r_cont = norm2(a @ p + p @ a.T + bbt) / bbt_norm
+    r_disc = norm2(p - sm.Ad @ p @ sm.Ad.T - sm.Qd) / qd_norm
     return float(r_cont), float(r_disc)
 
 

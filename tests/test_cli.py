@@ -436,6 +436,16 @@ class TestSamplingCommands:
         assert code == 0
         np.testing.assert_allclose(data["A"], 2 * np.asarray(systems.A2), atol=1e-6)
 
+    def test_desample_tol_psd_at_one_exits_2(self, capsys, model2_file, tmp_path):
+        run(["sample", model2_file, "--h", "0.1"])
+        sampled_path = tmp_path / "s.json"
+        sampled_path.write_text(capsys.readouterr().out)
+        for value in ("1", "2"):
+            code, data = run_json(capsys, ["desample", str(sampled_path), "--tol-psd", value])
+            assert code == 2
+            assert data["error"]["kind"] == "InputError"
+            assert "psd_tol must be below 1" in data["error"]["message"]
+
     def test_desample_log_failure_exits_3(self, capsys, tmp_path):
         bad = write_model(tmp_path / "bad.json", Ad=[[-0.5, 0.0], [0.0, 0.5]],
                           Qd=[[1.0, 0.0], [0.0, 1.0]], Cd=[[1.0, 0.0], [0.0, 1.0]],

@@ -40,10 +40,16 @@ class TestTolerances:
         assert tol.stability_margin == 1e-9
         assert tol.residual_tol == 1e-8
 
-    @pytest.mark.parametrize("field", ["rank_rtol", "psd_tol", "stability_margin", "residual_tol"])
-    def test_nonpositive_rejected(self, field):
-        with pytest.raises(ValueError):
-            Tolerances(**{field: 0.0})
+    # psd_tol >= 1 is out of range too: the PSD gate would pass every matrix
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param(f, 0.0, id=f)
+          for f in ("rank_rtol", "psd_tol", "stability_margin", "residual_tol")),
+        pytest.param("psd_tol", 1.0, id="psd_tol-1.0"),
+        pytest.param("psd_tol", 2.0, id="psd_tol-2.0"),
+    ])
+    def test_nonpositive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
 
 
 def with_conjugate_pairs(seed: int, n: int, centre: float, spread: float) -> np.ndarray:

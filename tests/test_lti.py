@@ -287,6 +287,15 @@ class TestFreqResponse:
         assert np.all(err <= 1e-12 * size)
 
 
+def reach_reducing_system(rng):
+    """Three states behind a random rotation, the last one unreachable:
+    the reachable part V'AV has ||V'AV||_2 = 2.29 against ||A||_2 = 10,
+    and its observable pass has a grown block."""
+    a = np.array([[-1.0, 1.0, 0.0], [0.0, -2.0, 0.0], [0.0, 0.0, -10.0]])
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return q @ a @ q.T, q @ [[0.0], [1.0], [0.0]], np.array([[1.0, 0.0, 1.0]]) @ q.T
+
+
 class TestMinimalRealization:
     def test_golden_reduction(self, m3):
         raw = oracles.gamma_realization(m3, enumerate_selections(m3)[0])
@@ -326,6 +335,22 @@ class TestMinimalRealization:
                                           int(rng.integers(1, 4)),
                                           n=int(rng.integers(1, 9)))
             assert evaluation_gap(minimal_realization(ss), ss) < 1e-8
+
+    def test_grown_blocks_cut_at_the_unreduced_a(self, rng, monkeypatch):
+        a, b, c = reach_reducing_system(rng)
+        orth = lti._orth
+        calls = []
+
+        def recording(m, dim, scale, tol):
+            calls.append((m.shape[-2], scale.copy()))
+            return orth(m, dim, scale, tol)
+
+        monkeypatch.setattr(lti, "_orth", recording)
+        f = minimal_realization(StateSpace(a, b, c))
+        assert f.n == 2
+        assert norm2(f.A[None])[0] < 0.3 * norm2(a[None])[0]  # ||V'AV||_2 < ||A||_2
+        grown = [scale for rows, scale in calls if rows == 2][1:]  # observable pass
+        assert grown and all(np.array_equal(s, norm2(a[None])) for s in grown)
 
 
 def hidden_state_system(rng, n, hidden_in, hidden_out, rank_b=2):
@@ -395,6 +420,15 @@ class TestMinimalRealizationStack:
         minimal_realizations(a, b, c, d, b_scale, c_scale)
         assert len(svds) == alone
         assert all(shape[0] == 4 for shape in svds)
+
+    def test_one_norm_of_a_per_stack(self, rng, monkeypatch):
+        # members of different rank profiles split into groups, but both
+        # passes of every group cut their grown blocks at the stack's one ||a||_2
+        a, b, c, d = self.stack(rng)
+        b_scale, c_scale = norm2(b), norm2(c)
+        norms = count_calls(monkeypatch, norm2)
+        minimal_realizations(a, b, c, d, b_scale, c_scale)
+        assert len(norms) == 1 and norms[0][0] is a
 
 
 class TestPolesAndDegree:
@@ -514,6 +548,26 @@ class TestValidateCtModel:
         with pytest.raises(ValueError):
             validate_ct_model(StateSpace(systems.A3, systems.B3, systems.C3),
                               labels=["a"])
+
+    def test_one_svd_of_b_and_one_norm_of_a(self, m3, monkeypatch):
+        # the column-rank test of B and the staircase scale ||B||_2 share
+        # one SVD; both staircases share one ||A||_2
+        svds = []
+        svd = np.linalg.svd
+
+        def counting(m, *args, **kwargs):
+            svds.append((np.array(m), kwargs.get("compute_uv", True)))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        validate_ct_model(m3.ss)
+
+        def of(*xs):
+            return [uv for m, uv in svds if any(np.array_equal(m, x) for x in xs)]
+
+        b, a = m3.B, m3.A
+        assert of(b, b[None]) == [False, True]  # B's values, then the first block's basis
+        assert of(a, a[None], a.T, a.T[None]) == [False]
 
     def test_spectral_factor_rank_on_axis(self, rng):
         for _ in range(10):
