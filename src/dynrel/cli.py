@@ -3,9 +3,15 @@
 Each subcommand reads JSON model files, runs the corresponding analysis,
 and writes a single machine-readable JSON report to standard output.
 Exit codes: 0 success / positive verdict, 1 computed negative verdict,
-2 input or validation error, 3 mathematical condition failure. Floats
-are emitted with 17 significant digits so reports are byte-identical
-across runs.
+2 input or validation error, 3 mathematical condition failure.
+
+Every float is written as ``'%.17g' % x``: 17 significant digits,
+correctly rounded, so identical inputs give byte-identical reports. A
+numpy pass (``_decimal17`` and ``_format17``) gives those bytes for
+|x| in [1e-280, 1e280] whenever its double-double product decides the
+rounding with margin; the other values, and every pass of fewer than
+``_BATCH_MIN`` floats, are written by ``'%.17g' %`` itself. A
+non-finite value makes an error report (exit code 2).
 """
 
 import argparse
@@ -41,117 +47,352 @@ __all__ = ["run", "main", "dumps_report"]
 
 # --------------------------------------------------------------------------
 # deterministic JSON emission
+#
+# A report is written in the layout of its nested lists, every float as
+# ``'%.17g' % x``: 17 significant digits, correctly rounded. The walk in
+# ``_emit`` goes through the report once, in emission order; ``_Text``
+# keeps the literal text between floats and formats the floats in numpy
+# passes of ``_CHUNK`` values (``_format17``), each joined with its text
+# as soon as it is full, so that no temporary grows with the report.
 
-def _float_token(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number in report: {x!r}")
-    return f"{x:.17g}"
+_CHUNK = 8192
+# A pass of fewer floats, which is every pass of a small report, takes
+# one ``%`` per float: the two took the same time at about 300 floats.
+_BATCH_MIN = 300
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+_Q_LO, _Q_HI = -270, 299  # holds q = 16 - k for every value in [1e-280, 1e280]
+_TIE_BOUND = 2.0 ** -36
 
 
-def _scalar_token(v):
+def _pow10_table() -> tuple:
+    """Arrays P, p, P1, P2 for q in [_Q_LO, _Q_HI]: P = fl(10**q),
+    p = fl(10**q - P), and P1 + P2 = P is Dekker's split of P. Built from
+    Python ints, whose true division is correctly rounded."""
+    rows = []
+    for q in range(_Q_LO, _Q_HI + 1):
+        num, den = (10 ** q, 1) if q >= 0 else (1, 10 ** -q)
+        big = num / den
+        n, d = big.as_integer_ratio()
+        rows.append((big, (num * d - n * den) / (den * d)))
+    big, small = np.array(rows).T
+    c = _SPLIT * big
+    big1 = c - (c - big)
+    return big, small, big1, big - big1
+
+
+_K0 = 290  # k + _K0 indexes the tables by decimal exponent, |k| <= 282
+
+
+def _exponent_tables() -> tuple:
+    """By k + _K0: the digit the point follows (17, none, when
+    -4 <= k < 0, where the point comes with the prefix) and the exponent
+    text; by sign and k: the prefix ("-", "0." and zeros) as a word and
+    its length in bits."""
+    point, exp, prefix, shift = [], [], [], []
+    for k in range(-_K0, _K0 + 1):
+        fixed = -4 <= k <= 16
+        point.append((k if k >= 0 else 17) if fixed else 0)
+        exp.append(b"" if fixed else b"e%+03d" % k)
+    for sign in (b"", b"-"):
+        for k in range(-_K0, _K0 + 1):
+            text = sign + (b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"")
+            prefix.append(int.from_bytes(text, "little"))
+            shift.append(8 * len(text))
+    return (np.array(point), np.array(exp),
+            np.array(prefix, dtype=np.uint64), np.array(shift, dtype=np.uint64))
+
+
+_POINT, _EXP_TEXT, _PREFIX, _PREFIX_BITS = _exponent_tables()
+
+
+def _layout_table() -> np.ndarray:
+    """Three groups of three word rows, indexed by 17 point + last for
+    the digit ``point`` the point follows (17 for none: the point then
+    comes with the prefix) and the last nonzero digit: which bytes of the
+    digits stay, which come one byte on to make room for the point, and
+    the point. A fraction that is all zeros loses its point."""
+    point, last = np.divmod(np.arange(18 * 17), 17)
+    cut = np.where(point == 17, last, np.where(last > point, last + 1, point))[:, None]
+    point = point[:, None]
+    j = np.arange(24)  # the byte
+    groups = ((j <= np.minimum(point, cut), 0xFF), ((point + 1 < j) & (j <= cut), 0xFF),
+              ((j == point + 1) & (j <= cut), ord(".")))
+    return np.concatenate([np.where(bytes_, fill, 0).astype(np.uint8).view(np.uint64).T
+                           for bytes_, fill in groups])
+
+
+_LAYOUT = _layout_table()
+# four ASCII digits of 0-9999, first digit in the lowest byte, and the
+# count of their trailing zeros
+_DIGITS4 = sum((np.arange(10000, dtype=np.uint64) // 10 ** (3 - i) % 10 + 48) << 8 * i
+               for i in range(4))
+_ZEROS4 = sum(np.arange(10000) % 10 ** j == 0 for j in range(1, 5))
+_P, _P_LOW, _P1, _P2 = _pow10_table()
+
+
+def _format_each(values) -> list:
+    """The reference and fallback: one correctly rounded ``%`` per float."""
+    return [b"%.17g" % v for v in values]
+
+
+def _decimal17(x: np.ndarray) -> tuple:
+    """For the finite float64 array ``x``: the 17 significant digits of
+    each |v| correctly rounded, as an integer D in [1e16, 1e17) (0 for
+    zero), its decimal exponent k, and whether D was decided here.
+
+    For |v| in [1e-280, 1e280] with q = 16 - k, D = round(v 10**q) comes
+    from v (P + p) as hi + lo: hi + e = v P exactly (Dekker's product, no
+    FMA needed) and lo = fl(e + fl(v p)). With T = v 10**q < 2**57,
+    |e| <= ulp(hi)/2 <= 2**3 and |v p| < 2**-53 |v P| < 2**4, so the two
+    roundings in lo err by at most 2**-49 + 2**-48, and dropping
+    10**q - P - p (at most 2**-106 10**q) errs by at most 2**-49:
+    |hi + lo - T| < 2**-47. hi is an integer once hi + lo >= 1e16 > 2**53,
+    so floor and fraction of hi + lo are exact, and a fraction at least
+    _TIE_BOUND from 1/2 rounds as T does. Values out of that range,
+    fractions within the bound, and a floor of hi + lo out of
+    [1e16, 1e17 - 1) (at a power of ten, where k may be off by one or the
+    rounding carry into the next decade) are not decided."""
+    ax = np.abs(x)
+    ok = (ax >= 1e-280) & (ax <= 1e280)
+    xs = np.where(ok, ax, 1.0)
+    k = np.log10(xs).astype(np.int64)  # within one of the exponent
+    est = xs * _P[(16 - _Q_LO) - k]
+    k += est >= 1e17
+    k -= est < 1e16
+    q = (16 - _Q_LO) - k
+    t = _SPLIT * xs
+    x1 = t - (t - xs)
+    x2 = xs - x1
+    p1, p2 = _P1[q], _P2[q]
+    hi = xs * _P[q]
+    lo = (((x1 * p1 - hi) + x1 * p2 + x2 * p1) + x2 * p2) + xs * _P_LOW[q]
+    del est, t, x1, x2, p1, p2  # a smaller workspace for the rest
+    whole = np.floor(lo)
+    frac = lo - whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64)
+    # floor(hi + lo) in [1e16, 1e17 - 1), so that D stays below 1e17
+    decided = (ok & (np.abs(frac - 0.5) >= _TIE_BOUND)
+               & ((digits - 10 ** 16).view(np.uint64) < 9 * 10 ** 16 - 1))
+    digits += frac > 0.5
+    zero = ax == 0
+    digits[zero] = 0
+    k[zero] = 0
+    return digits, k, decided | zero
+
+
+def _digit_words(digits: np.ndarray) -> tuple:
+    """The 17 digits of each D as ASCII in three little-endian words, the
+    first digit in the lowest byte (one row per word), and the index of
+    the last nonzero digit (0 for D = 0)."""
+    def split(v, unit):  # np.divmod, by a division numpy makes fast
+        high = v // unit
+        return high, v - high * unit
+
+    upper, lower = split(digits, 10 ** 8)
+    lead, upper = split(upper, 10 ** 8)
+    g1, g2 = split(upper, 10 ** 4)
+    g3, g4 = split(lower, 10 ** 4)
+    a, b, c, d = _DIGITS4[g1], _DIGITS4[g2], _DIGITS4[g3], _DIGITS4[g4]
+    words = np.empty((3, digits.size), np.uint64)
+    words[0] = (lead + 48).astype(np.uint64) | a << 8 | b << 40
+    words[1] = b >> 24 | c << 8 | d << 40
+    words[2] = d >> 24
+    last = 16 - (_ZEROS4[g4] + (g4 == 0) * (_ZEROS4[g3] + (g3 == 0) * (
+        _ZEROS4[g2] + (g2 == 0) * _ZEROS4[g1])))
+    return words, last
+
+
+def _format17(x: np.ndarray) -> list:
+    """``b'%.17g' % v`` of every v of the finite float64 array ``x``, at
+    most ``_CHUNK`` values: the digits of :func:`_decimal17` laid out as
+    ``%g`` does, and ``_format_each`` for the values it did not decide."""
+    digits, k, decided = _decimal17(x)
+    head = _tokens(*_digit_words(digits), k, np.signbit(x)).view("S24").ravel()
+    tokens = np.strings.add(head, _EXP_TEXT[k + _K0]).tolist()
+    slow = np.flatnonzero(~decided)
+    for i, token in zip(slow.tolist(), _format_each(x[slow].tolist())):
+        tokens[i] = token
+    return tokens
+
+
+def _tokens(plain: np.ndarray, last: np.ndarray, k: np.ndarray,
+            negative: np.ndarray) -> np.ndarray:
+    """The ``%g`` tokens, less the exponent, of the digit words ``plain``
+    with their last nonzero digit, decimal exponent and sign: the prefix
+    and the digits with their point, left-aligned in a row of three
+    little-endian words each and padded with NUL."""
+    e = k + _K0
+    keep, move, dot = np.take(_LAYOUT, _POINT[e] * 17 + last, axis=1).reshape(3, 3, -1)
+    words = plain << 8  # the digits one byte on, behind the point
+    words[1:] |= plain[:-1] >> 56
+    words &= move
+    words |= plain & keep
+    words |= dot
+    e += negative * (2 * _K0 + 1)
+    shift = _PREFIX_BITS[e]
+    out = np.empty((k.size, 3), np.uint64)
+    np.left_shift(words, shift, out=out.T)
+    out.T[1:] |= words[:-1] >> 1 >> 63 - shift
+    out[:, 0] |= _PREFIX[e]
+    return out
+
+
+class _Text:
+    """A report being written: the literal text since the last float,
+    the floats not yet formatted with the bytes before each, and the
+    text done so far."""
+
+    __slots__ = ("parts", "lits", "values", "pending", "done")
+
+    def __init__(self):
+        self.parts = []  # str pieces of the text since the last float
+        self.lits = []  # bytes before each pending float
+        self.values = []  # the pending floats: float64 arrays and tuples
+        self.pending = 0
+        self.done = []
+
+    def floats(self, values, seps):
+        """Append the floats ``values`` with the bytes ``seps`` between them."""
+        self.lits.append("".join(self.parts).encode())
+        self.parts.clear()
+        self.lits += seps
+        self.values.append(values)
+        self.pending += len(values)
+        if self.pending >= _CHUNK:
+            self.flush(final=False)
+
+    def flush(self, final=True):
+        """Format the pending floats in passes of ``_CHUNK`` and join them
+        with their text; unless ``final``, a last partial pass stays
+        pending. The first non-finite float raises."""
+        if not self.pending:
+            return
+        if self.pending < _BATCH_MIN:  # the end of a small report: no numpy
+            values = [v for seg in self.values
+                      for v in (seg.tolist() if isinstance(seg, np.ndarray) else seg)]
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"non-finite number in report: {bad[0]!r}")
+            self._join(self.lits, _format_each(values))
+            self.values, self.lits, self.pending = [], [], 0
+            return
+        x = np.concatenate(self.values)
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise ValueError(f"non-finite number in report: {float(x[~finite][0])!r}")
+        end = x.size if final else x.size - x.size % _CHUNK
+        for start in range(0, end, _CHUNK):
+            part = x[start:start + _CHUNK]
+            tokens = _format17(part) if part.size >= _BATCH_MIN else _format_each(part.tolist())
+            self._join(self.lits[start:start + _CHUNK], tokens)
+        self.values = [x[end:]]
+        self.lits = self.lits[end:]
+        self.pending = x.size - end
+
+    def _join(self, lits, tokens):
+        joined = [None] * (2 * len(tokens))
+        joined[::2] = lits
+        joined[1::2] = tokens
+        self.done.append(b"".join(joined).decode())
+
+    def finish(self) -> str:
+        self.flush()
+        self.done.append("".join(self.parts))
+        return "".join(self.done)
+
+
+_COMMA = b", "
+_IM, _RE = b', "im": ', b'}, {"re": '
+_SCALARS = (str, int, float, complex, np.bool_, np.number)
+
+
+def _emit_scalar(v, out: _Text) -> bool:
+    """Write ``v`` if it is a scalar; report whether it was."""
     if v is None:
-        return "null"
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _float_token(float(v))
-    if isinstance(v, (complex, np.complexfloating)):
+        out.parts.append("null")
+    elif isinstance(v, (bool, np.bool_)):
+        out.parts.append("true" if v else "false")
+    elif isinstance(v, str):
+        out.parts.append(json.dumps(v))
+    elif isinstance(v, (int, np.integer)):
+        out.parts.append(str(int(v)))
+    elif isinstance(v, (float, np.floating)):
+        out.floats((float(v),), ())
+    elif isinstance(v, (complex, np.complexfloating)):
         z = complex(v)
-        return f'{{"re": {_float_token(z.real)}, "im": {_float_token(z.imag)}}}'
-    return None
+        out.parts.append('{"re": ')
+        out.floats((z.real, z.imag), (_IM,))
+        out.parts.append("}")
+    else:
+        return False
+    return True
 
 
-def _emit(v, lines: list, pad: str, indent: str = "  "):
-    token = _scalar_token(v)
-    if token is not None:
-        lines.append(token)
+def _emit(v, out: _Text, pad: str, indent: str = "  "):
+    if _emit_scalar(v, out):
         return
     if isinstance(v, np.ndarray):
-        if v.ndim == 2 and v.dtype.kind == "f":
-            _emit_matrix(v, lines, pad, indent)
-            return
-        if v.ndim == 1 and v.dtype.kind == "c":
-            _emit_complex(v, lines)
-            return
-        v = v.tolist()
+        if v.ndim == 2 and v.dtype.kind == "f" and v.size:
+            rows, cols = v.shape
+            out.parts.append(f"[\n{pad}{indent}[")
+            row_break = f"],\n{pad}{indent}[".encode()
+            out.floats(np.asarray(v, dtype=np.float64).ravel(),
+                       (([row_break] + [_COMMA] * (cols - 1)) * rows)[1:])
+            out.parts.append(f"]\n{pad}]")
+        elif v.ndim == 1 and v.dtype.kind == "f" and v.size:
+            out.parts.append("[")
+            out.floats(np.asarray(v, dtype=np.float64), [_COMMA] * (v.size - 1))
+            out.parts.append("]")
+        elif v.ndim == 1 and v.dtype.kind == "c" and v.size:
+            out.parts.append('[{"re": ')
+            out.floats(np.ascontiguousarray(v, dtype=np.complex128).view(np.float64),
+                       ([_IM, _RE] * v.size)[:-1])
+            out.parts.append("}]")
+        else:
+            _emit(v.tolist(), out, pad, indent)
+        return
     if isinstance(v, dict):
         if not v:
-            lines.append("{}")
+            out.parts.append("{}")
             return
-        lines.append("{\n")
+        out.parts.append("{\n")
         for i, (key, val) in enumerate(v.items()):
-            lines.append(f"{pad}{indent}{json.dumps(str(key))}: ")
-            _emit(val, lines, pad + indent, indent)
-            lines.append(",\n" if i < len(v) - 1 else "\n")
-        lines.append(pad + "}")
+            out.parts.append(f"{pad}{indent}{json.dumps(str(key))}: ")
+            _emit(val, out, pad + indent, indent)
+            out.parts.append(",\n" if i < len(v) - 1 else "\n")
+        out.parts.append(pad + "}")
         return
     if isinstance(v, (list, tuple)):
-        items = list(v)
-        if not items:
-            lines.append("[]")
+        if not v:
+            out.parts.append("[]")
             return
-        tokens = [_scalar_token(x) for x in items]
-        if all(t is not None for t in tokens):
-            lines.append("[" + ", ".join(tokens) + "]")
+        if all(x is None or isinstance(x, _SCALARS) for x in v):
+            out.parts.append("[")
+            for i, item in enumerate(v):
+                if i:
+                    out.parts.append(", ")
+                _emit_scalar(item, out)
+            out.parts.append("]")
             return
-        lines.append("[\n")
-        for i, item in enumerate(items):
-            lines.append(pad + indent)
-            _emit(item, lines, pad + indent, indent)
-            lines.append(",\n" if i < len(items) - 1 else "\n")
-        lines.append(pad + "]")
+        out.parts.append("[\n")
+        for i, item in enumerate(v):
+            out.parts.append(pad + indent)
+            _emit(item, out, pad + indent, indent)
+            out.parts.append(",\n" if i < len(v) - 1 else "\n")
+        out.parts.append(pad + "]")
         return
+    out.flush()  # a non-finite float before it is named first
     raise TypeError(f"cannot serialize {type(v).__name__} in report")
-
-
-_FLOAT_FIELD = "%.17g"
-_COMPLEX_FIELD = '{"re": %.17g, "im": %.17g}'
-
-
-def _check_finite(a: np.ndarray):
-    """Raise the list path's error for the first non-finite entry of
-    ``a`` in row-major order."""
-    finite = np.isfinite(a)
-    if not finite.all():
-        _float_token(float(a[~finite][0]))
-
-
-@functools.lru_cache(maxsize=256)
-def _matrix_template(rows: int, cols: int, pad: str, indent: str) -> str:
-    """``%`` template of a rows x cols matrix in the layout the list path
-    gives its nested list."""
-    row = pad + indent + "[" + ", ".join([_FLOAT_FIELD] * cols) + "]"
-    return "[\n" + ",\n".join([row] * rows) + "\n" + pad + "]"
-
-
-def _emit_matrix(a: np.ndarray, lines: list, pad: str, indent: str):
-    """A real matrix, formatted with one ``%`` on a cached template;
-    the same bytes as the list path."""
-    _check_finite(a)
-    if a.shape[0] == 0:
-        lines.append("[]")
-        return
-    lines.append(_matrix_template(*a.shape, pad, indent) % tuple(a.ravel().tolist()))
-
-
-def _emit_complex(z: np.ndarray, lines: list):
-    """A 1-d complex array, formatted with one ``%``; the same bytes as
-    the list of its Python complex values."""
-    parts = np.stack([z.real, z.imag], axis=-1)  # re, im interleaved
-    _check_finite(parts)
-    lines.append("[" + ", ".join([_COMPLEX_FIELD] * z.size) % tuple(parts.ravel().tolist()) + "]")
 
 
 def dumps_report(obj: dict) -> str:
     """Serialize a report with stable field order and 17-significant-digit
     floats; identical inputs give byte-identical output."""
-    lines: list = []
-    _emit(obj, lines, "")
-    return "".join(lines) + "\n"
+    out = _Text()
+    _emit(obj, out, "")
+    out.parts.append("\n")
+    return out.finish()
 
 
 # --------------------------------------------------------------------------
@@ -463,11 +704,12 @@ def run(argv) -> int:
     try:
         tol = _tolerances(args)
         body, code = _HANDLERS[args.command](args, tol)
+        text = dumps_report(header | body)  # a non-finite value raises here
     except (InputError, ValueError, ConditionError) as err:
         sys.stdout.write(dumps_report(header | _error_report(err)))
         sys.stderr.write(f"error: {err}\n")
         return 3 if isinstance(err, ConditionError) else 2
-    sys.stdout.write(dumps_report(header | body))
+    sys.stdout.write(text)
     return code
 
 

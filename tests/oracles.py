@@ -11,8 +11,11 @@ Transfer-function equality in the tests is evaluation-based: two systems
 are equal when their values agree on a probe set (:func:`probe_points`,
 :func:`evaluation_gap`). The relation's defining identity
 ``F = Phi_yu Phi_u^{-1}`` is evaluated from the spectral density
-(:func:`f_from_spectrum`).
+(:func:`f_from_spectrum`). Reports are checked against a serializer
+with one ``'%.17g' %`` per float (:func:`reference_dumps`).
 """
+
+import json
 
 import numpy as np
 import scipy.linalg
@@ -290,3 +293,89 @@ def has_full_eigenbasis(m, tol: Tolerances = DEFAULT_TOL) -> bool:
     a = np.atleast_2d(np.asarray(m, dtype=float))
     _, vecs = np.linalg.eig(a)
     return numerical_rank(vecs, tol) == a.shape[0]
+
+
+def float17_families() -> dict:
+    """Edge families for the 17-digit float formatting of reports, each a
+    float64 array: zeros, subnormals and the extremes; every power of ten
+    with both neighbours; the switches between fixed and scientific
+    notation; doubles below a power of ten whose 17-digit rounding carries
+    into the next decade; 2**53 and 2**54 with small offsets; and exact
+    ties at the 17th digit (j 10**k + 2**(k - 17) for k < 15, whose
+    scaled fraction is exactly 1/2)."""
+    tiny = np.finfo(float).smallest_subnormal
+    specials = np.array([0.0, tiny, 2 * tiny, 3 * tiny, 1e-320, 4.9406564584124654e-322,
+                         np.finfo(float).smallest_normal * (1 - 2.0 ** -52),
+                         np.finfo(float).smallest_normal, np.finfo(float).max, 1e-300, 1e300])
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    powers = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+    steps = np.arange(-40, 41)
+    switches = np.concatenate([_ulp_steps(b, steps) for b in (1e-5, 1e-4, 1e16, 1e17)])
+    carries = np.array([v for k, v in zip(range(-323, 309), tens.tolist())
+                        if _below_power_of_ten(v, k) and _digits(v) == "1"])
+    integers = np.concatenate([2.0 ** 53 + np.arange(-64, 65), 2.0 ** 54 + np.arange(-64, 65, 2)])
+    ties = np.array([j * 10.0 ** k + 2.0 ** (k - 17) for k in range(15) for j in range(1, 10)])
+    families = {"specials": specials, "powers_of_ten": powers, "notation_switches": switches,
+                "decade_carries": carries, "integers_near_2_53": integers, "ties": ties}
+    return {name: np.concatenate([v, -v]) for name, v in families.items()}
+
+
+def _ulp_steps(x: float, steps) -> np.ndarray:
+    """The doubles ``steps`` units in the last place from ``x``."""
+    bits = np.float64(x).view(np.int64) + np.asarray(steps, dtype=np.int64)
+    return bits.view(np.float64)
+
+
+def _digits(x: float) -> str:
+    """The significant digits of ``'%.17g' % x``."""
+    return ("%.17g" % x).partition("e")[0].replace(".", "").strip("0")
+
+
+def _below_power_of_ten(x: float, k: int) -> bool:
+    """Whether x < 10**k exactly."""
+    n, d = x.as_integer_ratio()
+    return n * 10 ** max(-k, 0) < d * 10 ** max(k, 0)
+
+
+def reference_dumps(obj) -> str:
+    """A report in the layout of its nested lists with one
+    ``'%.17g' %`` per float: the reference for the batched serializer.
+    Non-finite floats raise ValueError in walk order."""
+    def scalar(v):
+        if v is None:
+            return "null"
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, str):
+            return json.dumps(v)
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, (float, np.floating)):
+            if not np.isfinite(v):
+                raise ValueError(f"non-finite number in report: {float(v)!r}")
+            return "%.17g" % v
+        if isinstance(v, (complex, np.complexfloating)):
+            z = complex(v)
+            return f'{{"re": {scalar(z.real)}, "im": {scalar(z.imag)}}}'
+        return None
+
+    def emit(v, pad):
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        text = scalar(v)
+        if text is not None:
+            return text
+        inner = pad + "  "
+        if isinstance(v, dict):
+            if not v:
+                return "{}"
+            items = [f"{inner}{json.dumps(str(k))}: {emit(x, inner)}" for k, x in v.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if not v:
+            return "[]"
+        tokens = [scalar(x) for x in v]
+        if all(t is not None for t in tokens):
+            return "[" + ", ".join(tokens) + "]"
+        return "[\n" + ",\n".join(inner + emit(x, inner) for x in v) + "\n" + pad + "]"
+
+    return emit(obj, "") + "\n"

@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
@@ -113,6 +115,128 @@ class TestSerializer:
             dumps_report({"M": arr})
         assert str(from_array.value) == str(from_list.value)
         assert str(from_array.value).startswith("non-finite number in report: ")
+
+    # the batched pass must give '%.17g' % x exactly, on every value
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.one_of(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64),
+                     st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=1, max_size=64)))
+    def test_batched_pass_is_percent_17g(self, values):
+        x = np.array(values, dtype=np.uint64 if isinstance(values[0], int) else float)
+        x = x.view(np.float64)
+        x = x[np.isfinite(x)]
+        assert cli._format17(x) == [b"%.17g" % v for v in x.tolist()]
+
+    @pytest.mark.parametrize("family", sorted(oracles.float17_families()))
+    def test_batched_pass_on_edge_families(self, family):
+        x = oracles.float17_families()[family]
+        assert x.size
+        assert cli._format17(x) == [b"%.17g" % v for v in x.tolist()]
+
+    def test_ties_are_exact_ties(self):
+        # j 10**k + 2**(k - 17): its 17-digit scaling leaves a fraction of
+        # exactly 1/2, which the batched pass must hand to '%'
+        ties = oracles.float17_families()["ties"]
+        for x in ties[ties > 0].tolist():
+            k = len(str(int(x))) - 1
+            n, d = x.as_integer_ratio()
+            assert 2 * (n * 10 ** (16 - k) % d) == d
+
+    def test_batched_pass_rarely_falls_back(self, monkeypatch):
+        # below 1e8 a double has enough fraction bits that an exact tie at
+        # the 17th digit is rare; above, ties such as 1.7564114701292188e11
+        # (scaled fraction exactly 1/2) are common and rightly go to '%'
+        x = np.random.default_rng(3).normal(size=4096) * 10.0 ** np.arange(-8, 8).repeat(256)
+        slow = []
+        monkeypatch.setattr(cli, "_format_each",
+                            lambda values: slow.extend(values) or [b"%.17g" % v for v in values])
+        assert cli._format17(x) == [b"%.17g" % v for v in x.tolist()]
+        assert len(slow) <= 2
+
+    @pytest.mark.parametrize("size", [1, cli._BATCH_MIN - 1, cli._BATCH_MIN, 3 * cli._CHUNK + 5])
+    def test_report_bytes_match_reference(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size)
+        values[::7] = 0.0
+        report = {"v": values, "z": values[: size // 2 * 2].view(np.complex128),
+                  "M": values[: size // 4 * 4].reshape(-1, 4), "empty": np.zeros((3, 0))}
+        assert dumps_report(report) == oracles.reference_dumps(report)
+
+    def test_report_larger_than_a_chunk_matches_list_path(self):
+        report = _relation_like_report(np.random.default_rng(11), 12)
+        assert sum(e["gamma"].size for e in report["selections"]) > cli._CHUNK
+        text = dumps_report(report)
+        assert text == dumps_report(_listed(report))
+        assert text == oracles.reference_dumps(report)
+
+    @pytest.mark.parametrize("where", range(6))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_error_names_first_nonfinite_in_walk_order(self, where, bad):
+        report = {"M": np.ones((2, 3)), "z": np.array([1 + 1j, 2 - 2j]), "s": 0.5,
+                  "list": [1.0, 2.0, 3.0],
+                  "nested": {"N": np.arange(6.0).reshape(3, 2), "w": [1j, 2.0]}}
+        plant = [  # one float of each value kind, in walk order
+            lambda v: report["M"].__setitem__((1, 2), v),
+            lambda v: report["z"].__setitem__(1, complex(2.0, v)),
+            lambda v: report.__setitem__("s", v),
+            lambda v: report["list"].__setitem__(2, v),
+            lambda v: report["nested"]["N"].__setitem__((2, 0), v),
+            lambda v: report["nested"]["w"].__setitem__(1, v),
+        ]
+        later = float("-inf") if bad == float("inf") else float("inf")
+        plant[where](bad)
+        for put in plant[where + 1:]:
+            put(later)
+        with pytest.raises(ValueError) as want:
+            oracles.reference_dumps(report)
+        with pytest.raises(ValueError) as got:
+            dumps_report(report)
+        assert str(got.value) == str(want.value) == f"non-finite number in report: {bad!r}"
+
+    def test_unserializable_value_after_nonfinite_names_the_float(self):
+        with pytest.raises(ValueError, match="nan"):
+            dumps_report({"x": float("nan"), "y": object()})
+        with pytest.raises(TypeError):
+            dumps_report({"x": 1.0, "y": object()})
+
+    def test_workspace_stays_within_the_output_size(self):
+        report = _relation_like_report(np.random.default_rng(5), 84)
+        dumps_report(report)  # tables and caches outside the measurement
+        tracemalloc.start()
+        try:
+            text = dumps_report(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 3_000_000  # about 160k floats, as in an n = 30 report
+        assert peak <= 3.5 * len(text)
+
+
+def _relation_like_report(rng, count):
+    """A report shaped like ``relation --all`` at n = 30: ``count``
+    selections, each with a 30 x 30 Gamma, its spectrum, the poles and
+    F, about 1900 floats per selection."""
+    def spectrum(n):
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+    entries = [{"rows0": [0, 1, 2], "gamma": rng.normal(size=(30, 30)),
+                "gamma_eigenvalues": spectrum(30), "degree": 27, "stable": False,
+                "poles": spectrum(27),
+                "F": {"A": rng.normal(size=(27, 27)), "B": rng.normal(size=(27, 3)),
+                      "C": rng.normal(size=(3, 27)), "D": rng.normal(size=(3, 3))}}
+               for _ in range(count)]
+    return {"v": 1, "command": "relation", "selections": entries, "any_stable": False}
+
+
+def _listed(v):
+    """``v`` with every array replaced by its nested list."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, dict):
+        return {key: _listed(val) for key, val in v.items()}
+    if isinstance(v, list):
+        return [_listed(val) for val in v]
+    return v
 
 
 class TestParser:
@@ -385,6 +509,19 @@ class TestGranger:
         zero_f = write_model(tmp_path / "z.json", A=[[-1.0]], B=[[1.0]], C=[[0.0]])
         code, data = run_json(capsys, ["granger", "--f", zero_f])
         assert code == 1 and not data["granger_causes"]
+
+    def test_nonfinite_peak_gain_is_an_error_report(self, capsys, tmp_path):
+        # the gain 1e400 / (s + 1e-300) overflows: freq_response warns once,
+        # and the NaN peak it leaves must give an error report, not a traceback
+        f = write_model(tmp_path / "huge.json", A=[[-1e-300]], B=[[1e200]], C=[[1e200]],
+                        D=[[0.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run(["granger", "--f", f])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == {
+            "kind": "ValueError", "message": "non-finite number in report: nan"}
+        assert captured.err == "error: non-finite number in report: nan\n"
 
     def test_peak_gain_evaluated_once(self, capsys, monkeypatch, f_stable_file):
         calls = count_calls(monkeypatch, freq_response)
