@@ -402,11 +402,11 @@ def _add_tol_flags(sp: argparse.ArgumentParser):
     sp.add_argument("--tol-rank", type=float, default=None,
                     help="override the relative rank cutoff")
     sp.add_argument("--tol-psd", type=float, default=None,
-                    help="override the PSD negativity allowance")
+                    help="override the PSD negativity allowance and the Q_d singularity gate")
     sp.add_argument("--tol-stability", type=float, default=None,
                     help="override the stability margin")
     sp.add_argument("--tol-residual", type=float, default=None,
-                    help="override the residual bound")
+                    help="override the peak gain at or below which a map counts as zero")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -130,9 +130,19 @@ def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL) -> tuple[bool,
     """Whether the past of u improves linear prediction of y, and the peak
     gain it was decided on. True iff the forward map is nonzero: its
     largest 2-norm over the imaginary axis, sampled on the package grid,
-    exceeds ``residual_tol``. :func:`feedback_free` applies it to H."""
+    exceeds ``residual_tol``, an absolute bound. :func:`feedback_free`
+    applies it to H.
+
+    Raises
+    ------
+    ValueError
+        The peak gain is not finite (the evaluation overflowed), so no
+        verdict can be decided on it.
+    """
     s = 1j * default_grid()
     peak = float(norm2(freq_response(F, s)).max())
+    if not np.isfinite(peak):
+        raise ValueError(f"non-finite peak gain: {peak}")
     return peak > tol.residual_tol, peak
 
 
@@ -154,7 +164,8 @@ class FeedbackFreeVerdict:
 def feedback_free(H: StateSpace, F: StateSpace,
                   tol: Tolerances = DEFAULT_TOL) -> FeedbackFreeVerdict:
     """Test for absence of feedback (H identically zero) and, when it is
-    absent, the consistency requirement that F be strictly stable."""
+    absent, the consistency requirement that F be strictly stable.
+    Raises ValueError as :func:`granger_verdict` does on H."""
     h_zero = not granger_verdict(H, tol)[0]
     if not h_zero:
         return FeedbackFreeVerdict(h_zero=False, f_stable=None, inconsistent=False)

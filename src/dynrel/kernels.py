@@ -64,12 +64,17 @@ class Tolerances:
     psd_tol : float
         How negative an eigenvalue may be, relative to the largest
         eigenvalue magnitude, before a matrix stops counting as PSD;
-        below 1, or a negative definite matrix would pass.
+        below 1, or a negative definite matrix would pass. It also gates
+        Q_d in ``sampling.desample``: Q_d is singular when
+        ``lambda_min <= psd_tol * lambda_max``, the one singularity
+        decision that does not go through :func:`rank_cut`.
     stability_margin : float
         Continuous-time eigenvalues must have real part below
         ``-stability_margin`` to count as strictly stable.
     residual_tol : float
-        Relative residual bound for equation solutions and round trips.
+        Absolute bound on a map's peak gain over the default grid: at or
+        below it the map counts as zero (``feedback.granger_verdict``, and
+        through it ``feedback.feedback_free`` on H). Nothing else reads it.
     """
 
     rank_rtol: float = 1e-10

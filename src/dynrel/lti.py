@@ -8,7 +8,7 @@ decision on those values.
 """
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BColumnDeficient,
@@ -77,51 +77,23 @@ class StateSpace:
     def n_out(self) -> int:
         return self.C.shape[0]
 
-    @classmethod
-    def constant(cls, d) -> "StateSpace":
-        """Static-gain system with value ``d`` and no dynamics."""
-        d = as_matrix(d, name="D")
-        return cls(np.zeros((0, 0)), np.zeros((0, d.shape[1])),
-                   np.zeros((d.shape[0], 0)), d)
-
-    @classmethod
-    def zero(cls, n_out: int, n_in: int) -> "StateSpace":
-        """Identically zero transfer function of the given shape."""
-        return cls.constant(np.zeros((n_out, n_in)))
-
 
 @dataclass
-class CtModel:
+class CtModel(StateSpace):
     """Validated continuous-time stochastic model (A, B, C) with zero
-    feedthrough.
+    feedthrough: a :class:`StateSpace` that :func:`validate_ct_model`
+    has checked.
 
-    ``m`` is the number of shock channels, equal to rank(CB) and to the
-    rank of the output spectral density almost everywhere.
+    ``m`` is the number of shock channels, the column count of B, which
+    validation proves equal to rank B, to rank(CB) and to the rank of the
+    output spectral density almost everywhere.
     """
 
-    ss: StateSpace
-    m: int
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | None = field(default=None, kw_only=True)
 
     @property
-    def A(self) -> np.ndarray:
-        return self.ss.A
-
-    @property
-    def B(self) -> np.ndarray:
-        return self.ss.B
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.ss.C
-
-    @property
-    def n(self) -> int:
-        return self.ss.n
-
-    @property
-    def n_out(self) -> int:
-        return self.ss.n_out
+    def m(self) -> int:
+        return self.B.shape[1]
 
 
 #: Fixed safety factor of the pole certificate in :func:`freq_response`: a
@@ -330,7 +302,11 @@ def validate_ct_model(
     labels: tuple[str, ...] | list[str] | None = None,
 ) -> CtModel:
     """Check every structural assumption of a continuous-time model and
-    return the validated triple.
+    return it as a :class:`CtModel`.
+
+    A CtModel argument is checked in place and returned, so a model built
+    as one has its arrays checked once; a plain StateSpace is converted
+    once. ``labels``, when given, replace the model's own.
 
     Verifies, in order: zero feedthrough, Hurwitz A, full column rank of
     B, reachability of (A, B), observability of (C, A), and
@@ -338,29 +314,31 @@ def validate_ct_model(
     the error naming the violated assumption. One SVD of B gives its rank
     and the staircase scale ``||B||_2``; both staircases share one ``||A||_2``.
     """
-    if np.any(ss.D):
+    model = ss if isinstance(ss, CtModel) else CtModel(ss.A, ss.B, ss.C, ss.D)
+    if np.any(model.D):
         raise ValueError("continuous-time model must have zero feedthrough")
-    n = ss.n
+    n, m = model.n, model.m
     if n == 0:
         raise ValueError("model must have at least one state")
-    eigs = np.linalg.eigvals(ss.A)
+    eigs = np.linalg.eigvals(model.A)
     if not poles_stable(eigs, tol):
         raise NotStable(f"eigenvalue with real part {eigs.real.max():.6g} is not strictly stable")
-    m = ss.B.shape[1]
-    s_b = np.linalg.svd(ss.B, compute_uv=False)
+    s_b = np.linalg.svd(model.B, compute_uv=False)
     if rank_from_values(s_b, max(n, m), tol) != m:
         raise BColumnDeficient("B does not have full column rank")
-    a, b, c = ss.A[None], ss.B[None], ss.C[None]
+    a, b, c = model.A[None], model.B[None], model.C[None]
     a_scale, b_scale = norm2(a), s_b.max(keepdims=True, initial=0.0)
     if _controllable_basis(a, b, a_scale, b_scale, tol)[0][1].shape[-1] != n:
         raise NotReachable("(A, B) is not reachable")
     if _controllable_basis(a.conj().mT, c.conj().mT, a_scale, norm2(c), tol)[0][1].shape[-1] != n:
         raise NotObservable("(C, A) is not observable")
-    rank_cb = numerical_rank(ss.C @ ss.B, tol)
+    rank_cb = numerical_rank(model.C @ model.B, tol)
     if rank_cb != m:
         raise RankCBDeficient(f"rank(CB) = {rank_cb}, expected {m}")
+    labels = model.labels if labels is None else labels
     if labels is not None:
         labels = tuple(str(x) for x in labels)
-        if len(labels) != ss.n_out:
-            raise ValueError(f"expected {ss.n_out} labels, got {len(labels)}")
-    return CtModel(ss=ss, m=m, labels=labels)
+        if len(labels) != model.n_out:
+            raise ValueError(f"expected {model.n_out} labels, got {len(labels)}")
+    model.labels = labels
+    return model

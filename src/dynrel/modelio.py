@@ -153,10 +153,10 @@ def load_state_space(path) -> StateSpace:
 
 
 def load_ct_model(path, tol: Tolerances = DEFAULT_TOL) -> CtModel:
-    """The continuous model file at ``path``, validated into a CtModel
-    (D must be absent or zero)."""
+    """The continuous model file at ``path``, built as a CtModel and
+    validated in place (D must be absent or zero)."""
     f = parse_model(path, "continuous")
-    return validate_ct_model(StateSpace(f["A"], f["B"], f["C"], f["D"]), tol, labels=f["labels"])
+    return validate_ct_model(CtModel(f["A"], f["B"], f["C"], f["D"], labels=f["labels"]), tol)
 
 
 def load_sampled_model(path, h: float | None = None) -> SampledModel:

@@ -45,7 +45,7 @@ from .kernels import (
     solve_lyap_continuous,
     solve_lyap_discrete,
 )
-from .lti import CtModel, StateSpace, validate_ct_model
+from .lti import CtModel, validate_ct_model
 
 __all__ = [
     "SampledModel",
@@ -138,8 +138,8 @@ def sample(model: CtModel, h: float) -> SampledModel:
 def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]:
     """Relative residuals of the single state covariance P in both the
     continuous equation ``A P + P A' + B B' = 0`` and the discrete one
-    ``P = A_d P A_d' + Q_d``. Both stay below ``residual_tol`` when
-    ``sm`` really is a sampling of ``model``."""
+    ``P = A_d P A_d' + Q_d``. Both are at roundoff level when ``sm``
+    really is a sampling of ``model``; no threshold is applied to them."""
     bbt = model.B @ model.B.T
     return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt),
                       norm2(model.B) ** 2, norm2(sm.Qd))
@@ -216,7 +216,7 @@ def desample(
     # B's columns are orthogonal (eigenvectors scaled by the square roots of
     # their eigenvalues), so ||B B'||_2 is the largest squared column norm;
     # ||Q_d||_2 is the largest eigenvalue of the Q_d gate, all positive there
-    model = validate_ct_model(StateSpace(a, b, sm.Cd.copy()), tol)
+    model = validate_ct_model(CtModel(a, b, sm.Cd.copy()), tol)
     diag.residuals = _residuals(a, b @ b.T, sm, p,
                                 np.linalg.norm(b, axis=0).max() ** 2, w.max())
     diag.recovered_rank = b.shape[1]

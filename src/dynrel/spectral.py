@@ -36,7 +36,7 @@ def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    w = freq_response(model.ss, 1j * grid)
+    w = freq_response(model, 1j * grid)
     s = np.linalg.svd(w, compute_uv=False)
     ranks = rank_from_values(s * s, model.n_out, tol)
     mode, _ = Counter(ranks.tolist()).most_common(1)[0]  # ties go to the first seen

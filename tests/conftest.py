@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import systems
+from dynrel.lti import StateSpace
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +38,21 @@ def count_calls(monkeypatch, fn, packages=("dynrel",)):
             for attr, obj in list(vars(mod).items()):
                 if obj is fn:
                     monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def count_checks(monkeypatch):
+    """Count the runs of ``StateSpace.__post_init__``, the check of a
+    realization's arrays; returns a list that grows by the checked
+    object's type per run."""
+    calls = []
+    post_init = StateSpace.__post_init__
+
+    def counting(self):
+        calls.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(StateSpace, "__post_init__", counting)
     return calls
 
 

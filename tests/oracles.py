@@ -242,7 +242,7 @@ class PhiUSingular(ConditionError):
 def spectral_density(model, omegas) -> np.ndarray:
     """``W(iw) W(iw)*`` of the model output at each frequency of the 1-d
     ``omegas``, made exactly Hermitian, as a ``(k, n_out, n_out)`` array."""
-    w = freq_response(model.ss, 1j * np.asarray(omegas, dtype=float))
+    w = freq_response(model, 1j * np.asarray(omegas, dtype=float))
     phi = w @ w.conj().mT
     return 0.5 * (phi + phi.conj().mT)
 

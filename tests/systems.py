@@ -11,6 +11,7 @@ semidefiniteness condition.
 
 import numpy as np
 
+from dynrel.kernels import as_matrix
 from dynrel.lti import StateSpace, validate_ct_model
 
 A3 = np.array([[-9.0, -4.0, -6.0],
@@ -47,6 +48,18 @@ GAMMA2_SECOND = np.array([[10.5, 8.0 / 3.0], [10.5, 8.0 / 3.0]])
 A_SHEAR = np.array([[-1.0, 8.0], [0.0, -2.0]])
 B_SHEAR = np.array([[1.0], [0.4]])
 C_SHEAR = np.eye(2)
+
+
+def constant(d) -> StateSpace:
+    """Static-gain system with value ``d`` and no dynamics."""
+    d = as_matrix(d, name="D")
+    return StateSpace(np.zeros((0, 0)), np.zeros((0, d.shape[1])),
+                      np.zeros((d.shape[0], 0)), d)
+
+
+def zero(n_out: int, n_in: int) -> StateSpace:
+    """Identically zero transfer function of the given shape."""
+    return constant(np.zeros((n_out, n_in)))
 
 
 def model3():

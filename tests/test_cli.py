@@ -279,6 +279,19 @@ class TestValidate:
                                  "message": f"{sampled}: expected a continuous model file"}
 
 
+class TestMain:
+    @pytest.mark.parametrize("argv, code", [
+        (["validate"], 0),
+        (["relation", "--rows", "9"], 2),
+    ], ids=["validate", "relation-rows-out-of-range"])
+    def test_exit_code_is_that_of_run(self, capsys, monkeypatch, model3_file, argv, code):
+        monkeypatch.setattr("sys.argv", ["dynrel", argv[0], model3_file, *argv[1:]])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+
+
 class TestSpectrum:
     def test_golden(self, capsys, model3_file):
         code, data = run_json(capsys, ["spectrum", model3_file])
@@ -520,8 +533,8 @@ class TestGranger:
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["error"] == {
-            "kind": "ValueError", "message": "non-finite number in report: nan"}
-        assert captured.err == "error: non-finite number in report: nan\n"
+            "kind": "ValueError", "message": "non-finite peak gain: nan"}
+        assert captured.err == "error: non-finite peak gain: nan\n"
 
     def test_peak_gain_evaluated_once(self, capsys, monkeypatch, f_stable_file):
         calls = count_calls(monkeypatch, freq_response)

@@ -31,6 +31,10 @@ def scalar_unstable():
     return StateSpace([[1.0]], [[1.0]], [[1.0]])  # 1/(s-1)
 
 
+def overflowing_map():
+    return StateSpace([[-1e-300]], [[1e200]], [[1e200]], [[0.0]])  # 1e400/(s+1e-300)
+
+
 def random_loop(rng):
     p = int(rng.integers(1, 4))
     q = int(rng.integers(1, 4))
@@ -42,7 +46,7 @@ def random_loop(rng):
 class TestClosedLoop:
     def test_no_return_path(self):
         f_sys = scalar_lag()
-        cl = closed_loop_T(FeedbackModel(F=f_sys, H=StateSpace.zero(1, 1)))
+        cl = closed_loop_T(FeedbackModel(F=f_sys, H=systems.zero(1, 1)))
         s = 1j * np.logspace(-1, 1, 7)
         ones, zeros = np.ones((7, 1, 1)), np.zeros((7, 1, 1))
         p_blk, pf_blk, qh_blk, q_blk = oracles.loop_blocks(cl)
@@ -52,12 +56,12 @@ class TestClosedLoop:
         np.testing.assert_allclose(freq_response(pf_blk, s), freq_response(f_sys, s), atol=1e-12)
 
     def test_all_zero_is_identity(self):
-        cl = closed_loop_T(FeedbackModel(F=StateSpace.zero(2, 1), H=StateSpace.zero(1, 2)))
+        cl = closed_loop_T(FeedbackModel(F=systems.zero(2, 1), H=systems.zero(1, 2)))
         np.testing.assert_allclose(freq_response(cl.T, 1j * np.logspace(-1, 1, 5)),
                                    np.broadcast_to(np.eye(3), (5, 3, 3)), atol=1e-14)
 
     def test_scalar_loop_closed_form(self):
-        fm = FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]]))
+        fm = FeedbackModel(F=scalar_lag(), H=systems.constant([[0.5]]))
         cl = closed_loop_T(fm)
         q_blk = oracles.loop_blocks(cl)[3]
         assert oracles.match_gap(poles(q_blk), [-0.5]) < 1e-10
@@ -68,10 +72,10 @@ class TestClosedLoop:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            FeedbackModel(F=StateSpace.zero(2, 1), H=StateSpace.zero(2, 1))
+            FeedbackModel(F=systems.zero(2, 1), H=systems.zero(2, 1))
 
     def test_algebraic_loop(self):
-        fm = FeedbackModel(F=StateSpace.constant([[1.0]]), H=StateSpace.constant([[1.0]]))
+        fm = FeedbackModel(F=systems.constant([[1.0]]), H=systems.constant([[1.0]]))
         with pytest.raises(AlgebraicLoopSingular):
             closed_loop_T(fm)
 
@@ -96,11 +100,11 @@ class TestClosedLoop:
 
 class TestInternalStability:
     def test_open_loop_unstable_pole_exposed(self):
-        fm = FeedbackModel(F=scalar_unstable(), H=StateSpace.zero(1, 1))
+        fm = FeedbackModel(F=scalar_unstable(), H=systems.zero(1, 1))
         assert not closed_loop_T(fm).internally_stable
 
     def test_stabilizing_return_path(self):
-        fm = FeedbackModel(F=scalar_unstable(), H=StateSpace.constant([[-2.0]]))
+        fm = FeedbackModel(F=scalar_unstable(), H=systems.constant([[-2.0]]))
         cl = closed_loop_T(fm)
         assert cl.internally_stable
         # all four blocks are (s-1)-over-(s+1) type entries with pole -1
@@ -148,11 +152,11 @@ class TestInternalStability:
 
 class TestInterchange:
     def test_scalar_exact(self):
-        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=StateSpace.constant([[0.5]])))
+        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=systems.constant([[0.5]])))
         assert verify_interchange_identities(cl) < 1e-12
 
     def test_no_return_path_exact(self):
-        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=StateSpace.zero(1, 1)))
+        cl = closed_loop_T(FeedbackModel(F=scalar_lag(), H=systems.zero(1, 1)))
         assert verify_interchange_identities(cl) == 0.0
 
     def test_random_mimo(self, rng):
@@ -173,7 +177,7 @@ class TestInterchange:
 
 class TestGranger:
     def test_zero_map_no_causality(self):
-        assert not granger_verdict(StateSpace.zero(2, 1))[0]
+        assert not granger_verdict(systems.zero(2, 1))[0]
 
     def test_golden_relation_causes(self, m3):
         f = classify_selection(m3, enumerate_selections(m3)[0]).F
@@ -184,19 +188,30 @@ class TestGranger:
         assert not granger_verdict(f)[0]
         assert granger_verdict(f, Tolerances(residual_tol=1e-14))[0]
 
+    def test_nonfinite_peak_gain_raises(self):
+        # the gain 1e400 / (s + 1e-300) overflows to a NaN peak: no verdict
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"^non-finite peak gain: nan$"):
+                granger_verdict(overflowing_map())
+
 
 class TestFeedbackFree:
     def test_absent_and_consistent(self):
-        v = feedback_free(StateSpace.zero(1, 1), scalar_lag())
+        v = feedback_free(systems.zero(1, 1), scalar_lag())
         assert v.h_zero and v.f_stable and not v.inconsistent
 
     def test_absent_but_inconsistent(self):
-        v = feedback_free(StateSpace.zero(1, 1), scalar_unstable())
+        v = feedback_free(systems.zero(1, 1), scalar_unstable())
         assert v.h_zero and v.f_stable is False and v.inconsistent
 
     def test_present(self):
-        v = feedback_free(StateSpace.constant([[0.5]]), scalar_lag())
+        v = feedback_free(systems.constant([[0.5]]), scalar_lag())
         assert not v.h_zero and v.f_stable is None and not v.inconsistent
+
+    def test_nonfinite_peak_gain_of_h_raises(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"^non-finite peak gain: nan$"):
+                feedback_free(overflowing_map(), scalar_lag())
 
 
 class TestSpectralAssembly:

@@ -19,6 +19,7 @@ from dynrel.errors import (
 from dynrel.kernels import POLE_COND_LIMIT, is_invertible, norm2
 from dynrel import lti
 from dynrel.lti import (
+    CtModel,
     StateSpace,
     freq_response,
     is_strictly_stable,
@@ -56,7 +57,7 @@ class TestStateSpace:
         assert not ss.D.any()
 
     def test_constant(self):
-        ss = StateSpace.constant([[2.0, 1.0]])
+        ss = systems.constant([[2.0, 1.0]])
         assert ss.n == 0 and ss.n_out == 1 and ss.n_in == 2
 
     def test_nonfinite_rejected(self):
@@ -69,11 +70,11 @@ class TestTfEval:
 
     def test_constant_system(self):
         d = np.array([[3.0, -1.0]])
-        np.testing.assert_allclose(freq_response(StateSpace.constant(d), [1j])[0].real, d)
+        np.testing.assert_allclose(freq_response(systems.constant(d), [1j])[0].real, d)
 
     def test_golden_dc_gain(self, m3):
         want = -m3.C @ np.linalg.solve(m3.A, m3.B)
-        np.testing.assert_allclose(freq_response(m3.ss, [0.0])[0], want, rtol=1e-12)
+        np.testing.assert_allclose(freq_response(m3, [0.0])[0], want, rtol=1e-12)
 
     def test_scalar_lag(self):
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
@@ -142,7 +143,7 @@ class TestFreqResponse:
 
     def test_constant_system_shape(self):
         d = np.array([[3.0, -1.0], [0.5, 2.0], [1.0, 0.0]])
-        got = freq_response(StateSpace.constant(d), 1j * np.arange(1.0, 8.0))
+        got = freq_response(systems.constant(d), 1j * np.arange(1.0, 8.0))
         assert got.shape == (7, 3, 2) and got.dtype == np.complex128
         np.testing.assert_array_equal(got, np.broadcast_to(d, (7, 3, 2)))
 
@@ -154,7 +155,7 @@ class TestFreqResponse:
     def test_empty_points(self):
         ss = StateSpace([[-1.0]], [[1.0]], [[1.0]])
         assert freq_response(ss, []).shape == (0, 1, 1)
-        assert evaluation_gap(ss, StateSpace.zero(1, 1), points=[]) == 0.0
+        assert evaluation_gap(ss, systems.zero(1, 1), points=[]) == 0.0
 
     def test_certified_grid_takes_no_svd(self, monkeypatch, rng):
         # non-normal, spectrum in the disc of radius 0.5 around -1
@@ -443,8 +444,8 @@ class TestPolesAndDegree:
         assert minimal_realization(classify_selection(m2, sels[1]).F).n == 1
 
     def test_constant_has_no_poles(self):
-        assert poles(StateSpace.constant([[5.0]])).size == 0
-        assert minimal_realization(StateSpace.constant([[5.0]])).n == 0
+        assert poles(systems.constant([[5.0]])).size == 0
+        assert minimal_realization(systems.constant([[5.0]])).n == 0
 
 
 class TestStability:
@@ -453,12 +454,12 @@ class TestStability:
         assert not is_strictly_stable(first_relation(m2))
 
     def test_constant_is_stable(self):
-        assert is_strictly_stable(StateSpace.constant([[1.0]]))
+        assert is_strictly_stable(systems.constant([[1.0]]))
 
     def test_model_poles_respect_margin(self, rng):
         for _ in range(10):
             model = oracles.random_ct_model(rng)
-            assert is_strictly_stable(model.ss)
+            assert is_strictly_stable(model)
 
 
 class TestSsInverse:
@@ -494,7 +495,7 @@ class TestSsInverse:
         with pytest.raises(DNotInvertible):
             ss_inverse(StateSpace([[-1.0]], [[1.0]], [[1.0]]))  # D = 0
         with pytest.raises(DNotInvertible):
-            ss_inverse(StateSpace.constant([[1.0, 0.0]]))  # non-square
+            ss_inverse(systems.constant([[1.0, 0.0]]))  # non-square
 
     def test_random_composition(self, rng):
         for _ in range(25):
@@ -549,6 +550,22 @@ class TestValidateCtModel:
             validate_ct_model(StateSpace(systems.A3, systems.B3, systems.C3),
                               labels=["a"])
 
+    def test_validated_model_is_a_state_space(self):
+        ss = StateSpace(systems.A3, systems.B3, systems.C3)
+        model = validate_ct_model(ss)
+        assert isinstance(model, StateSpace) and type(model) is CtModel
+        assert model.m == model.B.shape[1] == 1
+        s = 1j * default_grid(count=50)
+        plain = StateSpace(model.A, model.B, model.C)
+        assert np.array_equal(freq_response(model, s), freq_response(plain, s))
+
+    def test_ct_model_checked_in_place(self):
+        model = CtModel(A=systems.A3, B=systems.B3, C=systems.C3, labels=["a", "b", "c", "d"])
+        assert validate_ct_model(model) is model
+        assert model.labels == ("a", "b", "c", "d")
+        with pytest.raises(ValueError, match="expected 4 labels, got 1"):
+            validate_ct_model(CtModel(A=systems.A3, B=systems.B3, C=systems.C3, labels=["a"]))
+
     def test_one_svd_of_b_and_one_norm_of_a(self, m3, monkeypatch):
         # the column-rank test of B and the staircase scale ||B||_2 share
         # one SVD; both staircases share one ||A||_2
@@ -560,7 +577,7 @@ class TestValidateCtModel:
             return svd(m, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        validate_ct_model(m3.ss)
+        validate_ct_model(m3)
 
         def of(*xs):
             return [uv for m, uv in svds if any(np.array_equal(m, x) for x in xs)]
@@ -572,6 +589,6 @@ class TestValidateCtModel:
     def test_spectral_factor_rank_on_axis(self, rng):
         for _ in range(10):
             model = oracles.random_ct_model(rng)
-            w = freq_response(model.ss, [1j * rng.uniform(0.05, 20.0)])[0]
+            w = freq_response(model, [1j * rng.uniform(0.05, 20.0)])[0]
             sv = np.linalg.svd(w, compute_uv=False)
             assert np.count_nonzero(sv > 1e-10 * sv[0] * max(w.shape)) >= model.m

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import systems
-from conftest import write_model
+from conftest import count_checks, write_model
 from dynrel.errors import (
     DimensionMismatch,
     InputError,
@@ -12,6 +12,7 @@ from dynrel.errors import (
     SchemaVersionUnsupported,
 )
 from dynrel.cli import run
+from dynrel.lti import CtModel
 from dynrel.modelio import (
     load_ct_model,
     load_sampled_model,
@@ -38,6 +39,13 @@ class TestParseContinuous:
         np.testing.assert_allclose(model.B, systems.B3)
         assert model.labels == ("zeta1", "zeta2", "zeta3", "zeta4")
         assert model.m == 1
+
+    @pytest.mark.parametrize("name", ["model3_file", "model2_file"])
+    def test_ct_model_arrays_checked_once(self, request, monkeypatch, name):
+        # the loader builds the CtModel itself, and validation checks it in place
+        calls = count_checks(monkeypatch)
+        model = load_ct_model(request.getfixturevalue(name))
+        assert calls == [CtModel] and type(model) is CtModel
 
     def test_one_state_file(self, tmp_path):
         ss = load_state_space(one_state(tmp_path))

@@ -44,7 +44,7 @@ def near_threshold_model():
     u = [[1.0, 0.0], [0.0, 1.0], [1.0, 3e-12], [1.0, 1.5e-12], [1.0, 8e-13], [1.0, 2.05e-12]]
     c = np.hstack([u, np.ones((6, 1))])
     b = np.vstack([np.eye(2), np.zeros((1, 2))])
-    return CtModel(ss=StateSpace(np.diag([-1.0, -2.0, -3.0]), b, c), m=2)
+    return CtModel(A=np.diag([-1.0, -2.0, -3.0]), B=b, C=c)
 
 
 def seeded_model():
@@ -121,9 +121,9 @@ class TestEnumerate:
 
     def test_no_admissible_selection(self):
         # hand-assembled (unvalidated) triple whose single row kills C0 B
-        ss = StateSpace([[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]], [[0.0, 1.0]])
+        model = CtModel(A=[[-1.0, 0.0], [1.0, -2.0]], B=[[1.0], [0.0]], C=[[0.0, 1.0]])
         with pytest.raises(NoAdmissibleSelection):
-            enumerate_selections(CtModel(ss=ss, m=1))
+            enumerate_selections(model)
 
 
 class TestGamma:
@@ -302,9 +302,8 @@ class TestClassify:
 
     def test_ill_conditioned_member_named(self):
         # the second and third rows give a singular C0 B; the first is fine
-        ss = StateSpace([[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]],
-                        [[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        model = CtModel(ss=ss, m=1)
+        model = CtModel(A=[[-1.0, 0.0], [1.0, -2.0]], B=[[1.0], [0.0]],
+                        C=[[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
         sels = [(0,), (1,), (2,)]
         with pytest.raises(InadmissibleSelection, match=r"rows \(1,\)"):
             classify_selections(model, sels)
@@ -387,9 +386,9 @@ class TestStableSelection:
         assert not condition_tests
 
     def test_no_admissible_selection(self):
-        ss = StateSpace([[-1.0, 0.0], [1.0, -2.0]], [[1.0], [0.0]], [[0.0, 1.0]])
+        model = CtModel(A=[[-1.0, 0.0], [1.0, -2.0]], B=[[1.0], [0.0]], C=[[0.0, 1.0]])
         with pytest.raises(NoAdmissibleSelection):
-            stable_selection_exists(CtModel(ss=ss, m=1))
+            stable_selection_exists(model)
 
 
 #: Relative distance, to max(1, |p|), within which every reported pole p
@@ -455,7 +454,7 @@ def filtered_input_model(model, z, p=1.0):
     a = np.block([[model.A, -(p + z) * model.B], [np.zeros((m, n)), -p * np.eye(m)]])
     b = np.vstack([model.B, np.eye(m)])
     c = np.hstack([model.C, np.zeros((model.n_out, m))])
-    return CtModel(ss=StateSpace(a, b, c), m=m)
+    return CtModel(A=a, B=b, C=c)
 
 
 def hidden_mode_model(model, z, rng):
@@ -466,7 +465,7 @@ def hidden_mode_model(model, z, rng):
     a = scipy.linalg.block_diag(model.A, [[z]])
     b = np.vstack([model.B, np.zeros((1, model.m))])
     c = np.hstack([model.C, rng.normal(size=(model.n_out, 1))])
-    return CtModel(ss=StateSpace(a, b, c), m=model.m)
+    return CtModel(A=a, B=b, C=c)
 
 
 def filtered_rows_model(model, rows, zeros, p=1.0):
@@ -479,7 +478,7 @@ def filtered_rows_model(model, rows, zeros, p=1.0):
     b = np.vstack([model.B, np.zeros((k, model.m))])
     c = np.hstack([model.C, np.zeros((model.n_out, k))])
     c[rows, n:] = -np.diag(p + np.asarray(zeros))
-    return CtModel(ss=StateSpace(a, b, c), m=model.m)
+    return CtModel(A=a, B=b, C=c)
 
 
 def certificates(model, sels):
@@ -541,7 +540,7 @@ class TestUnstableCertificate:
         assert want[:2].all() and not want[2]
         for a, b, c in ((1e3, np.sqrt(1e3), 1.0), (1e-3, np.sqrt(1e-3), 1.0),
                         (1.0, 1.0, 1e6), (1.0, 1.0, 1e-6), (1.0, 1e-6, 1.0)):
-            scaled = CtModel(ss=StateSpace(a * model.A, b * model.B, c * model.C), m=model.m)
+            scaled = CtModel(A=a * model.A, B=b * model.B, C=c * model.C)
             np.testing.assert_array_equal(certificates(scaled, sels), want)
 
     @pytest.mark.parametrize("kind", ["unobservable", "unreachable"])

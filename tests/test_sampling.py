@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
-from conftest import count_calls
+from conftest import count_calls, count_checks
 from dynrel.errors import LogFailure, NonPositiveH, NotSemidefinite, QdSingular
 from dynrel.kernels import (
     DEFAULT_TOL,
@@ -15,7 +15,7 @@ from dynrel.kernels import (
     solve_lyap_discrete,
 )
 from dynrel import sampling
-from dynrel.lti import StateSpace, validate_ct_model
+from dynrel.lti import CtModel, StateSpace, validate_ct_model
 from dynrel.sampling import (
     SampledModel,
     desample,
@@ -142,6 +142,12 @@ class TestDesample:
         np.testing.assert_allclose(model.C, m2.C)
         assert diag.recovered_rank == 1
         assert max(diag.residuals) < 1e-8
+
+    def test_recovered_model_checked_once(self, m2, monkeypatch):
+        sm = sample(m2, 0.1)
+        calls = count_checks(monkeypatch)
+        model, _ = desample(sm)
+        assert calls == [CtModel] and type(model) is CtModel
 
     def test_random_round_trips(self, rng):
         # at tiny h with a deep rank gap the discrete intensity is

@@ -77,7 +77,7 @@ class TestRankProfile:
         models = [oracles.random_ct_model(rng) for _ in range(5)]
         for model, grid in [(systems.model_with_axis_zero(), np.array([0.5, 1.0, 2.0]))] + [
                 (model, default_grid(count=50)) for model in models]:
-            w = freq_response(model.ss, 1j * grid)
+            w = freq_response(model, 1j * grid)
             s = np.linalg.svd(w, compute_uv=False)
             want = numerical_rank(w @ w.conj().swapaxes(1, 2))
             np.testing.assert_array_equal(rank_from_values(s * s, model.n_out), want)
@@ -119,7 +119,7 @@ class TestFactorIdentities:
         m_sys = StateSpace(systems.A3, systems.B3, c0 @ systems.A3, c0 @ systems.B3)
         w = np.logspace(-1.5, 1.5, 12)
         s = 1j * w
-        w_full = freq_response(m3.ss, s)
+        w_full = freq_response(m3, s)
         n_val = freq_response(n_sys, s)
         m_val = freq_response(m_sys, s)
         stacked = np.concatenate([n_val, m_val], axis=1) / s[:, None, None]
