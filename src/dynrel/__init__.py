@@ -67,9 +67,7 @@ from .relation import (
     stable_selection_exists,
 )
 from .feedback import (
-    ClosedLoop,
     FeedbackFreeVerdict,
-    FeedbackModel,
     closed_loop_T,
     feedback_free,
     granger_verdict,

@@ -24,14 +24,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import ConditionError, InputError
-from .feedback import (
-    FeedbackModel,
-    closed_loop_T,
-    feedback_free,
-    granger_verdict,
-    verify_interchange_identities,
-)
-from .kernels import DEFAULT_TOL, psd_factor, sorted_eigvals
+from .feedback import closed_loop_T, feedback_free, granger_verdict, verify_interchange_identities
+from .kernels import DEFAULT_TOL, psd_factor
+from .lti import is_strictly_stable
 from .modelio import load_ct_model, load_sampled_model, load_state_space
 from .relation import (
     classify_selection,
@@ -502,14 +497,13 @@ def _parse_grid(spec: str | None) -> np.ndarray:
 
 def _cmd_validate(args, tol):
     model = load_ct_model(args.model, tol)
-    eigs = sorted_eigvals(model.A)
     report = {
         "input": args.model,
         "valid": True,
         "n": model.n,
         "outputs": model.n_out,
         "m": model.m,
-        "eigenvalues": eigs,
+        "eigenvalues": model.eigenvalues,
         "labels": list(model.labels) if model.labels else None,
     }
     return report, 0
@@ -587,16 +581,16 @@ def _cmd_stable_selection(args, tol):
 def _cmd_feedback(args, tol):
     f_sys = load_state_space(args.f_path)
     h_sys = load_state_space(args.h_path)
-    fm = FeedbackModel(F=f_sys, H=h_sys)
-    cl = closed_loop_T(fm, tol)
-    residual = verify_interchange_identities(cl)
+    t_sys = closed_loop_T(f_sys, h_sys)
+    internally_stable = is_strictly_stable(t_sys, tol)
+    residual = verify_interchange_identities(f_sys, h_sys, t_sys)
     verdict = feedback_free(h_sys, f_sys, tol)
-    ok = verdict.h_zero and not verdict.inconsistent and cl.internally_stable
+    ok = verdict.h_zero and not verdict.inconsistent and internally_stable
     report = {
         "f": args.f_path,
         "h": args.h_path,
         "well_posed": True,
-        "internally_stable": cl.internally_stable,
+        "internally_stable": internally_stable,
         "interchange_residual": residual,
         "feedback_free": verdict.h_zero,
         "f_stable_when_h_zero": verdict.f_stable,

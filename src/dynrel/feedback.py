@@ -12,6 +12,10 @@ why an unstable F can only occur together with a nonzero stabilizing H.
 On the prediction side: the past of u improves prediction of y exactly
 when F is nonzero, and the loop is feedback-free exactly when H is
 identically zero, in which case F must be strictly stable.
+
+Every function here takes the realizations F, H and T as they are:
+:func:`closed_loop_T` builds T from F and H, and the loop is internally
+stable when T is strictly stable (:func:`dynrel.lti.is_strictly_stable`).
 """
 
 import numpy as np
@@ -24,8 +28,6 @@ from .lti import StateSpace, freq_response, is_strictly_stable
 from .spectral import default_grid
 
 __all__ = [
-    "FeedbackModel",
-    "ClosedLoop",
     "FeedbackFreeVerdict",
     "closed_loop_T",
     "verify_interchange_identities",
@@ -37,90 +39,58 @@ __all__ = [
 _INTERCHANGE_GRID = np.logspace(-2, 2, 20)
 
 
-@dataclass
-class FeedbackModel:
-    """Forward map F (p x q) and return map H (q x p)."""
-
-    F: StateSpace
-    H: StateSpace
-
-    def __post_init__(self):
-        p, q = self.F.n_out, self.F.n_in
-        if (self.H.n_out, self.H.n_in) != (q, p):
-            raise ValueError(
-                f"H must be {q}x{p} to close the loop with a {p}x{q} F, "
-                f"got {self.H.n_out}x{self.H.n_in}")
-
-    @property
-    def p(self) -> int:
-        return self.F.n_out
-
-    @property
-    def q(self) -> int:
-        return self.F.n_in
-
-
-@dataclass
-class ClosedLoop:
-    """The loop (F, H) and the combined realization T, with rows (y, u)
-    and columns (v, r). ``internally_stable`` is decided on T itself:
-    T strictly stable.
-    """
-
-    loop: FeedbackModel
-    T: StateSpace
-    internally_stable: bool
-
-
-def closed_loop_T(fm: FeedbackModel, tol: Tolerances = DEFAULT_TOL) -> ClosedLoop:
-    """Realize the closed-loop transfer matrix T by state-space
-    interconnection of F and H.
+def closed_loop_T(F: StateSpace, H: StateSpace) -> StateSpace:
+    """Realize the closed-loop transfer matrix T of the forward map F
+    (p x q) and the return map H (q x p) by state-space interconnection,
+    with rows (y, u) and columns (v, r).
 
     Well-posedness is decided on the feedthroughs: the static loop
     matrix ``[[I, -D_F], [-D_H, I]]`` must be numerically invertible.
 
     Raises
     ------
+    ValueError
+        H is not q x p.
     AlgebraicLoopSingular
         The static loop matrix is numerically singular.
     """
-    f, h = fm.F, fm.H
-    p, q = fm.p, fm.q
-    loop = np.block([
-        [np.eye(p), -f.D],
-        [-h.D, np.eye(q)],
-    ])
+    p, q = F.n_out, F.n_in
+    if (H.n_out, H.n_in) != (q, p):
+        raise ValueError(
+            f"H must be {q}x{p} to close the loop with a {p}x{q} F, "
+            f"got {H.n_out}x{H.n_in}")
+    loop = np.block([[np.eye(p), -F.D], [-H.D, np.eye(q)]])
     if not is_invertible(loop):
         raise AlgebraicLoopSingular(
             "I - D_F D_H is numerically singular; the loop is not well posed")
     loop_inv = np.linalg.inv(loop)
-    a_open = scipy.linalg.block_diag(f.A, h.A)
+    a_open = scipy.linalg.block_diag(F.A, H.A)
     c_stack = np.block([
-        [f.C, np.zeros((p, h.n))],
-        [np.zeros((q, f.n)), h.C],
+        [F.C, np.zeros((p, H.n))],
+        [np.zeros((q, F.n)), H.C],
     ])
     b_mix = np.block([
-        [np.zeros((f.n, p)), f.B],
-        [h.B, np.zeros((h.n, q))],
+        [np.zeros((F.n, p)), F.B],
+        [H.B, np.zeros((H.n, q))],
     ])
-    t = StateSpace(
+    return StateSpace(
         a_open + b_mix @ loop_inv @ c_stack,
         b_mix @ loop_inv,
         loop_inv @ c_stack,
         loop_inv,
     )
-    return ClosedLoop(loop=fm, T=t, internally_stable=is_strictly_stable(t, tol))
 
 
-def verify_interchange_identities(cl: ClosedLoop) -> float:
+def verify_interchange_identities(F: StateSpace, H: StateSpace, T: StateSpace) -> float:
     """Largest residual of ``P F - F Q`` and ``H P - Q H`` over 20
-    log-spaced imaginary-axis frequencies in [1e-2, 1e2] rad/s."""
-    fm = cl.loop
+    log-spaced imaginary-axis frequencies in [1e-2, 1e2] rad/s, with P
+    and Q the diagonal blocks of the closed loop ``T = closed_loop_T(F, H)``."""
+    p = F.n_out
     s = 1j * _INTERCHANGE_GRID
-    f_val = freq_response(fm.F, s)
-    h_val = freq_response(fm.H, s)
-    t_val = freq_response(cl.T, s)
-    p_val, q_val = t_val[:, :fm.p, :fm.p], t_val[:, fm.p:, fm.p:]  # diagonal blocks of T
+    f_val = freq_response(F, s)
+    h_val = freq_response(H, s)
+    t_val = freq_response(T, s)
+    p_val, q_val = t_val[:, :p, :p], t_val[:, p:, p:]
     pf_fq = norm2(p_val @ f_val - f_val @ q_val)
     hp_qh = norm2(h_val @ p_val - q_val @ h_val)
     return float(max(pf_fq.max(), hp_qh.max()))
@@ -158,7 +128,10 @@ class FeedbackFreeVerdict:
 
     h_zero: bool
     f_stable: bool | None
-    inconsistent: bool
+
+    @property
+    def inconsistent(self) -> bool:
+        return self.h_zero and self.f_stable is False
 
 
 def feedback_free(H: StateSpace, F: StateSpace,
@@ -166,8 +139,6 @@ def feedback_free(H: StateSpace, F: StateSpace,
     """Test for absence of feedback (H identically zero) and, when it is
     absent, the consistency requirement that F be strictly stable.
     Raises ValueError as :func:`granger_verdict` does on H."""
-    h_zero = not granger_verdict(H, tol)[0]
-    if not h_zero:
-        return FeedbackFreeVerdict(h_zero=False, f_stable=None, inconsistent=False)
-    f_stable = is_strictly_stable(F, tol)
-    return FeedbackFreeVerdict(h_zero=True, f_stable=f_stable, inconsistent=not f_stable)
+    if granger_verdict(H, tol)[0]:
+        return FeedbackFreeVerdict(h_zero=False, f_stable=None)
+    return FeedbackFreeVerdict(h_zero=True, f_stable=is_strictly_stable(F, tol))

@@ -293,9 +293,9 @@ def rank_cut(dim: int, scale, tol: Tolerances = DEFAULT_TOL):
 def rank_from_values(s, dim: int, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
     """The number of ``s`` (along the last axis) above :func:`rank_cut` at
     scale ``max(s)``: the rule of :func:`numerical_rank` applied to values
-    at hand. The absolute eigenvalues of a symmetric matrix, or the squared
-    singular values of a factor B of ``B B'``, serve as well. A 1-d ``s``
-    gives an ``int``."""
+    at hand. The absolute eigenvalues of a symmetric matrix serve, and so
+    do the singular values (not their squares) of a factor B of ``B B'``,
+    whose rank is that of B. A 1-d ``s`` gives an ``int``."""
     s = np.asarray(s)
     ranks = (s > rank_cut(dim, s.max(axis=-1, keepdims=True, initial=0.0), tol)).sum(axis=-1)
     return int(ranks) if s.ndim == 1 else ranks

@@ -7,6 +7,8 @@ on a set of points, and every verdict built on it is a threshold
 decision on those values.
 """
 
+import functools
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -34,12 +36,12 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateSpace:
     """Realization ``C (sI - A)^{-1} B + D`` of a proper rational matrix.
 
     ``A`` may be 0x0, which represents a constant (static gain) system.
-    Instances are treated as immutable by every function in the package.
+    Instances are frozen: the arrays are checked once, at construction.
     """
 
     A: np.ndarray
@@ -48,21 +50,22 @@ class StateSpace:
     D: np.ndarray | None = None
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, square=True, name="A")
-        self.B = as_matrix(self.B, name="B")
-        self.C = as_matrix(self.C, name="C")
-        n = self.A.shape[0]
-        if self.B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got {self.B.shape}")
-        if self.C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {self.C.shape}")
+        a = as_matrix(self.A, square=True, name="A")
+        b = as_matrix(self.B, name="B")
+        c = as_matrix(self.C, name="C")
+        n = a.shape[0]
+        if b.shape[0] != n:
+            raise ValueError(f"B must have {n} rows, got {b.shape}")
+        if c.shape[1] != n:
+            raise ValueError(f"C must have {n} columns, got {c.shape}")
         if self.D is None:
-            self.D = np.zeros((self.C.shape[0], self.B.shape[1]))
+            d = np.zeros((c.shape[0], b.shape[1]))
         else:
-            self.D = as_matrix(self.D, name="D")
-            if self.D.shape != (self.C.shape[0], self.B.shape[1]):
-                raise ValueError(
-                    f"D must be {self.C.shape[0]}x{self.B.shape[1]}, got {self.D.shape}")
+            d = as_matrix(self.D, name="D")
+            if d.shape != (c.shape[0], b.shape[1]):
+                raise ValueError(f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}")
+        for name, x in zip("ABCD", (a, b, c, d)):
+            object.__setattr__(self, name, x)
 
     @property
     def n(self) -> int:
@@ -78,7 +81,7 @@ class StateSpace:
         return self.C.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CtModel(StateSpace):
     """Validated continuous-time stochastic model (A, B, C) with zero
     feedthrough: a :class:`StateSpace` that :func:`validate_ct_model`
@@ -86,14 +89,33 @@ class CtModel(StateSpace):
 
     ``m`` is the number of shock channels, the column count of B, which
     validation proves equal to rank B, to rank(CB) and to the rank of the
-    output spectral density almost everywhere.
+    output spectral density almost everywhere. ``labels`` name the outputs;
+    ``eigenvalues`` and ``a_norm``, computed once on first use, are shared
+    by validation and the analyses after it.
     """
 
     labels: tuple[str, ...] | None = field(default=None, kw_only=True)
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+            if len(self.labels) != self.n_out:
+                raise ValueError(f"expected {self.n_out} labels, got {len(self.labels)}")
+
     @property
     def m(self) -> int:
         return self.B.shape[1]
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A, sorted as by :func:`sorted_eigvals`."""
+        return sorted_eigvals(self.A)
+
+    @functools.cached_property
+    def a_norm(self) -> float:
+        """``||A||_2``, by which validation and the relation staircases scale."""
+        return norm2(self.A)
 
 
 #: Fixed safety factor of the pole certificate in :func:`freq_response`: a
@@ -296,23 +318,18 @@ def is_strictly_stable(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> bool:
     return poles_stable(poles(ss, tol), tol)
 
 
-def validate_ct_model(
-    ss: StateSpace,
-    tol: Tolerances = DEFAULT_TOL,
-    labels: tuple[str, ...] | list[str] | None = None,
-) -> CtModel:
+def validate_ct_model(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> CtModel:
     """Check every structural assumption of a continuous-time model and
     return it as a :class:`CtModel`.
 
     A CtModel argument is checked in place and returned, so a model built
-    as one has its arrays checked once; a plain StateSpace is converted
-    once. ``labels``, when given, replace the model's own.
+    as one has its arrays checked once; a plain StateSpace is converted once.
 
     Verifies, in order: zero feedthrough, Hurwitz A, full column rank of
     B, reachability of (A, B), observability of (C, A), and
     rank(CB) equal to the number of shock channels. Each failure raises
     the error naming the violated assumption. One SVD of B gives its rank
-    and the staircase scale ``||B||_2``; both staircases share one ``||A||_2``.
+    and the staircase scale ``||B||_2``; ``eigenvalues`` and ``a_norm`` are the model's.
     """
     model = ss if isinstance(ss, CtModel) else CtModel(ss.A, ss.B, ss.C, ss.D)
     if np.any(model.D):
@@ -320,14 +337,14 @@ def validate_ct_model(
     n, m = model.n, model.m
     if n == 0:
         raise ValueError("model must have at least one state")
-    eigs = np.linalg.eigvals(model.A)
+    eigs = model.eigenvalues
     if not poles_stable(eigs, tol):
         raise NotStable(f"eigenvalue with real part {eigs.real.max():.6g} is not strictly stable")
     s_b = np.linalg.svd(model.B, compute_uv=False)
     if rank_from_values(s_b, max(n, m), tol) != m:
         raise BColumnDeficient("B does not have full column rank")
     a, b, c = model.A[None], model.B[None], model.C[None]
-    a_scale, b_scale = norm2(a), s_b.max(keepdims=True, initial=0.0)
+    a_scale, b_scale = model.a_norm[None], s_b.max(keepdims=True, initial=0.0)
     if _controllable_basis(a, b, a_scale, b_scale, tol)[0][1].shape[-1] != n:
         raise NotReachable("(A, B) is not reachable")
     if _controllable_basis(a.conj().mT, c.conj().mT, a_scale, norm2(c), tol)[0][1].shape[-1] != n:
@@ -335,10 +352,4 @@ def validate_ct_model(
     rank_cb = numerical_rank(model.C @ model.B, tol)
     if rank_cb != m:
         raise RankCBDeficient(f"rank(CB) = {rank_cb}, expected {m}")
-    labels = model.labels if labels is None else labels
-    if labels is not None:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != model.n_out:
-            raise ValueError(f"expected {model.n_out} labels, got {len(labels)}")
-    model.labels = labels
     return model

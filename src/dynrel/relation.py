@@ -69,7 +69,7 @@ def _driven_rows(n_out: int, rows0: tuple[int, ...]) -> tuple[int, ...]:
 class RelationReport:
     """Everything a selection yields: its driving rows ``rows0`` and
     driven rows ``rows1``, Gamma and its spectrum, the minimal
-    realization of F, its degree, and the stability verdict. An unstable
+    realization of F and its degree, and the stability verdict. An unstable
     F means the configuration only exists inside a stabilizing feedback
     loop; a stable F means the plain causal map exists with no
     feedback."""
@@ -79,9 +79,12 @@ class RelationReport:
     gamma: np.ndarray
     gamma_eigs: np.ndarray
     F: StateSpace
-    degree: int
     stable: bool
     poles: np.ndarray
+
+    @property
+    def degree(self) -> int:
+        return self.F.n
 
 
 def enumerate_selections(model: CtModel) -> list[tuple[int, ...]]:
@@ -178,16 +181,16 @@ def _realizations(model: CtModel, sels: list[tuple[int, ...]]) -> _Stack:
     return _Stack(v @ w, w @ v, w @ k, c1 @ v, c1 @ k, k, c1)
 
 
-def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack, a_norm: float,
+def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack,
              tol: Tolerances) -> list[RelationReport]:
     """The reports of ``sels`` from their realizations ``raw``: one
     lockstep :func:`minimal_realizations` for the stack, one batched
     eigenvalue call for Gamma and one for the poles of each group of
     equal degree. The staircase scales come from before the projections:
     ``||C1||_2`` for C1 V, which is roundoff when driven rows combine
-    driving rows, and ``a_norm * ||K||_2`` (``a_norm`` = ``||A||_2``) for
+    driving rows, and ``||A||_2 ||K||_2`` (the model's ``a_norm``) for
     W K, whose roundoff it bounds."""
-    f_min = minimal_realizations(raw.a, raw.b, raw.c, raw.d, a_norm * norm2(raw.k),
+    f_min = minimal_realizations(raw.a, raw.b, raw.c, raw.d, model.a_norm * norm2(raw.k),
                                  norm2(raw.c1), tol)
     by_degree = {}
     for i, f in enumerate(f_min):
@@ -203,7 +206,6 @@ def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack, a_norm: f
         gamma=raw.gamma[i],
         gamma_eigs=gamma_eigs[i],
         F=f_min[i],
-        degree=f_min[i].n,
         stable=poles_stable(f_poles[i], tol),
         poles=f_poles[i],
     ) for i, rows0 in enumerate(sels)]
@@ -236,7 +238,7 @@ def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> 
     if not ok.all():
         raise InadmissibleSelection(
             f"C0 B for rows {sels[int(np.argmin(ok))]} is not numerically invertible")
-    return _reports(model, sels, _realizations(model, sels), norm2(model.A), tol)
+    return _reports(model, sels, _realizations(model, sels), tol)
 
 
 def classify_selection(model: CtModel, rows0, tol: Tolerances = DEFAULT_TOL) -> RelationReport:
@@ -353,13 +355,12 @@ def stable_selection_exists(model: CtModel, tol: Tolerances = DEFAULT_TOL) -> Re
         Every subset fails the invertibility test.
     """
     sels = enumerate_selections(model)
-    a_norm = norm2(model.A)
     start, size = 0, 1
     while start < len(sels):
         chunk = sels[start:start + size]
         raw = _realizations(model, chunk)
         for i in np.flatnonzero(~_certified_unstable(model, raw, tol)).tolist():
-            rep = _reports(model, [chunk[i]], raw.member(i), a_norm, tol)[0]
+            rep = _reports(model, [chunk[i]], raw.member(i), tol)[0]
             if rep.stable:
                 return rep
         start, size = start + size, 2 * size

@@ -228,16 +228,14 @@ def hidden_rank_report(model: CtModel, h: float, tol: Tolerances = DEFAULT_TOL) 
     the (full) rank of the sampled intensity, and the rank recovered by
     de-sampling.
 
-    One decomposition per matrix: the rank of B B' comes from the
-    singular values of the n x m factor B, squared, and the rank of Q_d
-    from the eigenvalues that the Q_d gate of :func:`desample` takes.
+    The rank of B B' is ``model.m``, proved on B by validation; the rank
+    of Q_d comes from the eigenvalues of the Q_d gate of :func:`desample`.
+    A ``recovered_rank`` below ``bbt_rank`` means not resolvable at this h.
     """
-    s = np.linalg.svd(model.B, compute_uv=False)
-    bbt_rank = rank_from_values(s * s, model.n, tol)
     _, diag = desample(sample(model, h), tol)
     return HiddenRankReport(
         n=model.n,
-        bbt_rank=bbt_rank,
+        bbt_rank=model.m,
         qd_rank=diag.qd_rank,
         recovered_rank=diag.recovered_rank,
     )

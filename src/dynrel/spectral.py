@@ -25,9 +25,9 @@ def default_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200) -> np.ndar
 def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -> int:
     """Modal numerical rank of the spectral density over the grid.
 
-    The rank of ``W W*`` at each point is the rank rule of
-    :func:`numerical_rank` applied to the squared singular values of
-    ``W``, which are its eigenvalues; ``W W*`` itself is not formed.
+    The rank of ``W W*`` at each point is the rank of its factor ``W``, by
+    the rule of :func:`numerical_rank` on the singular values of ``W`` (the
+    cut validation puts on B and CB); ``W W*`` itself is not formed.
     Isolated deviations (rank drops at zeros of the spectral factor) are
     tolerated up to 5% of the grid; beyond that the grid is considered
     inconsistent. For a validated model the result equals ``model.m``
@@ -38,7 +38,7 @@ def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -
         raise ValueError("grid must be nonempty")
     w = freq_response(model, 1j * grid)
     s = np.linalg.svd(w, compute_uv=False)
-    ranks = rank_from_values(s * s, model.n_out, tol)
+    ranks = rank_from_values(s, model.n_out, tol)
     mode, _ = Counter(ranks.tolist()).most_common(1)[0]  # ties go to the first seen
     deviations = int(np.count_nonzero(ranks != mode))
     allowed = max(1, grid.size // 20)

@@ -279,10 +279,11 @@ def gamma_realization(model, rows0) -> StateSpace:
     return StateSpace(gamma, k, c1 @ gamma, c1 @ k)
 
 
-def loop_blocks(cl) -> tuple[StateSpace, ...]:
-    """The blocks P, PF, QH, Q of a closed loop's T = [[P, PF], [QH, Q]],
-    each sharing the loop state (not reduced)."""
-    t, y, u = cl.T, slice(0, cl.loop.p), slice(cl.loop.p, None)
+def loop_blocks(t: StateSpace, p: int) -> tuple[StateSpace, ...]:
+    """The blocks P, PF, QH, Q of a closed loop's T = [[P, PF], [QH, Q]]
+    with a forward map of p outputs, each sharing the loop state (not
+    reduced)."""
+    y, u = slice(0, p), slice(p, None)
     return tuple(StateSpace(t.A, t.B[:, c], t.C[r], t.D[r, c])
                  for r, c in ((y, y), (y, u), (u, y), (u, u)))
 

@@ -7,6 +7,10 @@ selection yields an unstable relation.
 ``model_shear``: strongly non-normal two-state model whose sampled
 noise intensity, once perturbed, breaks the de-sampling
 semidefiniteness condition.
+``near_dependent_outputs`` and ``near_dependent_noise``: two-shock
+models whose two outputs, or two noise columns, differ by 1e-7 or 1e-6
+of a direction: full rank on the singular values of CB and of B, rank
+one on their squares.
 """
 
 import numpy as np
@@ -72,6 +76,25 @@ def model2():
 
 def model_shear():
     return validate_ct_model(StateSpace(A_SHEAR, B_SHEAR, C_SHEAR))
+
+
+# C = [c; c + 1e-7 r]: sigma(CB) has ratio about 4e-8
+A_NEAR3 = np.array([[-1.0, 0.5, 0.0], [-0.5, -2.0, 0.3], [0.0, 0.2, -3.0]])
+B_NEAR3 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+C_NEAR3 = np.array([[1.0, 2.0, -1.0], [1.0 + 3e-8, 2.0 - 1e-7, -1.0 + 5e-8]])
+
+# B = [b, b + 1e-6 r]: sigma(B) has ratio about 3e-7
+A_NEAR4 = np.diag([-1.0, -2.0, -3.0, -4.0]) + np.diag([0.5, 0.5, 0.5], 1)
+B_NEAR4 = np.array([[1.0, 1.0 + 2e-7], [1.0, 1.0 - 5e-7], [1.0, 1.0 + 3e-7], [1.0, 1.0 + 1e-6]])
+C_NEAR4 = np.eye(4)
+
+
+def near_dependent_outputs():
+    return validate_ct_model(StateSpace(A_NEAR3, B_NEAR3, C_NEAR3))
+
+
+def near_dependent_noise():
+    return validate_ct_model(StateSpace(A_NEAR4, B_NEAR4, C_NEAR4))
 
 
 def f3_first(s):

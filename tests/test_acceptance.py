@@ -18,7 +18,7 @@ from oracles import (
     ss_inverse,
 )
 from dynrel.errors import LogFailure, NotSemidefinite, QdSingular
-from dynrel.feedback import FeedbackModel, closed_loop_T, verify_interchange_identities
+from dynrel.feedback import closed_loop_T, verify_interchange_identities
 from dynrel.kernels import (
     matrix_exp,
     matrix_log_principal,
@@ -107,17 +107,17 @@ def test_c5_closed_loop_suite():
         q = int(rng.integers(1, 4))
         n_f = int(rng.integers(1, 4))
         n_h = int(rng.integers(1, 7 - n_f))
-        fm = FeedbackModel(F=oracles.random_stable_ss(rng, p, q, n=n_f),
-                           H=oracles.random_stable_ss(rng, q, p, n=n_h))
-        cl = closed_loop_T(fm)
+        f_sys = oracles.random_stable_ss(rng, p, q, n=n_f)
+        h_sys = oracles.random_stable_ss(rng, q, p, n=n_h)
+        t_sys = closed_loop_T(f_sys, h_sys)
         eye = np.eye(p + q)
         n_val = np.broadcast_to(eye, (PROBES_IMAG.size, p + q, p + q)).astype(complex)
-        n_val[:, :p, p:] = -freq_response(fm.F, PROBES_IMAG)
-        n_val[:, p:, :p] = -freq_response(fm.H, PROBES_IMAG)
-        assert np.abs(n_val @ freq_response(cl.T, PROBES_IMAG) - eye).max() < 1e-8
-        assert verify_interchange_identities(cl) < 1e-8
-        by_poles = all(is_strictly_stable(blk) for blk in loop_blocks(cl))
-        assert cl.internally_stable == by_poles
+        n_val[:, :p, p:] = -freq_response(f_sys, PROBES_IMAG)
+        n_val[:, p:, :p] = -freq_response(h_sys, PROBES_IMAG)
+        assert np.abs(n_val @ freq_response(t_sys, PROBES_IMAG) - eye).max() < 1e-8
+        assert verify_interchange_identities(f_sys, h_sys, t_sys) < 1e-8
+        by_poles = all(is_strictly_stable(blk) for blk in loop_blocks(t_sys, p))
+        assert is_strictly_stable(t_sys) == by_poles
 
 
 @report("C6 one covariance solves both Lyapunov equations")

@@ -279,6 +279,31 @@ class TestValidate:
                                  "message": f"{sampled}: expected a continuous model file"}
 
 
+class TestDecompositionsOnce:
+    """Validation's spectrum and ||A||_2 are computed once per call: the
+    handlers read them off the validated model."""
+
+    @staticmethod
+    def of_a(calls):
+        return [args for args in calls
+                if any(np.array_equal(args[0], a) for a in (systems.A3, systems.A3[None]))]
+
+    def test_one_eigvals_of_a_per_validate(self, capsys, monkeypatch, model3_file):
+        eigvals = count_calls(monkeypatch, np.linalg.eigvals, packages=("numpy.linalg",))
+        code, data = run_json(capsys, ["validate", model3_file])
+        assert code == 0 and len(data["eigenvalues"]) == 3
+        assert len(self.of_a(eigvals)) == 1
+
+    @pytest.mark.parametrize("argv", [["relation", "--rows", "0"], ["relation", "--all"],
+                                      ["stable-selection"]],
+                             ids=["relation-rows", "relation-all", "stable-selection"])
+    def test_one_norm_of_a_per_relation_call(self, capsys, monkeypatch, model3_file, argv):
+        svds = count_calls(monkeypatch, np.linalg.svd, packages=("numpy.linalg",))
+        code, _ = run_json(capsys, [argv[0], model3_file, *argv[1:]])
+        assert code == 0
+        assert len(self.of_a(svds)) == 1
+
+
 class TestMain:
     @pytest.mark.parametrize("argv, code", [
         (["validate"], 0),
@@ -297,6 +322,15 @@ class TestSpectrum:
         code, data = run_json(capsys, ["spectrum", model3_file])
         assert code == 0
         assert data["modal_rank"] == 1 and data["match"]
+
+    def test_near_dependent_outputs(self, capsys, tmp_path):
+        # sigma(CB) has ratio 4e-8: validate and spectrum both give rank 2
+        path = write_model(tmp_path / "near.json", A=systems.A_NEAR3, B=systems.B_NEAR3,
+                           C=systems.C_NEAR3)
+        assert run_json(capsys, ["validate", path])[1]["m"] == 2
+        code, data = run_json(capsys, ["spectrum", path])
+        assert code == 0
+        assert data["modal_rank"] == 2 and data["match"]
 
     def test_custom_grid(self, capsys, model2_file):
         code, data = run_json(capsys, ["spectrum", model2_file, "--grid", "1e-2:1e2:50"])
@@ -499,11 +533,10 @@ class TestFeedback:
         code, data = run_json(capsys, ["feedback", "--f", f_stable_file,
                                        "--h", h_half_file])
         assert code == 1 and len(calls) == 1
-        fm = feedback.FeedbackModel(
-            F=StateSpace([[-1.0]], [[1.0]], [[1.0]]),
-            H=StateSpace([[-1.0]], [[0.0]], [[0.0]], [[0.5]]))
+        f_sys = StateSpace([[-1.0]], [[1.0]], [[1.0]])
+        h_sys = StateSpace([[-1.0]], [[0.0]], [[0.0]], [[0.5]])
         assert data["interchange_residual"] == feedback.verify_interchange_identities(
-            feedback.closed_loop_T(fm))
+            f_sys, h_sys, feedback.closed_loop_T(f_sys, h_sys))
 
     def test_interchange_identities_checked_once(self, capsys, monkeypatch, f_stable_file,
                                                  h_half_file):
@@ -635,6 +668,15 @@ class TestSamplingCommands:
         assert code == 0
         assert (data["bbt_rank"], data["qd_rank"], data["recovered_rank"]) == (1, 2, 1)
         assert data["hidden"]
+
+    def test_hidden_rank_near_dependent_noise(self, capsys, tmp_path):
+        # B B' has the rank m = 2 that validation proves on B; the recovered
+        # rank 1 says the second channel is not resolvable at h = 1
+        path = write_model(tmp_path / "near.json", A=systems.A_NEAR4, B=systems.B_NEAR4,
+                           C=systems.C_NEAR4)
+        code, data = run_json(capsys, ["hidden-rank", path, "--h", "1.0"])
+        assert code == 0
+        assert (data["bbt_rank"], data["qd_rank"], data["recovered_rank"]) == (2, 4, 1)
 
     def test_sample_bad_period_exits_2(self, capsys, model2_file):
         code, data = run_json(capsys, ["sample", model2_file, "--h", "-0.5"])

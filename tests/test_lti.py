@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ from dynrel.errors import (
     PoleHit,
     RankCBDeficient,
 )
-from dynrel.kernels import POLE_COND_LIMIT, is_invertible, norm2
+from dynrel.kernels import POLE_COND_LIMIT, is_invertible, norm2, sorted_eigvals
 from dynrel import lti
 from dynrel.lti import (
     CtModel,
@@ -543,12 +544,11 @@ class TestValidateCtModel:
             validate_ct_model(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]]))
 
     def test_labels(self):
-        model = validate_ct_model(StateSpace(systems.A3, systems.B3, systems.C3),
-                                  labels=["a", "b", "c", "d"])
+        model = validate_ct_model(CtModel(systems.A3, systems.B3, systems.C3,
+                                          labels=["a", "b", "c", "d"]))
         assert model.labels == ("a", "b", "c", "d")
-        with pytest.raises(ValueError):
-            validate_ct_model(StateSpace(systems.A3, systems.B3, systems.C3),
-                              labels=["a"])
+        with pytest.raises(ValueError, match=r"^expected 4 labels, got 1$"):
+            CtModel(systems.A3, systems.B3, systems.C3, labels=["a"])
 
     def test_validated_model_is_a_state_space(self):
         ss = StateSpace(systems.A3, systems.B3, systems.C3)
@@ -566,9 +566,25 @@ class TestValidateCtModel:
         with pytest.raises(ValueError, match="expected 4 labels, got 1"):
             validate_ct_model(CtModel(A=systems.A3, B=systems.B3, C=systems.C3, labels=["a"]))
 
-    def test_one_svd_of_b_and_one_norm_of_a(self, m3, monkeypatch):
+    def test_models_are_frozen(self, m3):
+        ss = StateSpace(systems.A3, systems.B3, systems.C3)
+        model = CtModel(systems.A3, systems.B3, systems.C3, labels=["a", "b", "c", "d"])
+        for obj, name, value in ((ss, "A", -np.eye(3)), (m3, "A", -np.eye(3)),
+                                 (model, "labels", ("w", "x", "y", "z"))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        assert model.labels == ("a", "b", "c", "d")
+
+    def test_spectrum_and_norm_kept_on_the_model(self, m3):
+        assert np.array_equal(m3.eigenvalues, sorted_eigvals(m3.A))
+        assert m3.a_norm == norm2(m3.A)
+        assert m3.eigenvalues is m3.eigenvalues
+
+    def test_one_svd_of_b_and_one_norm_of_a(self, monkeypatch):
         # the column-rank test of B and the staircase scale ||B||_2 share
-        # one SVD; both staircases share one ||A||_2
+        # one SVD; both staircases share one ||A||_2. A fresh model: the
+        # m3 fixture has its ||A||_2 kept from an earlier validation
+        m3 = CtModel(systems.A3, systems.B3, systems.C3)
         svds = []
         svd = np.linalg.svd
 

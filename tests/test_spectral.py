@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import systems
 from conftest import count_calls
 from oracles import PhiUSingular, f_from_spectrum, spectral_density
-from dynrel.errors import RankInconsistent
+from dynrel.errors import DynrelError, NotSemidefinite, QdSingular, RankInconsistent
 from dynrel.kernels import numerical_rank, rank_from_values
 from dynrel.lti import StateSpace, freq_response, validate_ct_model
+from dynrel.sampling import hidden_rank_report
 from dynrel.spectral import default_grid, spectral_rank_profile
 
 
@@ -68,7 +70,7 @@ class TestRankProfile:
     def test_one_rank_call(self, monkeypatch, m3):
         calls = count_calls(monkeypatch, rank_from_values)
         assert spectral_rank_profile(m3, default_grid()) == 1
-        # the squared singular values of W, one per shock channel, for n_out = 4
+        # the singular values of W, one per shock channel, for n_out = 4
         assert len(calls) == 1 and calls[0][0].shape == (200, 1) and calls[0][1] == 4
 
     def test_rank_of_w_is_rank_of_density(self, rng):
@@ -86,6 +88,72 @@ class TestRankProfile:
         for _ in range(10):
             model = oracles.random_ct_model(rng)
             assert spectral_rank_profile(model, default_grid(count=50)) == model.m
+
+
+def rank_or_inconsistent(model, grid) -> int | None:
+    """The spectral rank of ``model`` on ``grid``, or None when the grid
+    is inconsistent."""
+    try:
+        return spectral_rank_profile(model, grid)
+    except RankInconsistent:
+        return None
+
+
+class TestRankOnFactor:
+    """The density rank is decided on the singular values of W, the cut
+    validation puts on B and CB, not on their squares: a model validation
+    accepts with m shocks never gets another spectral rank."""
+
+    def test_near_dependent_outputs(self):
+        # sigma(CB) has ratio 4e-8: full rank at the cut on sigma (about
+        # 1e-10 sigma_max), rank one at the cut on sigma^2 (about 1e-5 sigma_max)
+        model = systems.near_dependent_outputs()
+        assert model.m == 2
+        assert spectral_rank_profile(model, default_grid()) == 2
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_output_perturbation_sweep(self, rng, eps):
+        # the last row of C moved to within eps of the first
+        checked = 0
+        for _ in range(60):
+            base = oracles.random_ct_model(rng, n=int(rng.integers(2, 9)))
+            if base.n_out < 2:
+                continue
+            c = base.C.copy()
+            c[-1] = c[0] + eps * rng.normal(size=base.n)
+            try:
+                model = validate_ct_model(StateSpace(base.A, base.B, c))
+            except DynrelError:
+                continue
+            checked += 1
+            assert rank_or_inconsistent(model, default_grid()) in (model.m, None)
+        assert checked >= 30
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(5, 9), near=st.sampled_from("BC"),
+           h=st.sampled_from([0.1, 0.5, 1.0]))
+    def test_validated_rank_is_kept(self, seed, k, near, h):
+        # the last column of B, or the last row of C with n_out = m, moved
+        # to within 10^-k of the first: B or W is near deficient
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(2, n + 1))
+        base = oracles.random_ct_model(rng, n=n, m=m, n_out=m if near == "C" else None)
+        b, c = base.B.copy(), base.C.copy()
+        if near == "B":
+            b[:, -1] = b[:, 0] + 10.0 ** -k * rng.normal(size=n)
+        else:
+            c[-1] = c[0] + 10.0 ** -k * rng.normal(size=n)
+        try:
+            model = validate_ct_model(StateSpace(base.A, b, c))
+        except DynrelError:
+            return
+        assert rank_or_inconsistent(model, default_grid(count=50)) in (model.m, None)
+        try:
+            rep = hidden_rank_report(model, h)
+        except (QdSingular, NotSemidefinite):
+            return  # desample refuses; no report to check
+        assert rep.bbt_rank == model.m
 
 
 class TestFFromSpectrum:
