@@ -19,7 +19,6 @@ stable when T is strictly stable (:func:`dynrel.lti.is_strictly_stable`).
 """
 
 import numpy as np
-import scipy.linalg
 from dataclasses import dataclass
 
 from .errors import AlgebraicLoopSingular
@@ -64,7 +63,10 @@ def closed_loop_T(F: StateSpace, H: StateSpace) -> StateSpace:
         raise AlgebraicLoopSingular(
             "I - D_F D_H is numerically singular; the loop is not well posed")
     loop_inv = np.linalg.inv(loop)
-    a_open = scipy.linalg.block_diag(F.A, H.A)
+    a_open = np.block([
+        [F.A, np.zeros((F.n, H.n))],
+        [np.zeros((H.n, F.n)), H.A],
+    ])
     c_stack = np.block([
         [F.C, np.zeros((p, H.n))],
         [np.zeros((q, F.n)), H.C],

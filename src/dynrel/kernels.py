@@ -6,8 +6,8 @@ positive-semidefinite factorization. Every kernel costs O(n^3) time and
 O(n^2) memory. All functions are pure and never modify their inputs.
 """
 
+import functools
 import numpy as np
-import scipy.linalg
 from dataclasses import dataclass
 
 from .errors import ExistenceFailure, NotPSD, SingularInput, SpectrumConflict
@@ -139,17 +139,23 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     ndarray
         ``exp(m * t)``, same dtype class (real or complex) as ``m``.
     """
+    import scipy.linalg
     a = as_matrix(m, square=True, name="matrix_exp input")
     return scipy.linalg.expm(a * float(t))
 
 
 # --------------------------------------------------------------------------
 # Schur-based kernels: one Schur form A = Z T Z' serves the logarithm and
-# both Lyapunov solvers; a caller that holds it passes it down as ``schur=``
+# both Lyapunov solvers; a caller that holds it passes it down as ``schur=``.
+# These kernels and matrix_exp are the only users of scipy and import it in
+# the function body: importing scipy.linalg costs about 0.25 s, which a command
+# that samples nothing should not pay; after the first import it is a
+# sys.modules lookup, under 1 us per call.
 
 def schur_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(T, Z, eigs)``: one ``scipy.linalg.schur`` call gives ``A = Z T Z'``, T quasi-triangular
     (2x2 blocks for complex pairs) for real A and triangular for complex A; eigs are T's."""
+    import scipy.linalg
     a = as_matrix(a, square=True, name="Schur input")
     t_mat, z_mat = scipy.linalg.schur(a, output="complex" if np.iscomplexobj(a) else "real")
     return t_mat, z_mat, np.linalg.eigvals(t_mat)
@@ -157,8 +163,14 @@ def schur_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 _LOG_THETA = 0.25
 _MAX_SQRT_STEPS = 60
-_LOG_NODES, _LOG_WEIGHTS = np.polynomial.legendre.leggauss(8)  # degree 8, on [-1, 1]
-_LOG_NODES, _LOG_WEIGHTS = 0.5 * (_LOG_NODES + 1.0), 0.5 * _LOG_WEIGHTS
+
+
+@functools.cache
+def _log_quadrature() -> tuple[np.ndarray, np.ndarray]:
+    """Degree-8 Gauss-Legendre nodes and weights moved from [-1, 1] to [0, 1];
+    computed on first use, so numpy.polynomial is imported only by a logarithm."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.ndarray:
@@ -177,6 +189,7 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.nda
     ExistenceFailure
         Some eigenvalue sits on the negative real axis.
     """
+    import scipy.linalg
     a = as_matrix(m, square=True, name="matrix_log input")
     n = a.shape[0]
     if n == 0:
@@ -197,9 +210,10 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.nda
             raise SingularInput("inverse scaling and squaring failed to converge")
         t_mat = scipy.linalg.sqrtm(t_mat)
         steps += 1
+    nodes, weights = _log_quadrature()
     x = t_mat - np.eye(n)
-    terms = np.linalg.solve(np.eye(n) + _LOG_NODES[:, None, None] * x, x)
-    return z_mat @ np.tensordot(_LOG_WEIGHTS * 2.0 ** steps, terms, axes=1) @ z_mat.conj().T
+    terms = np.linalg.solve(np.eye(n) + nodes[:, None, None] * x, x)
+    return z_mat @ np.tensordot(weights * 2.0 ** steps, terms, axes=1) @ z_mat.conj().T
 
 
 def _lyap_operands(a, q, schur, names):
@@ -219,6 +233,7 @@ def _lyap_schur(t_mat, z_mat, c) -> np.ndarray:
         return c.copy()
     if np.iscomplexobj(c) and not np.iscomplexobj(t_mat):  # ztrsyl would misread 2x2 blocks
         return _lyap_schur(t_mat, z_mat, c.real) + 1j * _lyap_schur(t_mat, z_mat, c.imag)
+    import scipy.linalg
     trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t_mat, c))
     y, scale, info = trsyl(t_mat, t_mat, c, tranb="C" if np.iscomplexobj(t_mat) else "T")
     if info == 1:
@@ -254,6 +269,7 @@ def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
     if radius >= 1.0:
         raise SpectrumConflict(
             f"spectral radius {radius:.6g} is not below one; equation is singular")
+    import scipy.linalg
     # LU of T + I pivots only inside 2x2 blocks: S keeps T's zeros exactly, as ?trsyl needs
     lu = scipy.linalg.lu_factor(t_mat + np.eye(len(eigs)))
     s_mat = scipy.linalg.lu_solve(lu, t_mat - np.eye(len(eigs)))

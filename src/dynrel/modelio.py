@@ -56,8 +56,12 @@ def _matrix_field(data: dict, field: str, required: bool = True) -> np.ndarray |
             raise ParseError(f"{field}[{i}][{j}]: not a real number: {entry!r}")
     if width == 0:
         raise DimensionMismatch(f"{field}: rows must be non-empty")
-    arr = np.array(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    try:
+        arr = np.array(raw, dtype=float)
+        finite = np.all(np.isfinite(arr))
+    except OverflowError:  # an int beyond the float range, where a float literal is inf
+        finite = False
+    if not finite:
         raise ParseError(f"{field}: contains non-finite entries")
     return arr
 
@@ -82,11 +86,11 @@ def parse_model(path, kind: str) -> dict:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("model file must hold a JSON object")
@@ -141,7 +145,10 @@ def _parse_sampled(data: dict) -> dict:
     if h is not None:
         if type(h) not in (int, float) or not h > 0:
             raise ParseError(f"h: must be a positive number, got {h!r}")
-        h = float(h)
+        try:
+            h = float(h)
+        except OverflowError:
+            raise ParseError("h: an integer beyond the float range") from None
     return {"Ad": ad, "Qd": qd if qd is not None else bd @ bd.T, "Cd": cd, "h": h}
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import systems
 from conftest import count_calls, write_model
+import dynrel
 from dynrel import cli, feedback, relation
 from dynrel.cli import dumps_report, run
 from dynrel.kernels import is_invertible, matrix_exp, psd_factor
@@ -277,6 +282,78 @@ class TestValidate:
         assert code == 2
         assert data["error"] == {"kind": "InputError",
                                  "message": f"{sampled}: expected a continuous model file"}
+
+
+class TestMalformedFile:
+    """A file the schema cannot hold is a ParseError report with exit 2,
+    never a traceback or the negative-verdict exit 1."""
+
+    BIG_INT = "1" + "0" * 400  # an integer JSON number beyond the float range
+
+    @staticmethod
+    def error(capsys, path, command="validate"):
+        code = run([command, str(path)])
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        assert code == 2 and data["command"] == command
+        assert data["error"]["kind"] == "ParseError"
+        assert captured.err == f"error: {data['error']['message']}\n"
+        return data["error"]["message"]
+
+    def test_integer_entry_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"v": 1, "A": [[{self.BIG_INT}]], "B": [[1]], "C": [[1]]}}')
+        assert self.error(capsys, path) == "A: contains non-finite entries"
+
+    def test_integer_period_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "big_h.json"
+        path.write_text(
+            f'{{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": {self.BIG_INT}}}')
+        assert self.error(capsys, path, "desample") == "h: an integer beyond the float range"
+
+    def test_arrays_nested_too_deep(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"v": 1, "A": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert self.error(capsys, path).startswith("invalid JSON: ")
+
+    def test_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"v": 1, "A": [[-1]], "B": [[1]], "C": [[1]], "labels": ["\xe9"]}')
+        assert self.error(capsys, path).startswith(f"cannot read model file {path}: ")
+
+
+class TestImportBoundary:
+    """Only the sampling kernels import scipy: the six commands that sample
+    nothing run in a fresh interpreter without loading it."""
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from dynrel.cli import run
+
+model, f_file, h_file = sys.argv[1:]
+calls = [["validate", model], ["spectrum", model], ["relation", model, "--all"],
+         ["stable-selection", model], ["feedback", "--f", f_file, "--h", h_file],
+         ["granger", "--f", f_file], ["sample", model, "--h", "0.1"]]
+result = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in calls:
+        if argv[0] == "sample":
+            result["loaded"] = sorted(m for m in sys.modules
+                                      if m.split(".")[0] == "scipy"
+                                      or m.startswith("numpy.polynomial"))
+        result[argv[0]] = run(argv)
+result["scipy.linalg"] = "scipy.linalg" in sys.modules
+print(json.dumps(result))
+"""
+
+    def test_scipy_loaded_only_by_sampling(self, model3_file, f_stable_file, h_zero_file):
+        src = str(Path(dynrel.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, model3_file, f_stable_file, h_zero_file],
+            capture_output=True, text=True, check=True, env=os.environ | {"PYTHONPATH": src})
+        assert json.loads(proc.stdout) == {
+            "validate": 0, "spectrum": 0, "relation": 0, "stable-selection": 0,
+            "feedback": 0, "granger": 0, "loaded": [], "sample": 0, "scipy.linalg": True}
 
 
 class TestDecompositionsOnce:
