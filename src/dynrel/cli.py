@@ -324,6 +324,14 @@ def _emit_scalar(v, out: _Text) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256)
+def _key_text(pad: str, key: str) -> str:
+    """The text before a dict value: ``key`` as a JSON string after
+    ``pad``. A report's keys are its field names, a few dozen at each
+    depth; the bound holds the cache for any other dict."""
+    return f"{pad}{json.dumps(key)}: "
+
+
 def _emit(v, out: _Text, pad: str, indent: str = "  "):
     if _emit_scalar(v, out):
         return
@@ -352,9 +360,10 @@ def _emit(v, out: _Text, pad: str, indent: str = "  "):
             out.parts.append("{}")
             return
         out.parts.append("{\n")
+        inner = pad + indent
         for i, (key, val) in enumerate(v.items()):
-            out.parts.append(f"{pad}{indent}{json.dumps(str(key))}: ")
-            _emit(val, out, pad + indent, indent)
+            out.parts.append(_key_text(inner, str(key)))
+            _emit(val, out, inner, indent)
             out.parts.append(",\n" if i < len(v) - 1 else "\n")
         out.parts.append(pad + "}")
         return

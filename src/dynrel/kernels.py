@@ -94,15 +94,21 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+_NATIVE = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
 def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a finite 2-d float or complex array (a copy)."""
-    a = np.atleast_2d(np.asarray(m))
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if not np.issubdtype(a.dtype, np.number):
-        raise ValueError(f"{name} must be numeric, got dtype {a.dtype}")
-    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-    if a.size and not np.all(np.isfinite(a)):
+    if type(m) is np.ndarray and m.ndim == 2 and m.dtype in _NATIVE:
+        a = m.copy(order="K")  # the layout ``astype`` keeps
+    else:
+        a = np.atleast_2d(np.asarray(m))
+        if a.ndim != 2:
+            raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+        if not np.issubdtype(a.dtype, np.number):
+            raise ValueError(f"{name} must be numeric, got dtype {a.dtype}")
+        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")

@@ -14,6 +14,7 @@ file through :func:`parse_model`, the one site that checks a file.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,7 @@ def _parse_sampled(data: dict) -> dict:
     _require_shape("Cd", cd, None, n)
     h = data.get("h")
     if h is not None:
-        if type(h) not in (int, float) or not h > 0:
+        if type(h) not in (int, float) or not 0 < h < math.inf:
             raise ParseError(f"h: must be a positive number, got {h!r}")
         try:
             h = float(h)

@@ -184,22 +184,39 @@ def _realizations(model: CtModel, sels: list[tuple[int, ...]]) -> _Stack:
 def _reports(model: CtModel, sels: list[tuple[int, ...]], raw: _Stack,
              tol: Tolerances) -> list[RelationReport]:
     """The reports of ``sels`` from their realizations ``raw``: one
-    lockstep :func:`minimal_realizations` for the stack, one batched
-    eigenvalue call for Gamma and one for the poles of each group of
-    equal degree. The staircase scales come from before the projections:
-    ``||C1||_2`` for C1 V, which is roundoff when driven rows combine
-    driving rows, and ``||A||_2 ||K||_2`` (the model's ``a_norm``) for
-    W K, whose roundoff it bounds."""
+    lockstep :func:`minimal_realizations` for the stack and one batched
+    eigenvalue call for the poles of each group of equal degree. The
+    staircase scales come from before the projections: ``||C1||_2`` for
+    C1 V, which is roundoff when driven rows combine driving rows, and
+    ``||A||_2 ||K||_2`` (the model's ``a_norm``) for W K, whose roundoff
+    it bounds.
+
+    Gamma = V W has the spectrum of W V and m zeros. When the staircase
+    keeps all n - m states, F.A is W V in an orthonormal basis, so
+    Gamma's spectrum is the member's poles and m exact zeros; only the
+    members it cuts take one more batched eigenvalue call, of their W V.
+    Both are sorted as by :func:`sorted_eigvals`."""
     f_min = minimal_realizations(raw.a, raw.b, raw.c, raw.d, model.a_norm * norm2(raw.k),
                                  norm2(raw.c1), tol)
     by_degree = {}
     for i, f in enumerate(f_min):
         by_degree.setdefault(f.n, []).append(i)
+    d = model.n - model.m
     f_poles = [None] * len(sels)
-    for idx in by_degree.values():
-        for i, p in zip(idx, sorted_eigvals(np.stack([f_min[i].A for i in idx]))):
+    spectrum = np.zeros((len(sels), model.n), dtype=np.complex128)
+    cut = []
+    for degree, idx in by_degree.items():
+        eigs = sorted_eigvals(np.stack([f_min[i].A for i in idx]))
+        for i, p in zip(idx, eigs):
             f_poles[i] = p
-    gamma_eigs = sorted_eigvals(raw.gamma)
+        if degree == d:
+            spectrum[idx, :d] = eigs
+        else:
+            cut += idx
+    if cut:
+        spectrum[cut, :d] = np.linalg.eigvals(raw.a[cut])
+    order = np.lexsort((spectrum.imag, spectrum.real), axis=-1)
+    gamma_eigs = np.take_along_axis(spectrum, order, axis=-1)
     return [RelationReport(
         rows0=rows0,
         rows1=_driven_rows(model.n_out, rows0),
@@ -220,8 +237,10 @@ def classify_selections(model: CtModel, sels, tol: Tolerances = DEFAULT_TOL) -> 
     one call of :func:`minimal_realizations`, which runs the staircase
     for every selection in lockstep. ``poles`` are the sorted
     eigenvalues of the reported minimal F, and ``stable`` is decided on
-    those same poles. Every report is bit-for-bit the one the selection
-    gets alone.
+    those same poles. ``gamma_eigs`` are those poles and m exact zeros
+    when the staircase keeps all n - m states, and the eigenvalues of
+    W V and m exact zeros when it cuts one (:func:`_reports`). Every
+    report is bit-for-bit the one the selection gets alone.
 
     Raises
     ------

@@ -77,7 +77,7 @@ class SampledModel:
             raise ValueError("Ad, Cd, Qd dimensions are inconsistent")
         self.h = float(self.h)
         if not (np.isfinite(self.h) and self.h > 0):
-            raise NonPositiveH(f"sampling period must be positive, got {self.h}")
+            raise NonPositiveH(f"sampling period must be finite and positive, got {self.h}")
 
     @property
     def n(self) -> int:
@@ -120,7 +120,7 @@ def sample(model: CtModel, h: float) -> SampledModel:
     This is exact to kernel accuracy with no step-size tuning.
     """
     if not (np.isfinite(h) and h > 0):
-        raise NonPositiveH(f"sampling period must be positive, got {h}")
+        raise NonPositiveH(f"sampling period must be finite and positive, got {h}")
     a, b, c = model.A, model.B, model.C
     n = model.n
     bbt = b @ b.T

@@ -311,6 +311,11 @@ class TestMalformedFile:
             f'{{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": {self.BIG_INT}}}')
         assert self.error(capsys, path, "desample") == "h: an integer beyond the float range"
 
+    def test_period_beyond_float_range(self, capsys, tmp_path):
+        path = tmp_path / "inf_h.json"
+        path.write_text('{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": 1e400}')
+        assert self.error(capsys, path, "desample") == "h: must be a positive number, got inf"
+
     def test_arrays_nested_too_deep(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"v": 1, "A": ' + "[" * 100000 + "]" * 100000 + "}")
@@ -379,6 +384,21 @@ class TestDecompositionsOnce:
         code, _ = run_json(capsys, [argv[0], model3_file, *argv[1:]])
         assert code == 0
         assert len(self.of_a(svds)) == 1
+
+    @pytest.mark.parametrize("argv", [["relation", "--all"], ["stable-selection"]],
+                             ids=["relation-all", "stable-selection"])
+    def test_no_eigvals_of_gamma(self, capsys, monkeypatch, seeded_file, argv):
+        # Gamma's spectrum comes from the poles: no eigenvalue call on a
+        # (k, n, n) stack, and one per degree group for relation --all
+        eigvals = count_calls(monkeypatch, np.linalg.eigvals, packages=("numpy.linalg",))
+        code, data = run_json(capsys, [argv[0], seeded_file, *argv[1:]])
+        assert code == 0
+        stacks = [args[0].shape for args in eigvals if args[0].ndim == 3]
+        assert stacks and all(shape[-1] < 10 for shape in stacks)
+        if argv[0] == "relation":
+            # all 20 of degree n - m = 7, so one degree group and none cut
+            assert [e["degree"] for e in data["selections"]] == [7] * 20
+            assert stacks == [(20, 7, 7)]
 
 
 class TestMain:

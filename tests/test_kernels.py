@@ -19,6 +19,7 @@ from dynrel.kernels import (
     DEFAULT_TOL,
     POLE_COND_LIMIT,
     Tolerances,
+    as_matrix,
     is_invertible,
     matrix_exp,
     matrix_log_principal,
@@ -50,6 +51,56 @@ class TestTolerances:
     def test_nonpositive_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             Tolerances(**{field: value})
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("m, message", [
+        pytest.param(np.zeros((2, 2, 2)), "2-dimensional", id="3-d"),
+        pytest.param(np.array([[1.0, None]], dtype=object), "numeric", id="object"),
+        pytest.param(np.array([["1", "2"]]), "numeric", id="str"),
+        pytest.param(np.eye(2, dtype=bool), "numeric", id="bool"),
+        pytest.param([[1.0, np.nan]], "non-finite", id="nan"),
+        pytest.param(np.array([[np.inf, 0.0]]), "non-finite", id="inf"),
+        pytest.param(np.array([[1j * np.inf]]), "non-finite", id="complex-inf"),
+    ])
+    def test_refusals_name_the_input(self, m, message):
+        with pytest.raises(ValueError, match=f"^X .*{message}"):
+            as_matrix(m, name="X")
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), [[1, 2, 3]]], ids=["float64", "list"])
+    def test_non_square_refused_when_square_asked(self, m):
+        assert as_matrix(m).shape == np.shape(m)
+        with pytest.raises(ValueError, match="must be square"):
+            as_matrix(m, square=True)
+
+    @pytest.mark.parametrize("m, shape, dtype", [
+        pytest.param(2.5, (1, 1), np.float64, id="0-d"),
+        pytest.param([1.0, 2.0], (1, 2), np.float64, id="1-d"),
+        pytest.param(np.array([[1, 2]]), (1, 2), np.float64, id="int"),
+        pytest.param(np.array([[1.5]], dtype=np.float32), (1, 1), np.float64, id="float32"),
+        pytest.param(np.array([[1.5, -2.0]], dtype=">f8"), (1, 2), np.float64, id="big-endian"),
+        pytest.param(np.array([[1 + 2j]], dtype=np.complex64), (1, 1), np.complex128,
+                     id="complex64"),
+        pytest.param([[1j, 2]], (1, 2), np.complex128, id="complex-list"),
+    ])
+    def test_coercions(self, m, shape, dtype):
+        a = as_matrix(m)
+        assert type(a) is np.ndarray and a.shape == shape
+        assert a.dtype == dtype and a.dtype.isnative
+        np.testing.assert_array_equal(a, np.atleast_2d(np.asarray(m)))
+
+    @pytest.mark.parametrize("m", [
+        np.arange(6.0).reshape(2, 3),
+        np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        np.arange(12.0).reshape(3, 4)[::2, 1:],
+        np.arange(4.0).reshape(2, 2) * 1j,
+    ], ids=["float64", "fortran", "strided", "complex128"])
+    def test_never_shares_memory(self, m):
+        a = as_matrix(m)
+        assert not np.shares_memory(a, m)
+        assert a.dtype == m.dtype and np.array_equal(a, m)
+        # the layout a converting ``astype`` keeps, on which BLAS sums depend
+        assert a.flags.f_contiguous == m.astype(m.dtype).flags.f_contiguous
 
 
 def with_conjugate_pairs(seed: int, n: int, centre: float, spread: float) -> np.ndarray:

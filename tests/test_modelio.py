@@ -168,7 +168,7 @@ class TestParseSampled:
             load_sampled_model(path)
 
     def test_bad_h(self, tmp_path):
-        for h in (-1, True, "1", [1]):
+        for h in (-1, True, "1", [1], float("inf")):
             with pytest.raises(ParseError, match="h: must be a positive number"):
                 parse_model(one_state_sampled(tmp_path, Qd=[[1]], h=h), "sampled")
 

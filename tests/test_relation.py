@@ -418,18 +418,50 @@ class TestInvariantZeroOracle:
     oracle that shares no code with Gamma or with the staircase."""
 
     def check(self, model):
+        """Check every selection of ``model``; return their reports."""
         margin = DEFAULT_TOL.stability_margin
-        for rep in classify_selections(model, enumerate_selections(model)):
+        n, m = model.n, model.m
+        reps = classify_selections(model, enumerate_selections(model))
+        for rep in reps:
             zeros = invariant_zeros(model, rep.rows0)
-            assert rep.degree <= model.n - model.m
+            assert rep.degree <= n - m
             for p in rep.poles:
                 assert np.abs(zeros - p).min() <= ZERO_RTOL * max(1.0, abs(p))
             if rep.degree == zeros.size:  # no zero cancels
                 assert rep.stable == bool(zeros.size == 0 or zeros.real.max() < -margin)
+            # Gamma = V W: m exact zeros and the zero dynamics, which are the
+            # poles themselves when the staircase keeps every state
+            g = rep.gamma_eigs
+            assert np.array_equal(np.lexsort((g.imag, g.real)), np.arange(n))  # sorted
+            exact = np.flatnonzero(g == 0)
+            assert exact.size >= m
+            rest = np.delete(g, exact[:m])
+            for z in rest:
+                assert np.abs(zeros - z).min() <= ZERO_RTOL * max(1.0, abs(z))
+            if rep.degree == n - m:
+                assert np.array_equal(rest, rep.poles)
+        return reps
 
     def test_golden(self, m3, m2):
         for model in (m3, m2, constant_relation_model()):
             self.check(model)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cut_selections(self, seed):
+        # driven rows that combine driving rows: every relation is a
+        # constant, so the staircase cuts all n - m states
+        rng = np.random.default_rng(seed)
+        model = dependent_rows_model(rng, 6, rng.normal(size=(2, 2)), np.ones(4))
+        reps = self.check(model)
+        assert [rep.degree for rep in reps if rep.rows0 == (0, 1)] == [0]
+
+    def test_as_many_shocks_as_states(self):
+        # m = n: V is empty, so Gamma and its spectrum are exactly zero
+        model = oracles.random_ct_model(np.random.default_rng(4), n=3, m=3, n_out=5)
+        for rep in self.check(model):
+            assert rep.degree == 0
+            assert not rep.gamma.any() and not rep.gamma_eigs.any()
+            assert rep.gamma_eigs.shape == (3,)
 
     def test_bench_size(self):
         # n = 30, m = 3 and nine outputs, 84 selections: the size of the

@@ -54,15 +54,11 @@ def distinct_calls(gen, workload, rng, workdir, run):
     return list({tuple(c.argv): c.argv for c in schedule}.values())
 
 
-def digest(text, workdir):
-    return hashlib.sha256(text.replace(workdir, TOKEN).encode()).hexdigest()
-
-
-def main(argv):
-    if not argv:
-        sys.exit(__doc__.split("\n\n")[1])
-    checkout = Path(argv[0]).resolve()
-    seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
+def calls(checkout, seeds):
+    """Every distinct call of the three workloads at ``seeds``, run
+    through ``dynrel.cli.run`` of ``checkout/src``: (workload, seed,
+    argv text, exit code or raised exception, stdout, stderr), with the
+    work directory written as ``TOKEN``."""
     # one BLAS thread, set before numpy loads, as bench/run.py does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -78,19 +74,31 @@ def main(argv):
             sys.exit(f"{mod.__name__} loaded from {mod.__file__}, not {checkout}")
     run = dynrel.cli.run
 
-    raised = 0
     for workload in WORKLOADS:
         for seed in seeds:
             with tempfile.TemporaryDirectory(prefix="digests-") as workdir:
                 rng = np.random.default_rng(seed)
                 for call in distinct_calls(gen, workload, rng, workdir, run):
                     code, out, err = invoke(run, call)
-                    if isinstance(code, BaseException):
-                        raised += 1
-                        code = f"raised {type(code).__name__}"
-                    args = " ".join(call).replace(workdir, TOKEN)
-                    print(f"{workload}\t{seed}\t{args}\t{code}\t"
-                          f"{digest(out, workdir)}\t{digest(err, workdir)}")
+                    yield (workload, seed, " ".join(call).replace(workdir, TOKEN), code,
+                           out.replace(workdir, TOKEN), err.replace(workdir, TOKEN))
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv):
+    if not argv:
+        sys.exit(__doc__.split("\n\n")[1])
+    checkout = Path(argv[0]).resolve()
+    seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
+    raised = 0
+    for workload, seed, args, code, out, err in calls(checkout, seeds):
+        if isinstance(code, BaseException):
+            raised += 1
+            code = f"raised {type(code).__name__}"
+        print(f"{workload}\t{seed}\t{args}\t{code}\t{digest(out)}\t{digest(err)}")
     return 1 if raised else 0
 
 
