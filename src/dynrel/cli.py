@@ -299,29 +299,10 @@ class _Text:
 
 _COMMA = b", "
 _IM, _RE = b', "im": ', b'}, {"re": '
+# the type tuples of ``_emit``, built once rather than at every check
+_BOOL, _INT = (bool, np.bool_), (int, np.integer)
+_FLOAT, _COMPLEX = (float, np.floating), (complex, np.complexfloating)
 _SCALARS = (str, int, float, complex, np.bool_, np.number)
-
-
-def _emit_scalar(v, out: _Text) -> bool:
-    """Write ``v`` if it is a scalar; report whether it was."""
-    if v is None:
-        out.parts.append("null")
-    elif isinstance(v, (bool, np.bool_)):
-        out.parts.append("true" if v else "false")
-    elif isinstance(v, str):
-        out.parts.append(json.dumps(v))
-    elif isinstance(v, (int, np.integer)):
-        out.parts.append(str(int(v)))
-    elif isinstance(v, (float, np.floating)):
-        out.floats((float(v),), ())
-    elif isinstance(v, (complex, np.complexfloating)):
-        z = complex(v)
-        out.parts.append('{"re": ')
-        out.floats((z.real, z.imag), (_IM,))
-        out.parts.append("}")
-    else:
-        return False
-    return True
 
 
 @functools.lru_cache(maxsize=256)
@@ -332,62 +313,73 @@ def _key_text(pad: str, key: str) -> str:
     return f"{pad}{json.dumps(key)}: "
 
 
+def _block(out: _Text, values, cols: int, head: str, row: bytes, col: bytes, tail: str):
+    """Write the floats ``values``, ``cols`` to a row: ``head``, the rows
+    with ``row`` between them and ``col`` between their values, ``tail``."""
+    out.parts.append(head)
+    out.floats(values, (([row] + [col] * (cols - 1)) * (len(values) // cols))[1:])
+    out.parts.append(tail)
+
+
 def _emit(v, out: _Text, pad: str, indent: str = "  "):
-    if _emit_scalar(v, out):
-        return
-    if isinstance(v, np.ndarray):
-        if v.ndim == 2 and v.dtype.kind == "f" and v.size:
-            rows, cols = v.shape
-            out.parts.append(f"[\n{pad}{indent}[")
-            row_break = f"],\n{pad}{indent}[".encode()
-            out.floats(np.asarray(v, dtype=np.float64).ravel(),
-                       (([row_break] + [_COMMA] * (cols - 1)) * rows)[1:])
-            out.parts.append(f"]\n{pad}]")
-        elif v.ndim == 1 and v.dtype.kind == "f" and v.size:
-            out.parts.append("[")
-            out.floats(np.asarray(v, dtype=np.float64), [_COMMA] * (v.size - 1))
-            out.parts.append("]")
-        elif v.ndim == 1 and v.dtype.kind == "c" and v.size:
-            out.parts.append('[{"re": ')
-            out.floats(np.ascontiguousarray(v, dtype=np.complex128).view(np.float64),
-                       ([_IM, _RE] * v.size)[:-1])
-            out.parts.append("}]")
+    """Write ``v``, its lines after the first indented by ``pad``."""
+    if v is None:
+        out.parts.append("null")
+    elif isinstance(v, _BOOL):
+        out.parts.append("true" if v else "false")
+    elif isinstance(v, str):
+        out.parts.append(json.dumps(v))
+    elif isinstance(v, _INT):
+        out.parts.append(str(int(v)))
+    elif isinstance(v, _FLOAT):
+        out.floats((float(v),), ())
+    elif isinstance(v, _COMPLEX):
+        z = complex(v)
+        _block(out, (z.real, z.imag), 2, '{"re": ', _RE, _IM, "}")
+    elif isinstance(v, np.ndarray):
+        layout = (v.ndim, v.dtype.kind) if v.size else None
+        if layout == (2, "f"):
+            inner = pad + indent
+            _block(out, np.asarray(v, dtype=np.float64).ravel(), v.shape[1], f"[\n{inner}[",
+                   f"],\n{inner}[".encode(), _COMMA, f"]\n{pad}]")
+        elif layout == (1, "f"):
+            _block(out, np.asarray(v, dtype=np.float64), v.size, "[", _COMMA, _COMMA, "]")
+        elif layout == (1, "c"):
+            _block(out, np.ascontiguousarray(v, dtype=np.complex128).view(np.float64), 2,
+                   '[{"re": ', _RE, _IM, "}]")
         else:
             _emit(v.tolist(), out, pad, indent)
-        return
-    if isinstance(v, dict):
+    elif isinstance(v, dict):
         if not v:
             out.parts.append("{}")
-            return
-        out.parts.append("{\n")
-        inner = pad + indent
-        for i, (key, val) in enumerate(v.items()):
-            out.parts.append(_key_text(inner, str(key)))
-            _emit(val, out, inner, indent)
-            out.parts.append(",\n" if i < len(v) - 1 else "\n")
-        out.parts.append(pad + "}")
-        return
-    if isinstance(v, (list, tuple)):
+        else:
+            out.parts.append("{\n")
+            inner = pad + indent
+            for i, (key, val) in enumerate(v.items()):
+                out.parts.append(_key_text(inner, str(key)))
+                _emit(val, out, inner, indent)
+                out.parts.append(",\n" if i < len(v) - 1 else "\n")
+            out.parts.append(pad + "}")
+    elif isinstance(v, (list, tuple)):
         if not v:
             out.parts.append("[]")
-            return
-        if all(x is None or isinstance(x, _SCALARS) for x in v):
+        elif all(x is None or isinstance(x, _SCALARS) for x in v):
             out.parts.append("[")
             for i, item in enumerate(v):
                 if i:
                     out.parts.append(", ")
-                _emit_scalar(item, out)
+                _emit(item, out, pad, indent)
             out.parts.append("]")
-            return
-        out.parts.append("[\n")
-        for i, item in enumerate(v):
-            out.parts.append(pad + indent)
-            _emit(item, out, pad + indent, indent)
-            out.parts.append(",\n" if i < len(v) - 1 else "\n")
-        out.parts.append(pad + "]")
-        return
-    out.flush()  # a non-finite float before it is named first
-    raise TypeError(f"cannot serialize {type(v).__name__} in report")
+        else:
+            out.parts.append("[\n")
+            for i, item in enumerate(v):
+                out.parts.append(pad + indent)
+                _emit(item, out, pad + indent, indent)
+                out.parts.append(",\n" if i < len(v) - 1 else "\n")
+            out.parts.append(pad + "]")
+    else:
+        out.flush()  # a non-finite float before it is named first
+        raise TypeError(f"cannot serialize {type(v).__name__} in report")
 
 
 def dumps_report(obj: dict) -> str:

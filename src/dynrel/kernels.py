@@ -99,12 +99,10 @@ _NATIVE = (np.dtype(np.float64), np.dtype(np.complex128))
 
 def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a finite 2-d float or complex array (a copy)."""
-    if type(m) is np.ndarray and m.ndim == 2 and m.dtype in _NATIVE:
-        a = m.copy(order="K")  # the layout ``astype`` keeps
-    else:
-        a = np.atleast_2d(np.asarray(m))
-        if a.ndim != 2:
-            raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    a = np.array(m, ndmin=2)  # a copy, in the layout ``astype`` keeps
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    if a.dtype not in _NATIVE:
         if not np.issubdtype(a.dtype, np.number):
             raise ValueError(f"{name} must be numeric, got dtype {a.dtype}")
         a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)

@@ -165,6 +165,15 @@ class TestSerializer:
         values[::7] = 0.0
         report = {"v": values, "z": values[: size // 2 * 2].view(np.complex128),
                   "M": values[: size // 4 * 4].reshape(-1, 4), "empty": np.zeros((3, 0))}
+        # every kind of complex scalar at the top level, in a dict and in a
+        # list of scalars; float32 arrays and scalars; empty 1-d arrays
+        w = complex(values[0], values[-1])
+        scalars = [complex(w), np.complex128(w), np.complex64(w)]
+        report |= {"c": scalars[0], "c128": scalars[1], "c64": scalars[2],
+                   "in_dict": dict(zip(("c", "c128", "c64"), scalars)),
+                   "in_list": [1, values[0], *scalars, None, True],
+                   "f32": values.astype(np.float32), "f32_scalar": np.float32(values[-1]),
+                   "v0": np.zeros(0), "z0": np.zeros(0, np.complex128)}
         assert dumps_report(report) == oracles.reference_dumps(report)
 
     def test_report_larger_than_a_chunk_matches_list_path(self):
