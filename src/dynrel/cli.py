@@ -303,6 +303,7 @@ _IM, _RE = b', "im": ', b'}, {"re": '
 _BOOL, _INT = (bool, np.bool_), (int, np.integer)
 _FLOAT, _COMPLEX = (float, np.floating), (complex, np.complexfloating)
 _SCALARS = (str, int, float, complex, np.bool_, np.number)
+_INDENT = "  "
 
 
 @functools.lru_cache(maxsize=256)
@@ -321,7 +322,7 @@ def _block(out: _Text, values, cols: int, head: str, row: bytes, col: bytes, tai
     out.parts.append(tail)
 
 
-def _emit(v, out: _Text, pad: str, indent: str = "  "):
+def _emit(v, out: _Text, pad: str):
     """Write ``v``, its lines after the first indented by ``pad``."""
     if v is None:
         out.parts.append("null")
@@ -339,7 +340,7 @@ def _emit(v, out: _Text, pad: str, indent: str = "  "):
     elif isinstance(v, np.ndarray):
         layout = (v.ndim, v.dtype.kind) if v.size else None
         if layout == (2, "f"):
-            inner = pad + indent
+            inner = pad + _INDENT
             _block(out, np.asarray(v, dtype=np.float64).ravel(), v.shape[1], f"[\n{inner}[",
                    f"],\n{inner}[".encode(), _COMMA, f"]\n{pad}]")
         elif layout == (1, "f"):
@@ -348,16 +349,16 @@ def _emit(v, out: _Text, pad: str, indent: str = "  "):
             _block(out, np.ascontiguousarray(v, dtype=np.complex128).view(np.float64), 2,
                    '[{"re": ', _RE, _IM, "}]")
         else:
-            _emit(v.tolist(), out, pad, indent)
+            _emit(v.tolist(), out, pad)
     elif isinstance(v, dict):
         if not v:
             out.parts.append("{}")
         else:
             out.parts.append("{\n")
-            inner = pad + indent
+            inner = pad + _INDENT
             for i, (key, val) in enumerate(v.items()):
                 out.parts.append(_key_text(inner, str(key)))
-                _emit(val, out, inner, indent)
+                _emit(val, out, inner)
                 out.parts.append(",\n" if i < len(v) - 1 else "\n")
             out.parts.append(pad + "}")
     elif isinstance(v, (list, tuple)):
@@ -368,13 +369,13 @@ def _emit(v, out: _Text, pad: str, indent: str = "  "):
             for i, item in enumerate(v):
                 if i:
                     out.parts.append(", ")
-                _emit(item, out, pad, indent)
+                _emit(item, out, pad)
             out.parts.append("]")
         else:
             out.parts.append("[\n")
             for i, item in enumerate(v):
-                out.parts.append(pad + indent)
-                _emit(item, out, pad + indent, indent)
+                out.parts.append(pad + _INDENT)
+                _emit(item, out, pad + _INDENT)
                 out.parts.append(",\n" if i < len(v) - 1 else "\n")
             out.parts.append(pad + "]")
     else:

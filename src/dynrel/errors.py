@@ -149,12 +149,14 @@ class NotSemidefinite(ConditionError):
 # ------------------------------------------------------------ model files
 
 class ParseError(InputError):
-    """The model file is not valid JSON or holds non-numeric data."""
+    """The model file is not valid JSON or holds non-numeric data, or
+    output labels are not a list of strings."""
 
 
-class DimensionMismatch(InputError):
-    """A model-file matrix has the wrong shape; the message names the
-    offending field."""
+class DimensionMismatch(InputError, ValueError):
+    """A matrix, or a model file's list of rows or labels, has the wrong
+    shape; the message names the offending field. Also a ``ValueError``,
+    as the other refusals of malformed arrays are."""
 
 
 class SchemaVersionUnsupported(InputError):

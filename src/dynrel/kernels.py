@@ -10,7 +10,7 @@ import functools
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import ExistenceFailure, NotPSD, SingularInput, SpectrumConflict
+from .errors import DimensionMismatch, ExistenceFailure, NotPSD, SingularInput, SpectrumConflict
 
 __all__ = [
     "Tolerances",
@@ -19,6 +19,7 @@ __all__ = [
     "POLE_COND_LIMIT",
     "LYAP_SEP_RTOL",
     "as_matrix",
+    "require_shape",
     "is_invertible",
     "matrix_exp",
     "schur_form",
@@ -108,9 +109,19 @@ def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
         a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if square:
+        require_shape(name, a, None, a.shape[0])
     return a
+
+
+def require_shape(name: str, a: np.ndarray, rows: int | None, cols: int | None):
+    """Raise :class:`DimensionMismatch` naming ``name`` unless the 2-d
+    array ``a`` has ``rows`` rows and ``cols`` columns (None: any number).
+    The one shape check of the package."""
+    if rows is not None and a.shape[0] != rows:
+        raise DimensionMismatch(f"{name}: expected {rows} rows, got {a.shape[0]}")
+    if cols is not None and a.shape[1] != cols:
+        raise DimensionMismatch(f"{name}: expected {cols} columns, got {a.shape[1]}")
 
 
 def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool | np.ndarray:
@@ -223,9 +234,8 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.nda
 def _lyap_operands(a, q, schur, names):
     """Q validated against A, and the Schur form of A."""
     a = as_matrix(a, square=True, name=names[0])
-    q = as_matrix(q, square=True, name=names[1])
-    if q.shape != a.shape:
-        raise ValueError(f"{names[1]} must be {a.shape[0]}x{a.shape[0]}, got {q.shape}")
+    q = as_matrix(q, name=names[1])
+    require_shape(names[1], q, a.shape[0], a.shape[0])
     return q, schur_form(a) if schur is None else schur
 
 

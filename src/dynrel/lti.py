@@ -14,14 +14,17 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BColumnDeficient,
+    DimensionMismatch,
     NotObservable,
     NotReachable,
     NotStable,
+    ParseError,
     PoleHit,
     RankCBDeficient,
 )
 from .kernels import (DEFAULT_TOL, POLE_COND_LIMIT, Tolerances, as_matrix, is_invertible,
-                      norm2, numerical_rank, rank_cut, rank_from_values, sorted_eigvals)
+                      norm2, numerical_rank, rank_cut, rank_from_values, require_shape,
+                      sorted_eigvals)
 
 __all__ = [
     "StateSpace",
@@ -41,7 +44,8 @@ class StateSpace:
     """Realization ``C (sI - A)^{-1} B + D`` of a proper rational matrix.
 
     ``A`` may be 0x0, which represents a constant (static gain) system.
-    Instances are frozen: the arrays are checked once, at construction.
+    Instances are frozen: the arrays are checked once, at construction,
+    their shapes by :func:`~dynrel.kernels.require_shape`.
     """
 
     A: np.ndarray
@@ -52,18 +56,14 @@ class StateSpace:
     def __post_init__(self):
         a = as_matrix(self.A, square=True, name="A")
         b = as_matrix(self.B, name="B")
+        require_shape("B", b, a.shape[0], None)
         c = as_matrix(self.C, name="C")
-        n = a.shape[0]
-        if b.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got {b.shape}")
-        if c.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {c.shape}")
+        require_shape("C", c, None, a.shape[0])
         if self.D is None:
             d = np.zeros((c.shape[0], b.shape[1]))
         else:
             d = as_matrix(self.D, name="D")
-            if d.shape != (c.shape[0], b.shape[1]):
-                raise ValueError(f"D must be {c.shape[0]}x{b.shape[1]}, got {d.shape}")
+            require_shape("D", d, c.shape[0], b.shape[1])
         for name, x in zip("ABCD", (a, b, c, d)):
             object.__setattr__(self, name, x)
 
@@ -89,19 +89,17 @@ class CtModel(StateSpace):
 
     ``m`` is the number of shock channels, the column count of B, which
     validation proves equal to rank B, to rank(CB) and to the rank of the
-    output spectral density almost everywhere. ``labels`` name the outputs;
-    ``eigenvalues`` and ``a_norm``, computed once on first use, are shared
-    by validation and the analyses after it.
+    output spectral density almost everywhere. ``labels``, a list or tuple
+    of one string per output, name the outputs; ``eigenvalues`` and
+    ``a_norm``, computed once on first use, are shared by validation and
+    the analyses after it.
     """
 
     labels: tuple[str, ...] | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-            if len(self.labels) != self.n_out:
-                raise ValueError(f"expected {self.n_out} labels, got {len(self.labels)}")
+        object.__setattr__(self, "labels", _labels(self.labels, self.n_out))
 
     @property
     def m(self) -> int:
@@ -116,6 +114,19 @@ class CtModel(StateSpace):
     def a_norm(self) -> float:
         """``||A||_2``, by which validation and the relation staircases scale."""
         return norm2(self.A)
+
+
+def _labels(labels, count: int) -> tuple[str, ...] | None:
+    """``labels`` as a tuple when it is a list or tuple of ``count``
+    strings (None stays None): the rule of :class:`CtModel` and of the
+    model files. Else ParseError, or DimensionMismatch on the count."""
+    if labels is None:
+        return None
+    if not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels):
+        raise ParseError("labels: must be a list of strings")
+    if len(labels) != count:
+        raise DimensionMismatch(f"labels: expected {count} entries, got {len(labels)}")
+    return tuple(labels)
 
 
 #: Fixed safety factor of the pole certificate in :func:`freq_response`: a

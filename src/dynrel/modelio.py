@@ -10,7 +10,8 @@ Each loader takes a path and returns the object the analyses take:
 :func:`load_ct_model` a validated :class:`CtModel`,
 :func:`load_state_space` a plain :class:`StateSpace` (D allowed) and
 :func:`load_sampled_model` a :class:`SampledModel`. All three read the
-file through :func:`parse_model`, the one site that checks a file.
+file through :func:`parse_model`, the one site that checks the JSON;
+the model types check the shapes of the matrices they are built from.
 """
 
 import json
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, InputError, ParseError, SchemaVersionUnsupported
-from .kernels import DEFAULT_TOL, Tolerances
-from .lti import CtModel, StateSpace, validate_ct_model
+from .kernels import DEFAULT_TOL, Tolerances, require_shape
+from .lti import CtModel, StateSpace, _labels, validate_ct_model
 from .sampling import SampledModel
 
 __all__ = [
@@ -67,23 +68,19 @@ def _matrix_field(data: dict, field: str, required: bool = True) -> np.ndarray |
     return arr
 
 
-def _require_shape(name: str, arr: np.ndarray, rows: int | None, cols: int | None):
-    r, c = arr.shape
-    if rows is not None and r != rows:
-        raise DimensionMismatch(f"{name}: expected {rows} rows, got {r}")
-    if cols is not None and c != cols:
-        raise DimensionMismatch(f"{name}: expected {cols} columns, got {c}")
-
-
 def parse_model(path, kind: str) -> dict:
     """The checked fields of the model file at ``path``, which must be of
     ``kind``, "continuous" or "sampled".
 
     The one site that reads a model file: the file, its JSON, its schema
     version and its kind are checked here, in that order, then every
-    field's type and shape. A continuous file gives ``A, B, C, D,
-    labels`` and a sampled file ``Ad, Qd, Cd, h``; an absent optional
-    field is None, and a ``Bd`` file gives ``Qd = Bd Bd'``.
+    field: present when required, a matrix of equal-length rows of real,
+    finite numbers, ``h`` a positive number. The only shapes checked here
+    are those no model type sees: the label count against the rows of
+    ``C`` and the rows of ``Bd`` against ``Ad``; the model the loaders
+    build checks the rest. A continuous file gives ``A, B, C, D, labels``
+    and a sampled file ``Ad, Qd, Cd, h``; an absent optional field is
+    None, and a ``Bd`` file gives ``Qd = Bd Bd'``.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -108,40 +105,20 @@ def parse_model(path, kind: str) -> dict:
 
 def _parse_continuous(data: dict) -> dict:
     a = _matrix_field(data, "A")
-    _require_shape("A", a, a.shape[0], a.shape[0])
-    n = a.shape[0]
     b = _matrix_field(data, "B")
-    _require_shape("B", b, n, None)
     c = _matrix_field(data, "C")
-    _require_shape("C", c, None, n)
     d = _matrix_field(data, "D", required=False)
-    if d is not None:
-        _require_shape("D", d, c.shape[0], b.shape[1])
-    labels = data.get("labels")
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise ParseError("labels: must be a list of strings")
-        if len(labels) != c.shape[0]:
-            raise DimensionMismatch(
-                f"labels: expected {c.shape[0]} entries, got {len(labels)}")
-        labels = tuple(labels)
+    labels = _labels(data.get("labels"), c.shape[0])
     return {"A": a, "B": b, "C": c, "D": d, "labels": labels}
 
 
 def _parse_sampled(data: dict) -> dict:
     ad = _matrix_field(data, "Ad")
-    _require_shape("Ad", ad, ad.shape[0], ad.shape[0])
-    n = ad.shape[0]
     qd = _matrix_field(data, "Qd", required=False)
     bd = _matrix_field(data, "Bd", required=False)
     if qd is None and bd is None:
         raise DimensionMismatch("Qd: sampled model needs either 'Qd' or 'Bd'")
-    if qd is not None:
-        _require_shape("Qd", qd, n, n)
-    if bd is not None:
-        _require_shape("Bd", bd, n, None)
     cd = _matrix_field(data, "Cd")
-    _require_shape("Cd", cd, None, n)
     h = data.get("h")
     if h is not None:
         if type(h) not in (int, float) or not 0 < h < math.inf:
@@ -150,6 +127,8 @@ def _parse_sampled(data: dict) -> dict:
             h = float(h)
         except OverflowError:
             raise ParseError("h: an integer beyond the float range") from None
+    if bd is not None:
+        require_shape("Bd", bd, ad.shape[0], None)
     return {"Ad": ad, "Qd": qd if qd is not None else bd @ bd.T, "Cd": cd, "h": h}
 
 

@@ -41,6 +41,7 @@ from .kernels import (
     norm2,
     psd_factor,
     rank_from_values,
+    require_shape,
     schur_form,
     solve_lyap_continuous,
     solve_lyap_discrete,
@@ -58,10 +59,11 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampledModel:
     """Discrete-time pair (A_d, C_d) with period h and noise intensity
-    Q_d."""
+    Q_d. Instances are frozen: the arrays are checked once, at
+    construction, their shapes by :func:`~dynrel.kernels.require_shape`."""
 
     Ad: np.ndarray
     Qd: np.ndarray
@@ -69,15 +71,16 @@ class SampledModel:
     h: float
 
     def __post_init__(self):
-        self.Ad = as_matrix(self.Ad, square=True, name="Ad")
-        self.Cd = as_matrix(self.Cd, name="Cd")
-        self.Qd = as_matrix(self.Qd, square=True, name="Qd")
-        n = self.Ad.shape[0]
-        if self.Cd.shape[1] != n or self.Qd.shape[0] != n:
-            raise ValueError("Ad, Cd, Qd dimensions are inconsistent")
-        self.h = float(self.h)
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise NonPositiveH(f"sampling period must be finite and positive, got {self.h}")
+        ad = as_matrix(self.Ad, square=True, name="Ad")
+        qd = as_matrix(self.Qd, name="Qd")
+        require_shape("Qd", qd, *ad.shape)
+        cd = as_matrix(self.Cd, name="Cd")
+        require_shape("Cd", cd, None, ad.shape[0])
+        h = float(self.h)
+        if not (np.isfinite(h) and h > 0):
+            raise NonPositiveH(f"sampling period must be finite and positive, got {h}")
+        for name, x in zip(("Ad", "Qd", "Cd", "h"), (ad, qd, cd, h)):
+            object.__setattr__(self, name, x)
 
     @property
     def n(self) -> int:

@@ -9,6 +9,7 @@ import oracles
 import systems
 from oracles import nonzero_spectrum
 from dynrel.errors import (
+    DimensionMismatch,
     ExistenceFailure,
     NotPSD,
     SingularInput,
@@ -26,6 +27,7 @@ from dynrel.kernels import (
     norm2,
     numerical_rank,
     psd_factor,
+    require_shape,
     schur_form,
     solve_lyap_continuous,
     solve_lyap_discrete,
@@ -53,6 +55,31 @@ class TestTolerances:
             Tolerances(**{field: value})
 
 
+class TestRequireShape:
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (None, 3), (2, None), (None, None)])
+    def test_fitting_shape_passes(self, rows, cols):
+        assert require_shape("X", np.zeros((2, 3)), rows, cols) is None
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: require_shape("X", np.zeros((2, 3)), 3, 3),
+                     "X: expected 3 rows, got 2", id="rows-first"),
+        pytest.param(lambda: require_shape("X", np.zeros((2, 3)), None, 2),
+                     "X: expected 2 columns, got 3", id="columns"),
+        pytest.param(lambda: as_matrix(np.zeros((2, 3)), square=True, name="S"),
+                     "S: expected 2 columns, got 3", id="as_matrix"),
+        pytest.param(lambda: solve_lyap_continuous(-np.eye(3), np.eye(2)),
+                     "Q: expected 3 rows, got 2", id="lyap-continuous"),
+        pytest.param(lambda: solve_lyap_discrete(0.5 * np.eye(2), np.ones((2, 3))),
+                     "Q_d: expected 2 columns, got 3", id="lyap-discrete"),
+        pytest.param(lambda: matrix_exp(np.zeros((2, 3))),
+                     "matrix_exp input: expected 2 columns, got 3", id="matrix_exp"),
+    ])
+    def test_shape_faults_are_dimension_mismatches(self, call, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$") as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+
 class TestAsMatrix:
     @pytest.mark.parametrize("m, message", [
         pytest.param(np.zeros((2, 2, 2)), "2-dimensional", id="3-d"),
@@ -70,7 +97,7 @@ class TestAsMatrix:
     @pytest.mark.parametrize("m", [np.ones((2, 3)), [[1, 2, 3]]], ids=["float64", "list"])
     def test_non_square_refused_when_square_asked(self, m):
         assert as_matrix(m).shape == np.shape(m)
-        with pytest.raises(ValueError, match="must be square"):
+        with pytest.raises(ValueError, match=r"^matrix: expected [12] columns, got 3$"):
             as_matrix(m, square=True)
 
     @pytest.mark.parametrize("m, shape, dtype", [

@@ -11,9 +11,11 @@ from conftest import count_calls
 from oracles import DNotInvertible, evaluation_gap, probe_points, ss_inverse
 from dynrel.errors import (
     BColumnDeficient,
+    DimensionMismatch,
     NotObservable,
     NotReachable,
     NotStable,
+    ParseError,
     PoleHit,
     RankCBDeficient,
 )
@@ -44,13 +46,18 @@ def f3_first_min():
 
 class TestStateSpace:
     def test_dimension_checks(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match=r"^B: expected 2 rows, got 3$"):
             StateSpace(np.zeros((2, 2)), np.zeros((3, 1)), np.zeros((1, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match=r"^C: expected 2 columns, got 3$"):
             StateSpace(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch, match=r"^D: expected 1 rows, got 2$"):
             StateSpace(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)),
                        np.zeros((2, 2)))
+        with pytest.raises(DimensionMismatch, match=r"^D: expected 1 columns, got 2$"):
+            StateSpace(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((1, 2)),
+                       np.zeros((1, 2)))
+        with pytest.raises(DimensionMismatch, match=r"^A: expected 2 columns, got 3$"):
+            CtModel(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)))
 
     def test_default_feedthrough(self):
         ss = StateSpace(np.eye(2) * -1, np.ones((2, 1)), np.ones((3, 2)))
@@ -547,8 +554,15 @@ class TestValidateCtModel:
         model = validate_ct_model(CtModel(systems.A3, systems.B3, systems.C3,
                                           labels=["a", "b", "c", "d"]))
         assert model.labels == ("a", "b", "c", "d")
-        with pytest.raises(ValueError, match=r"^expected 4 labels, got 1$"):
+        with pytest.raises(ValueError, match=r"^labels: expected 4 entries, got 1$"):
             CtModel(systems.A3, systems.B3, systems.C3, labels=["a"])
+
+    @pytest.mark.parametrize("labels", ["abcd", [1, 2, 3, None], ("a", "b", "c", 4)],
+                             ids=["str", "list", "tuple"])
+    def test_labels_must_be_strings(self, labels):
+        # as in a model file: a bare string or a non-string entry is refused
+        with pytest.raises(ParseError, match=r"^labels: must be a list of strings$"):
+            CtModel(systems.A3, systems.B3, systems.C3, labels=labels)
 
     def test_validated_model_is_a_state_space(self):
         ss = StateSpace(systems.A3, systems.B3, systems.C3)
@@ -563,7 +577,7 @@ class TestValidateCtModel:
         model = CtModel(A=systems.A3, B=systems.B3, C=systems.C3, labels=["a", "b", "c", "d"])
         assert validate_ct_model(model) is model
         assert model.labels == ("a", "b", "c", "d")
-        with pytest.raises(ValueError, match="expected 4 labels, got 1"):
+        with pytest.raises(ValueError, match="labels: expected 4 entries, got 1"):
             validate_ct_model(CtModel(A=systems.A3, B=systems.B3, C=systems.C3, labels=["a"]))
 
     def test_models_are_frozen(self, m3):

@@ -55,19 +55,23 @@ class TestParseContinuous:
         ss = load_state_space(one_state(tmp_path, D=[[2]]))
         np.testing.assert_allclose(ss.D, [[2.0]])
 
+    # shapes are the model types' to check: both loaders refuse these files
     def test_wrong_b_rows(self, tmp_path):
         path = write_model(tmp_path / "bad.json", A=np.eye(3) * -1,
                            B=np.ones((2, 1)), C=np.ones((1, 3)))
-        with pytest.raises(DimensionMismatch, match="B"):
-            parse_model(path, "continuous")
+        for load in (load_ct_model, load_state_space):
+            with pytest.raises(DimensionMismatch, match=r"^B: expected 3 rows, got 2$"):
+                load(path)
 
     def test_wrong_c_cols(self, tmp_path):
-        with pytest.raises(DimensionMismatch, match="C"):
-            parse_model(one_state(tmp_path, C=[[1, 0]]), "continuous")
+        for load in (load_ct_model, load_state_space):
+            with pytest.raises(DimensionMismatch, match=r"^C: expected 1 columns, got 2$"):
+                load(one_state(tmp_path, C=[[1, 0]]))
 
     def test_nonsquare_a(self, tmp_path):
-        with pytest.raises(DimensionMismatch, match="A"):
-            parse_model(one_state(tmp_path, A=[[-1, 0]]), "continuous")
+        for load in (load_ct_model, load_state_space):
+            with pytest.raises(DimensionMismatch, match=r"^A: expected 1 columns, got 2$"):
+                load(one_state(tmp_path, A=[[-1, 0]]))
 
     def test_ragged_rows(self, tmp_path):
         path = one_state(tmp_path, A=[[-1, 0], [1]], B=[[1], [0]], C=[[1, 0]])
@@ -154,6 +158,14 @@ class TestParseSampled:
                            Qd=2 * np.eye(2), Bd=np.eye(2), Cd=np.eye(2), h=0.2)
         sm = load_sampled_model(path)
         np.testing.assert_allclose(sm.Qd, 2 * np.eye(2))
+
+    def test_bd_rows(self, tmp_path):
+        # the one matrix shape the file checks itself: SampledModel never sees Bd
+        for extra in ({}, {"Qd": [[1, 0], [0, 1]]}):
+            path = write_model(tmp_path / "s.json", Ad=np.diag([0.5, 0.4]), Bd=[[1.0]],
+                               Cd=np.eye(2), h=0.1, **extra)
+            with pytest.raises(DimensionMismatch, match=r"^Bd: expected 2 rows, got 1$"):
+                parse_model(path, "sampled")
 
     def test_missing_intensity(self, tmp_path):
         with pytest.raises(DimensionMismatch, match="Qd"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import systems
 from conftest import count_calls, count_checks
-from dynrel.errors import LogFailure, NonPositiveH, NotSemidefinite, QdSingular
+from dynrel.errors import (
+    DimensionMismatch,
+    LogFailure,
+    NonPositiveH,
+    NotSemidefinite,
+    QdSingular,
+)
 from dynrel.kernels import (
     DEFAULT_TOL,
     numerical_rank,
@@ -16,6 +24,7 @@ from dynrel.kernels import (
 )
 from dynrel import sampling
 from dynrel.lti import CtModel, StateSpace, validate_ct_model
+from dynrel.relation import classify_selections, enumerate_selections
 from dynrel.sampling import (
     SampledModel,
     desample,
@@ -71,6 +80,28 @@ class TestSample:
             sample(m2, 0.0)
         with pytest.raises(NonPositiveH):
             sample(m2, -1.0)
+
+
+class TestSampledModel:
+    @pytest.mark.parametrize("ad, qd, cd, message", [
+        pytest.param(np.zeros((2, 3)), np.eye(2), np.eye(2), "Ad: expected 2 columns, got 3",
+                     id="Ad"),
+        pytest.param(np.eye(2), np.eye(3), np.eye(2), "Qd: expected 2 rows, got 3", id="Qd-rows"),
+        pytest.param(np.eye(2), np.ones((2, 1)), np.eye(2), "Qd: expected 2 columns, got 1",
+                     id="Qd-columns"),
+        pytest.param(np.eye(2), np.eye(2), np.ones((1, 3)), "Cd: expected 2 columns, got 3",
+                     id="Cd"),
+    ])
+    def test_shape_faults(self, ad, qd, cd, message):
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            SampledModel(ad, qd, cd, 0.1)
+
+    def test_frozen(self):
+        sm = SampledModel([[0.5]], [[0.75]], [[1.0]], H_LN2)
+        for name, value in (("h", -1), ("Ad", np.eye(1)), ("Qd", np.eye(1))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sm, name, value)
+        assert sm.h == H_LN2 and sm.Ad.tolist() == [[0.5]]
 
 
 class TestDualLyapunov:
@@ -259,19 +290,31 @@ class TestSharedSchurFactor:
         assert len(schurs) == 2
 
 
+#: The draw of the round-trip properties: a random validated model with n
+#: states, as many outputs and 1 + int(m_frac (n - 1)) shocks, and a period
+#: at ``h_frac`` of its aliasing limit ``pi / max|Im lam(A)|`` (at most 1).
+ROUND_TRIP_DRAW = given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5),
+                        m_frac=st.floats(0.0, 1.0), h_frac=st.floats(0.05, 0.95))
+
+
+def below_aliasing_limit(seed, n, m_frac, h_frac):
+    """The model and the period of one draw of ``ROUND_TRIP_DRAW``."""
+    rng = np.random.default_rng(seed)
+    m = 1 + int(m_frac * (n - 1))
+    model = oracles.random_ct_model(rng, n=n, m=m, n_out=n)
+    im_max = np.abs(np.linalg.eigvals(model.A).imag).max()
+    return model, h_frac * min(1.0, np.pi / im_max if im_max else 1.0)
+
+
 class TestRoundTripProperty:
     """``desample(sample(model, h))`` returns the model when h is below
     the aliasing limit ``h * max|Im lam(A)| < pi``."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), m_frac=st.floats(0.0, 1.0),
-           h_frac=st.floats(0.05, 0.95))
+    @ROUND_TRIP_DRAW
     def test_recovers_model_below_aliasing_limit(self, seed, n, m_frac, h_frac):
-        rng = np.random.default_rng(seed)
-        m = 1 + int(m_frac * (n - 1))
-        model = oracles.random_ct_model(rng, n=n, m=m, n_out=n)
-        im_max = np.abs(np.linalg.eigvals(model.A).imag).max()
-        h = h_frac * min(1.0, np.pi / im_max if im_max else 1.0)
+        model, h = below_aliasing_limit(seed, n, m_frac, h_frac)
+        m = model.m
         sm = sample(model, h)
         w = np.linalg.eigvalsh(sm.Qd)
         if w.min() <= DEFAULT_TOL.psd_tol * w.max():
@@ -284,6 +327,27 @@ class TestRoundTripProperty:
         assert np.abs(recovered.A - model.A).max() < 1e-9 * np.abs(model.A).max()
         assert np.abs(recovered.B @ recovered.B.T - bbt).max() < 1e-9 * np.abs(bbt).max()
         assert diag.recovered_rank == numerical_rank(model.B) == m
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @ROUND_TRIP_DRAW
+    def test_relation_verdicts_survive_round_trip(self, seed, n, m_frac, h_frac):
+        # the paper's question: which hidden relations survive sampling. The
+        # recovered B is B Q for an orthogonal Q, and K = B Q (C0 B Q)^-1 =
+        # B (C0 B)^-1, so each relation F is the model's, to the accuracy
+        # of the recovered A and B B' (1e-9 relative, test above). The poles
+        # agree to 1e-6 ||A||_2; 552 such draws moved them by 1.8e-8 ||A||_2 at most
+        model, h = below_aliasing_limit(seed, n, m_frac, h_frac)
+        try:
+            recovered, _ = desample(sample(model, h))
+        except QdSingular:
+            return
+        want = classify_selections(model, enumerate_selections(model))
+        got = classify_selections(recovered, enumerate_selections(recovered))
+        assert [rep.rows0 for rep in got] == [rep.rows0 for rep in want]
+        scale = max(1.0, model.a_norm)
+        for rep, ref in zip(got, want):
+            assert rep.stable == ref.stable and rep.degree == ref.degree
+            assert oracles.match_gap(rep.poles, ref.poles) < 1e-6 * scale
 
     @pytest.mark.parametrize("h_over_limit", [1.1, 1.2])
     def test_aliased_period_is_refused(self, h_over_limit):

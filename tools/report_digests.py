@@ -1,4 +1,5 @@
-"""Digests of every report the benchmark workloads produce.
+"""Digests of every report the benchmark workloads produce, and of the
+refusals of malformed model files.
 
 Usage:
     python3 tools/report_digests.py CHECKOUT [SEEDS...]
@@ -6,17 +7,22 @@ Usage:
 Builds the inputs of the relations, roundtrip and freqgrid workloads with
 ``CHECKOUT/bench/gen.py`` and ``numpy.random.default_rng(seed)``, as
 ``bench/run.py`` does, and runs every distinct call once through
-``dynrel.cli.run`` of ``CHECKOUT/src``. For each call it prints one
-tab-separated line: workload, seed, argv, exit code, and the SHA-256 of
-stdout and of stderr. The work directory is written as ``WORKDIR`` in
-the argv and before hashing, so two checkouts can be compared with
-``diff``. Seeds default to 5, 21 and 41. Exits 1 when a call raises
-instead of returning an exit code. Nothing under ``bench/`` is written.
+``dynrel.cli.run`` of ``CHECKOUT/src``. A fourth set, ``faults``, runs
+once, with seed ``-``: each file of ``FAULTS`` is a valid model with one
+field (the last file: two) made malformed, written to a temporary
+directory and run through ``validate``, ``granger`` or ``desample``.
+For each call it prints one tab-separated line: set, seed, argv, exit
+code, and the SHA-256 of stdout and of stderr. The work directory is
+written as ``WORKDIR`` in the argv and before hashing, so two checkouts
+can be compared with ``diff``. Seeds default to 5, 21 and 41. Exits 1
+when a call raises instead of returning an exit code. Nothing under
+``bench/`` is written.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -25,6 +31,34 @@ from pathlib import Path
 TOKEN = "WORKDIR"
 WORKLOADS = ("relations", "roundtrip", "freqgrid")
 DEFAULT_SEEDS = (5, 21, 41)
+
+# the valid files the faults start from: a two-state model with labels, whose
+# D is absent and so zero, and a sampled model that de-samples
+CONTINUOUS = {"v": 1, "A": [[-1, 0], [0, -2]], "B": [[1], [1]], "C": [[1, 0], [0, 1]],
+              "labels": ["y1", "y2"]}
+SAMPLED = {"v": 1, "Ad": [[0.5, 0], [0, 0.4]], "Qd": [[1, 0], [0, 1]], "Cd": [[1, 0], [0, 1]],
+           "h": 0.1}
+
+#: (file name, command, valid file, fields replaced; None removes a field)
+FAULTS = (
+    ("A-non-square", "validate", CONTINUOUS, {"A": [[-1, 0]]}),
+    ("B-rows", "validate", CONTINUOUS, {"B": [[1]]}),
+    ("C-columns", "validate", CONTINUOUS, {"C": [[1, 0, 0], [0, 1, 0]]}),
+    ("D-shape", "granger", CONTINUOUS, {"D": [[0, 0], [0, 0]]}),
+    ("labels-count", "validate", CONTINUOUS, {"labels": ["y1"]}),
+    ("labels-count", "granger", CONTINUOUS, {"labels": ["y1"]}),
+    ("labels-not-strings", "validate", CONTINUOUS, {"labels": "y1y2"}),
+    ("ragged-rows", "validate", CONTINUOUS, {"A": [[-1, 0], [0]]}),
+    ("non-real", "validate", CONTINUOUS, {"B": [[1], ["x"]]}),
+    ("non-finite", "validate", CONTINUOUS, {"A": [[-1, 0], [0, float("inf")]]}),
+    ("Ad-non-square", "desample", SAMPLED, {"Ad": [[0.5, 0]]}),
+    ("Qd-shape", "desample", SAMPLED, {"Qd": [[1]]}),
+    ("Bd-rows", "desample", SAMPLED, {"Qd": None, "Bd": [[1]]}),
+    ("Bd-rows-with-Qd", "desample", SAMPLED, {"Bd": [[1]]}),
+    ("Cd-columns", "desample", SAMPLED, {"Cd": [[1, 0, 0]]}),
+    ("h-not-positive", "desample", SAMPLED, {"h": -0.1}),
+    ("B-rows-and-C-non-real", "validate", CONTINUOUS, {"B": [[1]], "C": [[1, 0], [0, "x"]]}),
+)
 
 
 def invoke(run, argv):
@@ -54,11 +88,22 @@ def distinct_calls(gen, workload, rng, workdir, run):
     return list({tuple(c.argv): c.argv for c in schedule}.values())
 
 
+def fault_calls(workdir):
+    """The argv of each call of the faults set, its file written to
+    ``workdir``."""
+    for name, command, valid, fields in FAULTS:
+        data = {k: v for k, v in (valid | fields).items() if v is not None}
+        path = Path(workdir, f"{name}.json")
+        path.write_text(json.dumps(data), encoding="utf-8")
+        yield [command, "--f", str(path)] if command == "granger" else [command, str(path)]
+
+
 def calls(checkout, seeds):
-    """Every distinct call of the three workloads at ``seeds``, run
-    through ``dynrel.cli.run`` of ``checkout/src``: (workload, seed,
-    argv text, exit code or raised exception, stdout, stderr), with the
-    work directory written as ``TOKEN``."""
+    """Every distinct call of the three workloads at ``seeds``, then the
+    calls of the faults set, run through ``dynrel.cli.run`` of
+    ``checkout/src``: (set, seed, argv text, exit code or raised
+    exception, stdout, stderr), with the work directory written as
+    ``TOKEN``."""
     # one BLAS thread, set before numpy loads, as bench/run.py does
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
@@ -74,14 +119,20 @@ def calls(checkout, seeds):
             sys.exit(f"{mod.__name__} loaded from {mod.__file__}, not {checkout}")
     run = dynrel.cli.run
 
+    def result(workload, seed, call, workdir):
+        code, out, err = invoke(run, call)
+        return (workload, seed, " ".join(call).replace(workdir, TOKEN), code,
+                out.replace(workdir, TOKEN), err.replace(workdir, TOKEN))
+
     for workload in WORKLOADS:
         for seed in seeds:
             with tempfile.TemporaryDirectory(prefix="digests-") as workdir:
                 rng = np.random.default_rng(seed)
                 for call in distinct_calls(gen, workload, rng, workdir, run):
-                    code, out, err = invoke(run, call)
-                    yield (workload, seed, " ".join(call).replace(workdir, TOKEN), code,
-                           out.replace(workdir, TOKEN), err.replace(workdir, TOKEN))
+                    yield result(workload, seed, call, workdir)
+    with tempfile.TemporaryDirectory(prefix="digests-") as workdir:
+        for call in fault_calls(workdir):
+            yield result("faults", "-", call, workdir)
 
 
 def digest(text):
