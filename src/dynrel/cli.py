@@ -17,7 +17,6 @@ non-finite value makes an error report (exit code 2).
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -263,15 +262,6 @@ class _Text:
         pending. The first non-finite float raises."""
         if not self.pending:
             return
-        if self.pending < _BATCH_MIN:  # the end of a small report: no numpy
-            values = [v for seg in self.values
-                      for v in (seg.tolist() if isinstance(seg, np.ndarray) else seg)]
-            bad = [v for v in values if not math.isfinite(v)]
-            if bad:
-                raise ValueError(f"non-finite number in report: {bad[0]!r}")
-            self._join(self.lits, _format_each(values))
-            self.values, self.lits, self.pending = [], [], 0
-            return
         x = np.concatenate(self.values)
         finite = np.isfinite(x)
         if not finite.all():
@@ -280,16 +270,13 @@ class _Text:
         for start in range(0, end, _CHUNK):
             part = x[start:start + _CHUNK]
             tokens = _format17(part) if part.size >= _BATCH_MIN else _format_each(part.tolist())
-            self._join(self.lits[start:start + _CHUNK], tokens)
+            joined = [None] * (2 * len(tokens))
+            joined[::2] = self.lits[start:start + _CHUNK]
+            joined[1::2] = tokens
+            self.done.append(b"".join(joined).decode())
         self.values = [x[end:]]
         self.lits = self.lits[end:]
         self.pending = x.size - end
-
-    def _join(self, lits, tokens):
-        joined = [None] * (2 * len(tokens))
-        joined[::2] = lits
-        joined[1::2] = tokens
-        self.done.append(b"".join(joined).decode())
 
     def finish(self) -> str:
         self.flush()
@@ -480,11 +467,9 @@ def _tolerances(args):
 def _parse_grid(spec: str | None) -> np.ndarray:
     if spec is None:
         return default_grid()
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise InputError(f"--grid must look like LO:HI:N, got {spec!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise InputError(f"--grid must look like LO:HI:N, got {spec!r}") from exc
     try:

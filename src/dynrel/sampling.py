@@ -20,6 +20,8 @@ unique only up to a right orthogonal factor, so only B B' is
 contractual.
 """
 
+import numbers
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -59,6 +61,16 @@ __all__ = [
 ]
 
 
+def _period(h) -> float:
+    """The sampling period ``h`` as a float. It must be a finite positive
+    real number, and not a bool; anything else, a string that ``float``
+    would parse included, raises :class:`~dynrel.errors.NonPositiveH`."""
+    x = float(h) if isinstance(h, numbers.Real) and not isinstance(h, bool) else np.nan
+    if not (np.isfinite(x) and x > 0):
+        raise NonPositiveH(f"sampling period must be finite and positive, got {h!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class SampledModel:
     """Discrete-time pair (A_d, C_d) with period h and noise intensity
@@ -76,10 +88,7 @@ class SampledModel:
         require_shape("Qd", qd, *ad.shape)
         cd = as_matrix(self.Cd, name="Cd")
         require_shape("Cd", cd, None, ad.shape[0])
-        h = float(self.h)
-        if not (np.isfinite(h) and h > 0):
-            raise NonPositiveH(f"sampling period must be finite and positive, got {h}")
-        for name, x in zip(("Ad", "Qd", "Cd", "h"), (ad, qd, cd, h)):
+        for name, x in zip(("Ad", "Qd", "Cd", "h"), (ad, qd, cd, _period(self.h))):
             object.__setattr__(self, name, x)
 
     @property
@@ -122,8 +131,7 @@ def sample(model: CtModel, h: float) -> SampledModel:
     ``[[E11, E12], [0, E22]]``, ``A_d = E11`` and ``Q_d = E12 E11'``.
     This is exact to kernel accuracy with no step-size tuning.
     """
-    if not (np.isfinite(h) and h > 0):
-        raise NonPositiveH(f"sampling period must be finite and positive, got {h}")
+    h = _period(h)  # first: an infinite h would make the exponential NaN
     a, b, c = model.A, model.B, model.C
     n = model.n
     bbt = b @ b.T
@@ -135,7 +143,7 @@ def sample(model: CtModel, h: float) -> SampledModel:
     a_d = big[:n, :n]
     q_d = big[:n, n:] @ a_d.T
     q_d = 0.5 * (q_d + q_d.T)
-    return SampledModel(Ad=a_d, Qd=q_d, Cd=c.copy(), h=float(h))
+    return SampledModel(Ad=a_d, Qd=q_d, Cd=c.copy(), h=h)
 
 
 def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]:

@@ -104,6 +104,41 @@ class TestSampledModel:
         assert sm.h == H_LN2 and sm.Ad.tolist() == [[0.5]]
 
 
+class TestPeriodRule:
+    """``sample`` and ``SampledModel`` refuse the same periods with the
+    same kind and message."""
+
+    @staticmethod
+    def refusals(model, h):
+        with pytest.raises(NonPositiveH) as by_sample:
+            sample(model, h)
+        with pytest.raises(NonPositiveH) as by_model:
+            SampledModel([[0.5]], [[0.75]], [[1.0]], h)
+        return str(by_sample.value), str(by_model.value)
+
+    @pytest.mark.parametrize("h", [0, 0.0, -1, np.nan, np.inf])
+    def test_not_finite_and_positive(self, m2, h):
+        got, want = self.refusals(m2, h)
+        assert got == want == f"sampling period must be finite and positive, got {h!r}"
+
+    @pytest.mark.parametrize("h", [True, np.True_, "0.5", None])
+    def test_not_a_real_number(self, m2, h):
+        got, want = self.refusals(m2, h)
+        assert got == want == f"sampling period must be finite and positive, got {h!r}"
+
+    def test_infinite_period_refused_before_the_exponential(self, m2, monkeypatch):
+        # exp(A inf) is NaN, with a RuntimeWarning that tier-1 makes an error
+        exps = count_calls(monkeypatch, sampling.matrix_exp)
+        with pytest.raises(NonPositiveH):
+            sample(m2, np.inf)
+        assert not exps
+
+    @pytest.mark.parametrize("h", [1, np.float64(0.5), np.int64(2)])
+    def test_numbers_kept_as_float(self, m2, h):
+        for sm in (sample(m2, h), SampledModel([[0.5]], [[0.75]], [[1.0]], h)):
+            assert type(sm.h) is float and sm.h == h
+
+
 class TestDualLyapunov:
     def test_scalar(self):
         model = scalar_model()

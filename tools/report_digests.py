@@ -8,9 +8,10 @@ Builds the inputs of the relations, roundtrip and freqgrid workloads with
 ``CHECKOUT/bench/gen.py`` and ``numpy.random.default_rng(seed)``, as
 ``bench/run.py`` does, and runs every distinct call once through
 ``dynrel.cli.run`` of ``CHECKOUT/src``. A fourth set, ``faults``, runs
-once, with seed ``-``: each file of ``FAULTS`` is a valid model with one
-field (the last file: two) made malformed, written to a temporary
-directory and run through ``validate``, ``granger`` or ``desample``.
+once, with seed ``-``: each entry of ``FAULTS`` is a model file written
+to a temporary directory and one command run on it. The first files
+are a valid model with one field (one file: two) made malformed; the
+rest are valid, and the call's command-line values are refused.
 For each call it prints one tab-separated line: set, seed, argv, exit
 code, and the SHA-256 of stdout and of stderr. The work directory is
 written as ``WORKDIR`` in the argv and before hashing, so two checkouts
@@ -39,7 +40,8 @@ CONTINUOUS = {"v": 1, "A": [[-1, 0], [0, -2]], "B": [[1], [1]], "C": [[1, 0], [0
 SAMPLED = {"v": 1, "Ad": [[0.5, 0], [0, 0.4]], "Qd": [[1, 0], [0, 1]], "Cd": [[1, 0], [0, 1]],
            "h": 0.1}
 
-#: (file name, command, valid file, fields replaced; None removes a field)
+#: (file name, command, valid file, fields replaced; None removes a field,
+#: and optionally the argv after the file, "{file}" standing for its path)
 FAULTS = (
     ("A-non-square", "validate", CONTINUOUS, {"A": [[-1, 0]]}),
     ("B-rows", "validate", CONTINUOUS, {"B": [[1]]}),
@@ -58,6 +60,16 @@ FAULTS = (
     ("Cd-columns", "desample", SAMPLED, {"Cd": [[1, 0, 0]]}),
     ("h-not-positive", "desample", SAMPLED, {"h": -0.1}),
     ("B-rows-and-C-non-real", "validate", CONTINUOUS, {"B": [[1]], "C": [[1, 0], [0, "x"]]}),
+    *(("continuous", "sample", CONTINUOUS, {}, ("--h", h)) for h in ("0", "-1", "inf", "nan")),
+    ("sampled", "desample", SAMPLED, {}, ("--h", "0")),
+    ("continuous", "hidden-rank", CONTINUOUS, {}, ("--h", "0")),
+    # a bare "-1:2:3" would reach argparse as a flag and exit without a report
+    *(("continuous", "spectrum", CONTINUOUS, {}, ("--grid", grid)) for grid in
+      ("1:2", "a:b:c", "1:2:3:4", "1:2:3.5", "", "1:inf:10", "1:2:0")),
+    ("continuous", "spectrum", CONTINUOUS, {}, ("--grid=-1:2:3",)),
+    *(("continuous", "relation", CONTINUOUS, {}, ("--rows", rows)) for rows in ("9", "a", "0,0")),
+    # H = F: two outputs and one input, where H must have one output and two inputs
+    ("continuous", "feedback", CONTINUOUS, {}, ("--h", "{file}")),
 )
 
 
@@ -91,11 +103,14 @@ def distinct_calls(gen, workload, rng, workdir, run):
 def fault_calls(workdir):
     """The argv of each call of the faults set, its file written to
     ``workdir``."""
-    for name, command, valid, fields in FAULTS:
+    for name, command, valid, fields, *after in FAULTS:
         data = {k: v for k, v in (valid | fields).items() if v is not None}
         path = Path(workdir, f"{name}.json")
         path.write_text(json.dumps(data), encoding="utf-8")
-        yield [command, "--f", str(path)] if command == "granger" else [command, str(path)]
+        argv = [command, str(path)]
+        if command in ("granger", "feedback"):
+            argv.insert(1, "--f")
+        yield argv + [a.format(file=path) for a in (after[0] if after else ())]
 
 
 def calls(checkout, seeds):
