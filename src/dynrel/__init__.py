@@ -57,7 +57,7 @@ from .lti import (
     poles,
     validate_ct_model,
 )
-from .spectral import default_grid, spectral_rank_profile
+from .spectral import GRID_CAP, default_grid, spectral_rank_profile
 from .relation import (
     SELECTION_CAP,
     RelationReport,

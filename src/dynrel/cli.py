@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConditionError, InputError
+from .errors import ConditionError, DynrelError, InputError
 from .feedback import closed_loop_T, feedback_free, granger_verdict, verify_interchange_identities
 from .kernels import DEFAULT_TOL, psd_factor
 from .lti import is_strictly_stable
@@ -265,7 +265,7 @@ class _Text:
         x = np.concatenate(self.values)
         finite = np.isfinite(x)
         if not finite.all():
-            raise ValueError(f"non-finite number in report: {float(x[~finite][0])!r}")
+            raise InputError(f"non-finite number in report: {float(x[~finite][0])!r}")
         end = x.size if final else x.size - x.size % _CHUNK
         for start in range(0, end, _CHUNK):
             part = x[start:start + _CHUNK]
@@ -456,12 +456,7 @@ def _tolerances(args):
     flags = {"rank_rtol": args.tol_rank, "psd_tol": args.tol_psd,
              "stability_margin": args.tol_stability, "residual_tol": args.tol_residual}
     overrides = {k: v for k, v in flags.items() if v is not None}
-    if not overrides:
-        return DEFAULT_TOL
-    try:
-        return replace(DEFAULT_TOL, **overrides)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
 def _parse_grid(spec: str | None) -> np.ndarray:
@@ -469,13 +464,11 @@ def _parse_grid(spec: str | None) -> np.ndarray:
         return default_grid()
     try:
         lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
+        return default_grid(float(lo), float(hi), int(count))
+    except InputError as exc:  # first: every InputError is a ValueError
+        raise InputError(f"--grid {spec!r}: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"--grid must look like LO:HI:N, got {spec!r}") from exc
-    try:
-        return default_grid(lo, hi, count)
-    except ValueError as exc:
-        raise InputError(f"--grid {spec!r}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +679,7 @@ def run(argv) -> int:
         tol = _tolerances(args)
         body, code = _HANDLERS[args.command](args, tol)
         text = dumps_report(header | body)  # a non-finite value raises here
-    except (InputError, ValueError, ConditionError) as err:
+    except (DynrelError, ValueError) as err:  # ValueError: numpy's and scipy's own
         sys.stdout.write(dumps_report(header | _error_report(err)))
         sys.stderr.write(f"error: {err}\n")
         return 3 if isinstance(err, ConditionError) else 2

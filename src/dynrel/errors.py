@@ -1,12 +1,17 @@
 """Exception hierarchy for the package.
 
-Errors come in two families. ``InputError`` covers malformed or
-inadmissible inputs: unreadable model files, dimension mismatches,
-violated model assumptions. ``ConditionError`` covers mathematical
-conditions that fail on structurally fine input: a matrix logarithm
-that does not exist, a singular noise intensity, an eigenvalue clash in
-a Lyapunov solve. The command-line front end maps the two families to
-exit codes 2 and 3 respectively.
+Every refusal the package raises is a :class:`DynrelError`, in one of
+two families. ``InputError`` covers malformed or inadmissible inputs:
+unreadable model files, dimension mismatches, violated model
+assumptions, tolerances, grids and arrays out of range. Every
+``InputError`` is also a ``ValueError``. ``ConditionError`` covers
+mathematical conditions that fail on structurally fine input: a matrix
+logarithm that does not exist, a singular noise intensity, an
+eigenvalue clash in a Lyapunov solve. The command-line front end maps
+the two families to exit codes 2 and 3 respectively; a ``ValueError``
+of numpy or scipy itself (``numpy.linalg.LinAlgError``, say) is not a
+refusal of the package, and is reported under its own name with exit
+code 2.
 """
 
 __all__ = [
@@ -42,8 +47,8 @@ class DynrelError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InputError(DynrelError):
-    """Malformed, inconsistent, or inadmissible input."""
+class InputError(DynrelError, ValueError):
+    """Malformed, inconsistent, or inadmissible input; also a ``ValueError``."""
 
 
 class ConditionError(DynrelError):
@@ -153,10 +158,9 @@ class ParseError(InputError):
     output labels are not a list of strings."""
 
 
-class DimensionMismatch(InputError, ValueError):
+class DimensionMismatch(InputError):
     """A matrix, or a model file's list of rows or labels, has the wrong
-    shape; the message names the offending field. Also a ``ValueError``,
-    as the other refusals of malformed arrays are."""
+    shape; the message names the offending field."""
 
 
 class SchemaVersionUnsupported(InputError):

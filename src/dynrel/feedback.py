@@ -21,7 +21,7 @@ stable when T is strictly stable (:func:`dynrel.lti.is_strictly_stable`).
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import AlgebraicLoopSingular
+from .errors import AlgebraicLoopSingular, DimensionMismatch, InputError
 from .kernels import DEFAULT_TOL, Tolerances, is_invertible, norm2
 from .lti import StateSpace, freq_response, is_strictly_stable
 from .spectral import default_grid
@@ -48,14 +48,14 @@ def closed_loop_T(F: StateSpace, H: StateSpace) -> StateSpace:
 
     Raises
     ------
-    ValueError
+    DimensionMismatch
         H is not q x p.
     AlgebraicLoopSingular
         The static loop matrix is numerically singular.
     """
     p, q = F.n_out, F.n_in
     if (H.n_out, H.n_in) != (q, p):
-        raise ValueError(
+        raise DimensionMismatch(
             f"H must be {q}x{p} to close the loop with a {p}x{q} F, "
             f"got {H.n_out}x{H.n_in}")
     loop = np.block([[np.eye(p), -F.D], [-H.D, np.eye(q)]])
@@ -107,14 +107,14 @@ def granger_verdict(F: StateSpace, tol: Tolerances = DEFAULT_TOL) -> tuple[bool,
 
     Raises
     ------
-    ValueError
+    InputError
         The peak gain is not finite (the evaluation overflowed), so no
         verdict can be decided on it.
     """
     s = 1j * default_grid()
     peak = float(norm2(freq_response(F, s)).max())
     if not np.isfinite(peak):
-        raise ValueError(f"non-finite peak gain: {peak}")
+        raise InputError(f"non-finite peak gain: {peak}")
     return peak > tol.residual_tol, peak
 
 
@@ -140,7 +140,7 @@ def feedback_free(H: StateSpace, F: StateSpace,
                   tol: Tolerances = DEFAULT_TOL) -> FeedbackFreeVerdict:
     """Test for absence of feedback (H identically zero) and, when it is
     absent, the consistency requirement that F be strictly stable.
-    Raises ValueError as :func:`granger_verdict` does on H."""
+    Raises InputError as :func:`granger_verdict` does on H."""
     if granger_verdict(H, tol)[0]:
         return FeedbackFreeVerdict(h_zero=False, f_stable=None)
     return FeedbackFreeVerdict(h_zero=True, f_stable=is_strictly_stable(F, tol))

@@ -10,7 +10,8 @@ import functools
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, ExistenceFailure, NotPSD, SingularInput, SpectrumConflict
+from .errors import (DimensionMismatch, ExistenceFailure, InputError, NotPSD, SingularInput,
+                     SpectrumConflict)
 
 __all__ = [
     "Tolerances",
@@ -87,9 +88,9 @@ class Tolerances:
         for name in ("rank_rtol", "psd_tol", "stability_margin", "residual_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+                raise InputError(f"{name} must be strictly positive, got {value!r}")
         if self.psd_tol >= 1:
-            raise ValueError(f"psd_tol must be below 1, got {self.psd_tol!r}")
+            raise InputError(f"psd_tol must be below 1, got {self.psd_tol!r}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -102,13 +103,13 @@ def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a finite 2-d float or complex array (a copy)."""
     a = np.array(m, ndmin=2)  # a copy, in the layout ``astype`` keeps
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+        raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
     if a.dtype not in _NATIVE:
         if not np.issubdtype(a.dtype, np.number):
-            raise ValueError(f"{name} must be numeric, got dtype {a.dtype}")
+            raise InputError(f"{name} must be numeric, got dtype {a.dtype}")
         a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} has non-finite entries")
+        raise InputError(f"{name} has non-finite entries")
     if square:
         require_shape(name, a, None, a.shape[0])
     return a
@@ -308,7 +309,7 @@ def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
     if a.ndim <= 2:
         a = as_matrix(a, name="rank input")
     elif not np.all(np.isfinite(a)):
-        raise ValueError("rank input has non-finite entries")
+        raise InputError("rank input has non-finite entries")
     s = np.linalg.svd(a, compute_uv=False)  # no singular value for an empty matrix
     return rank_from_values(s, max(a.shape[-2:]), tol)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BColumnDeficient,
     DimensionMismatch,
+    InputError,
     NotObservable,
     NotReachable,
     NotStable,
@@ -344,10 +345,10 @@ def validate_ct_model(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> CtModel:
     """
     model = ss if isinstance(ss, CtModel) else CtModel(ss.A, ss.B, ss.C, ss.D)
     if np.any(model.D):
-        raise ValueError("continuous-time model must have zero feedthrough")
+        raise InputError("continuous-time model must have zero feedthrough")
     n, m = model.n, model.m
     if n == 0:
-        raise ValueError("model must have at least one state")
+        raise InputError("model must have at least one state")
     eigs = model.eigenvalues
     if not poles_stable(eigs, tol):
         raise NotStable(f"eigenvalue with real part {eigs.real.max():.6g} is not strictly stable")

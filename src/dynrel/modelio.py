@@ -15,15 +15,15 @@ the model types check the shapes of the matrices they are built from.
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, ParseError, SchemaVersionUnsupported
+from .errors import (DimensionMismatch, InputError, NonPositiveH, ParseError,
+                     SchemaVersionUnsupported)
 from .kernels import DEFAULT_TOL, Tolerances, require_shape
 from .lti import CtModel, StateSpace, _labels, validate_ct_model
-from .sampling import SampledModel
+from .sampling import SampledModel, _period
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -75,7 +75,8 @@ def parse_model(path, kind: str) -> dict:
     The one site that reads a model file: the file, its JSON, its schema
     version and its kind are checked here, in that order, then every
     field: present when required, a matrix of equal-length rows of real,
-    finite numbers, ``h`` a positive number. The only shapes checked here
+    finite numbers, ``h`` a period by the rule ``SampledModel`` applies
+    (its refusal a ``ParseError`` "h: ..."). The only shapes checked here
     are those no model type sees: the label count against the rows of
     ``C`` and the rows of ``Bd`` against ``Ad``; the model the loaders
     build checks the rest. A continuous file gives ``A, B, C, D, labels``
@@ -88,7 +89,7 @@ def parse_model(path, kind: str) -> dict:
         raise ParseError(f"cannot read model file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # too many digits, or nested too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("model file must hold a JSON object")
@@ -121,12 +122,10 @@ def _parse_sampled(data: dict) -> dict:
     cd = _matrix_field(data, "Cd")
     h = data.get("h")
     if h is not None:
-        if type(h) not in (int, float) or not 0 < h < math.inf:
-            raise ParseError(f"h: must be a positive number, got {h!r}")
         try:
-            h = float(h)
-        except OverflowError:
-            raise ParseError("h: an integer beyond the float range") from None
+            h = _period(h)
+        except NonPositiveH as exc:
+            raise ParseError(f"h: {exc}") from exc
     if bd is not None:
         require_shape("Bd", bd, ad.shape[0], None)
     return {"Ad": ad, "Qd": qd if qd is not None else bd @ bd.T, "Cd": cd, "h": h}

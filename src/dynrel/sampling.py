@@ -64,8 +64,12 @@ __all__ = [
 def _period(h) -> float:
     """The sampling period ``h`` as a float. It must be a finite positive
     real number, and not a bool; anything else, a string that ``float``
-    would parse included, raises :class:`~dynrel.errors.NonPositiveH`."""
-    x = float(h) if isinstance(h, numbers.Real) and not isinstance(h, bool) else np.nan
+    would parse and an integer beyond the float range included, raises
+    :class:`~dynrel.errors.NonPositiveH`."""
+    try:
+        x = float(h) if isinstance(h, numbers.Real) and not isinstance(h, bool) else np.nan
+    except OverflowError:  # an integer beyond the float range
+        x = np.inf
     if not (np.isfinite(x) and x > 0):
         raise NonPositiveH(f"sampling period must be finite and positive, got {h!r}")
     return x

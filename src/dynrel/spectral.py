@@ -7,18 +7,24 @@ module computes F from a realization; the density-block formula
 import numpy as np
 from collections import Counter
 
-from .errors import RankInconsistent
+from .errors import InputError, RankInconsistent
 from .kernels import DEFAULT_TOL, Tolerances, rank_from_values
 from .lti import CtModel, freq_response
 
-__all__ = ["default_grid", "spectral_rank_profile"]
+__all__ = ["GRID_CAP", "default_grid", "spectral_rank_profile"]
+
+#: Hard cap on the number of points of a frequency grid, 500 times the default 200.
+GRID_CAP = 100_000
 
 
 def default_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200) -> np.ndarray:
-    """Logarithmically spaced frequency grid in rad/s; the bounds must
-    be finite and positive, else ``ValueError``."""
+    """Logarithmically spaced frequency grid in rad/s. The bounds must be
+    finite and positive and ``count`` in [1, ``GRID_CAP``], else
+    :class:`~dynrel.errors.InputError`, raised before any array is made."""
     if not (0 < lo < np.inf and 0 < hi < np.inf and count >= 1):
-        raise ValueError("grid bounds must be finite and positive, and count >= 1")
+        raise InputError("grid bounds must be finite and positive, and count >= 1")
+    if count > GRID_CAP:
+        raise InputError(f"{count} grid points exceed the cap of {GRID_CAP}")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
@@ -35,7 +41,7 @@ def spectral_rank_profile(model: CtModel, grid, tol: Tolerances = DEFAULT_TOL) -
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
-        raise ValueError("grid must be nonempty")
+        raise InputError("grid must be nonempty")
     w = freq_response(model, 1j * grid)
     s = np.linalg.svd(w, compute_uv=False)
     ranks = rank_from_values(s, model.n_out, tol)

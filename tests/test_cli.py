@@ -18,7 +18,7 @@ from dynrel.cli import dumps_report, run
 from dynrel.kernels import is_invertible, matrix_exp, psd_factor
 from dynrel.lti import StateSpace, freq_response, minimal_realizations
 from dynrel.sampling import sample
-from dynrel.spectral import default_grid
+from dynrel.spectral import GRID_CAP, default_grid
 
 
 def run_json(capsys, argv):
@@ -292,6 +292,14 @@ class TestValidate:
         assert data["error"] == {"kind": "InputError",
                                  "message": f"{sampled}: expected a continuous model file"}
 
+    def test_nonzero_feedthrough_exits_2(self, capsys, tmp_path):
+        path = write_model(tmp_path / "d.json", A=systems.A2, B=systems.B2, C=systems.C2,
+                           D=[[1.0], [0.0]])
+        code, data = run_json(capsys, ["validate", path])
+        assert code == 2
+        assert data["error"] == {"kind": "InputError",
+                                 "message": "continuous-time model must have zero feedthrough"}
+
 
 class TestMalformedFile:
     """A file the schema cannot hold is a ParseError report with exit 2,
@@ -318,12 +326,20 @@ class TestMalformedFile:
         path = tmp_path / "big_h.json"
         path.write_text(
             f'{{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": {self.BIG_INT}}}')
-        assert self.error(capsys, path, "desample") == "h: an integer beyond the float range"
+        assert self.error(capsys, path, "desample") == (
+            f"h: sampling period must be finite and positive, got {self.BIG_INT}")
 
     def test_period_beyond_float_range(self, capsys, tmp_path):
         path = tmp_path / "inf_h.json"
         path.write_text('{"v": 1, "Ad": [[0.5]], "Qd": [[1]], "Cd": [[1]], "h": 1e400}')
-        assert self.error(capsys, path, "desample") == "h: must be a positive number, got inf"
+        assert self.error(capsys, path, "desample") == (
+            "h: sampling period must be finite and positive, got inf")
+
+    def test_integer_beyond_digit_limit(self, capsys, tmp_path):
+        # Python's int parser refuses more than 4300 digits with a ValueError
+        path = tmp_path / "digits.json"
+        path.write_text(f'{{"v": 1, "A": [[1{"0" * 5000}]], "B": [[1]], "C": [[1]]}}')
+        assert self.error(capsys, path).startswith("invalid JSON: Exceeds the limit")
 
     def test_arrays_nested_too_deep(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -423,6 +439,22 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
+class TestErrorReport:
+    def test_numpy_value_error_is_an_error_report(self, capsys, monkeypatch, model2_file):
+        # numpy's own failures are not refusals of the package: they keep their
+        # name, and run still writes a report with exit code 2
+        def singular(args, tol):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(cli._HANDLERS, "validate", singular)
+        code = run(["validate", model2_file])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == {"kind": "LinAlgError",
+                                                     "message": "Singular matrix"}
+        assert captured.err == "error: Singular matrix\n"
+
+
 class TestSpectrum:
     def test_golden(self, capsys, model3_file):
         code, data = run_json(capsys, ["spectrum", model3_file])
@@ -455,6 +487,24 @@ class TestSpectrum:
         assert json.loads(out)["error"]["kind"] == "InputError"
         # one message line of our own, nothing from LAPACK or numpy
         assert err.startswith("error: --grid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("count", [GRID_CAP + 1, 10**15])
+    def test_grid_count_above_cap_exits_2(self, capsys, model2_file, count):
+        # refused before np.logspace runs: no array of the count is made
+        tracemalloc.start()
+        try:
+            code, data = run_json(capsys, ["spectrum", model2_file, "--grid", f"1:2:{count}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and peak < 200_000
+        assert data["error"] == {"kind": "InputError", "message":
+                                 f"--grid '1:2:{count}': {count} grid points exceed the cap "
+                                 f"of {GRID_CAP}"}
+
+    def test_grid_count_at_cap_runs(self, capsys, model2_file):
+        code, data = run_json(capsys, ["spectrum", model2_file, "--grid", f"1:2:{GRID_CAP}"])
+        assert code == 0 and data["grid"]["count"] == GRID_CAP and data["match"]
 
     def test_one_frequency_response(self, capsys, monkeypatch, model2_file):
         calls = count_calls(monkeypatch, freq_response)
@@ -634,6 +684,13 @@ class TestFeedback:
         assert code == 0
         assert data["internally_stable"] and data["feedback_free"] and data["consistent"]
 
+    def test_h_of_the_wrong_shape_exits_2(self, capsys, model2_file):
+        # F is 2x1, so H must be 1x2; H = F is 2x1
+        code, data = run_json(capsys, ["feedback", "--f", model2_file, "--h", model2_file])
+        assert code == 2
+        assert data["error"] == {"kind": "DimensionMismatch",
+                                 "message": "H must be 1x2 to close the loop with a 2x1 F, got 2x1"}
+
     def test_closed_loop_built_once(self, capsys, monkeypatch, f_stable_file, h_half_file):
         calls = count_calls(monkeypatch, feedback.closed_loop_T)
         code, data = run_json(capsys, ["feedback", "--f", f_stable_file,
@@ -672,7 +729,7 @@ class TestGranger:
         captured = capsys.readouterr()
         assert code == 2
         assert json.loads(captured.out)["error"] == {
-            "kind": "ValueError", "message": "non-finite peak gain: nan"}
+            "kind": "InputError", "message": "non-finite peak gain: nan"}
         assert captured.err == "error: non-finite peak gain: nan\n"
 
     def test_peak_gain_evaluated_once(self, capsys, monkeypatch, f_stable_file):
@@ -695,6 +752,11 @@ class TestSamplingCommands:
         np.testing.assert_allclose(data["Ad"], want, atol=1e-12)
         bd = np.array(data["Bd"])
         np.testing.assert_allclose(bd @ bd.T, data["Qd"], atol=1e-12)
+
+    def test_overflowing_period_exits_2(self, capsys, model2_file):
+        code, data = run_json(capsys, ["sample", model2_file, "--h", "1e300"])
+        assert code == 2
+        assert data["error"] == {"kind": "InputError", "message": "Ad has non-finite entries"}
 
     def test_sample_desample_round_trip(self, capsys, model2_file, tmp_path):
         code = run(["sample", model2_file, "--h", "0.1"])

@@ -181,8 +181,9 @@ class TestParseSampled:
 
     def test_bad_h(self, tmp_path):
         for h in (-1, True, "1", [1], float("inf")):
-            with pytest.raises(ParseError, match="h: must be a positive number"):
+            with pytest.raises(ParseError) as err:
                 parse_model(one_state_sampled(tmp_path, Qd=[[1]], h=h), "sampled")
+            assert str(err.value) == f"h: sampling period must be finite and positive, got {h!r}"
 
 
 class TestSampleReportIsParseable:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 import systems
@@ -116,7 +116,8 @@ class TestPeriodRule:
             SampledModel([[0.5]], [[0.75]], [[1.0]], h)
         return str(by_sample.value), str(by_model.value)
 
-    @pytest.mark.parametrize("h", [0, 0.0, -1, np.nan, np.inf])
+    @pytest.mark.parametrize("h", [0, 0.0, -1, np.nan, np.inf,
+                                   pytest.param(10**400, id="int-beyond-float-range")])
     def test_not_finite_and_positive(self, m2, h):
         got, want = self.refusals(m2, h)
         assert got == want == f"sampling period must be finite and positive, got {h!r}"
@@ -396,3 +397,55 @@ class TestRoundTripProperty:
             desample(sample(model, h_over_limit * np.pi / 4.0))
         diag = exc_info.value.diagnostics
         assert diag.logm_exists and diag.qd_nonsingular and not diag.neg_semidef_ok
+
+
+class TestTimeRescaling:
+    """Rescaling time, (A, B, h) -> (cA, sqrt(c) B, h/c), leaves exp(A h)
+    and Q_d = int_0^h exp(A t) B B' exp(A' t) dt unchanged (substitute
+    t = c s). So ``sample`` gives the same A_d and Q_d, ``desample``
+    recovers cA and c B B' within the tolerances of
+    ``test_recovers_model_below_aliasing_limit``, or refuses exactly when it
+    refuses the unscaled draw, and ``hidden_rank_report`` gives the same
+    ranks. As in ``test_relation.py::TestScaling``, a draw with a pole
+    within 1e-6 of the axis is not used: at c = 1e-3 the absolute 1e-9
+    ``stability_margin`` could refuse the rescaled model."""
+
+    @staticmethod
+    def rescaled(model, c):
+        return validate_ct_model(CtModel(c * model.A, np.sqrt(c) * model.B, model.C))
+
+    @staticmethod
+    def refusal(sm):
+        """The recovered model, or the type of the refusal."""
+        try:
+            return desample(sm)[0]
+        except (LogFailure, QdSingular, NotSemidefinite) as exc:
+            return type(exc)
+
+    def check(self, model, h):
+        sm = sample(model, h)
+        want = self.refusal(sm)
+        for c in (1e-3, 1e3):
+            scaled = sample(self.rescaled(model, c), h / c)
+            for got, ref in ((scaled.Ad, sm.Ad), (scaled.Qd, sm.Qd)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            got = self.refusal(scaled)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            a, bbt = c * model.A, c * model.B @ model.B.T
+            assert np.abs(got.A - a).max() < 1e-9 * np.abs(a).max()
+            assert np.abs(got.B @ got.B.T - bbt).max() < 1e-9 * np.abs(bbt).max()
+            assert (hidden_rank_report(self.rescaled(model, c), h / c)
+                    == hidden_rank_report(model, h))
+
+    @pytest.mark.parametrize("h", [0.05, 0.3, 1.0])
+    def test_model2(self, m2, h):
+        self.check(m2, h)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @ROUND_TRIP_DRAW
+    def test_random_draws(self, seed, n, m_frac, h_frac):
+        model, h = below_aliasing_limit(seed, n, m_frac, h_frac)
+        assume(np.abs(model.eigenvalues.real).min() >= 1e-6)
+        self.check(model, h)

@@ -2,7 +2,17 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import systems
 import dynrel
+from dynrel.cli import dumps_report
+from dynrel.errors import DimensionMismatch, DynrelError, InputError
+from dynrel.feedback import closed_loop_T, granger_verdict
+from dynrel.kernels import Tolerances, as_matrix, numerical_rank
+from dynrel.lti import StateSpace, validate_ct_model
+from dynrel.spectral import default_grid, spectral_rank_profile
 
 LAYERS = ("errors", "kernels", "lti", "spectral", "relation", "feedback", "sampling",
           "modelio", "cli")
@@ -29,3 +39,53 @@ def test_readme_quick_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1] for line in lines[:-1]] == ["stable", "unstable"] * 2
     assert lines[-1] == "1"
+
+
+def _granger_on_huge_gain():
+    # the gain 1e400 / (s + 1e-300) overflows, and freq_response warns once
+    f = StateSpace([[-1e-300]], [[1e200]], [[1e200]], [[0.0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        granger_verdict(f)
+
+
+def _loop_with_f_as_h():
+    f = StateSpace(systems.A2, systems.B2, systems.C2)
+    closed_loop_T(f, f)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    pytest.param(lambda: Tolerances(rank_rtol=-1), InputError,
+                 "rank_rtol must be strictly positive, got -1", id="Tolerances-positive"),
+    pytest.param(lambda: Tolerances(psd_tol=2), InputError, "psd_tol must be below 1, got 2",
+                 id="Tolerances-psd-below-1"),
+    pytest.param(lambda: as_matrix(np.zeros((2, 2, 2))), DimensionMismatch,
+                 "matrix must be 2-dimensional, got shape (2, 2, 2)", id="as_matrix-ndim"),
+    pytest.param(lambda: as_matrix([["a"]]), InputError, "matrix must be numeric, got dtype <U1",
+                 id="as_matrix-dtype"),
+    pytest.param(lambda: as_matrix([[np.nan]]), InputError, "matrix has non-finite entries",
+                 id="as_matrix-finite"),
+    pytest.param(lambda: numerical_rank(np.full((2, 2, 2), np.nan)), InputError,
+                 "rank input has non-finite entries", id="numerical_rank-stack"),
+    pytest.param(lambda: validate_ct_model(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]])),
+                 InputError, "continuous-time model must have zero feedthrough",
+                 id="validate_ct_model-D"),
+    pytest.param(lambda: validate_ct_model(StateSpace(np.zeros((0, 0)), np.zeros((0, 1)),
+                                                      np.zeros((1, 0)))),
+                 InputError, "model must have at least one state", id="validate_ct_model-n"),
+    pytest.param(lambda: default_grid(1, 2, 0), InputError,
+                 "grid bounds must be finite and positive, and count >= 1", id="default_grid"),
+    pytest.param(lambda: spectral_rank_profile(systems.model2(), []), InputError,
+                 "grid must be nonempty", id="spectral_rank_profile"),
+    pytest.param(_loop_with_f_as_h, DimensionMismatch,
+                 "H must be 1x2 to close the loop with a 2x1 F, got 2x1", id="closed_loop_T"),
+    pytest.param(_granger_on_huge_gain, InputError, "non-finite peak gain: nan",
+                 id="granger_verdict"),
+    pytest.param(lambda: dumps_report({"x": np.nan}), InputError,
+                 "non-finite number in report: nan", id="dumps_report"),
+])
+def test_every_refusal_is_a_dynrel_error_and_a_value_error(call, kind, message):
+    # one family: library callers that catch ValueError still catch each
+    with pytest.raises(DynrelError) as err:
+        call()
+    assert type(err.value) is kind and isinstance(err.value, ValueError)
+    assert str(err.value) == message

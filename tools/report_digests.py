@@ -10,7 +10,8 @@ Builds the inputs of the relations, roundtrip and freqgrid workloads with
 ``dynrel.cli.run`` of ``CHECKOUT/src``. A fourth set, ``faults``, runs
 once, with seed ``-``: each entry of ``FAULTS`` is a model file written
 to a temporary directory and one command run on it. The first files
-are a valid model with one field (one file: two) made malformed; the
+are a valid model with one field (one file: two) made malformed or
+inadmissible; the
 rest are valid, and the call's command-line values are refused.
 For each call it prints one tab-separated line: set, seed, argv, exit
 code, and the SHA-256 of stdout and of stderr. The work directory is
@@ -47,6 +48,7 @@ FAULTS = (
     ("B-rows", "validate", CONTINUOUS, {"B": [[1]]}),
     ("C-columns", "validate", CONTINUOUS, {"C": [[1, 0, 0], [0, 1, 0]]}),
     ("D-shape", "granger", CONTINUOUS, {"D": [[0, 0], [0, 0]]}),
+    ("D-nonzero", "validate", CONTINUOUS, {"D": [[1], [0]]}),
     ("labels-count", "validate", CONTINUOUS, {"labels": ["y1"]}),
     ("labels-count", "granger", CONTINUOUS, {"labels": ["y1"]}),
     ("labels-not-strings", "validate", CONTINUOUS, {"labels": "y1y2"}),
@@ -60,13 +62,19 @@ FAULTS = (
     ("Cd-columns", "desample", SAMPLED, {"Cd": [[1, 0, 0]]}),
     ("h-not-positive", "desample", SAMPLED, {"h": -0.1}),
     ("B-rows-and-C-non-real", "validate", CONTINUOUS, {"B": [[1]], "C": [[1, 0], [0, "x"]]}),
-    *(("continuous", "sample", CONTINUOUS, {}, ("--h", h)) for h in ("0", "-1", "inf", "nan")),
+    # 1e300: exp(A h) overflows, and the sampled model refuses its non-finite Ad
+    *(("continuous", "sample", CONTINUOUS, {}, ("--h", h))
+      for h in ("0", "-1", "inf", "nan", "1e300")),
     ("sampled", "desample", SAMPLED, {}, ("--h", "0")),
     ("continuous", "hidden-rank", CONTINUOUS, {}, ("--h", "0")),
     # a bare "-1:2:3" would reach argparse as a flag and exit without a report
     *(("continuous", "spectrum", CONTINUOUS, {}, ("--grid", grid)) for grid in
       ("1:2", "a:b:c", "1:2:3:4", "1:2:3.5", "", "1:inf:10", "1:2:0")),
     ("continuous", "spectrum", CONTINUOUS, {}, ("--grid=-1:2:3",)),
+    # one point more than the grid cap, dynrel.spectral.GRID_CAP = 100000
+    ("continuous", "spectrum", CONTINUOUS, {}, ("--grid", "1:2:100001")),
+    *(("continuous", "validate", CONTINUOUS, {}, flag) for flag in
+      (("--tol-rank", "-1"), ("--tol-psd", "2"))),
     *(("continuous", "relation", CONTINUOUS, {}, ("--rows", rows)) for rows in ("9", "a", "0,0")),
     # H = F: two outputs and one input, where H must have one output and two inputs
     ("continuous", "feedback", CONTINUOUS, {}, ("--h", "{file}")),
