@@ -382,15 +382,14 @@ def dumps_report(obj: dict) -> str:
 # --------------------------------------------------------------------------
 # argument parsing
 
-def _add_tol_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--tol-rank", type=float, default=None,
-                    help="override the relative rank cutoff")
-    sp.add_argument("--tol-psd", type=float, default=None,
-                    help="override the PSD negativity allowance and the Q_d singularity gate")
-    sp.add_argument("--tol-stability", type=float, default=None,
-                    help="override the stability margin")
-    sp.add_argument("--tol-residual", type=float, default=None,
-                    help="override the peak gain at or below which a map counts as zero")
+#: each ``Tolerances`` field: its flag and the flag's help
+_TOL_FLAGS = {
+    "rank_rtol": ("--tol-rank", "override the relative rank cutoff"),
+    "psd_tol": ("--tol-psd", "override the PSD negativity allowance and the Q_d singularity gate"),
+    "stability_margin": ("--tol-stability", "override the stability margin"),
+    "residual_tol": ("--tol-residual",
+                     "override the peak gain at or below which a map counts as zero"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,8 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("model")
     sp.add_argument("--h", required=True, type=float, dest="period")
 
-    for sp in sub.choices.values():  # every subcommand takes the tolerance flags
-        _add_tol_flags(sp)
+    for name, sp in sub.choices.items():  # the flags of the fields the command reads
+        for field in _HANDLERS[name][1]:
+            flag, text = _TOL_FLAGS[field]
+            sp.add_argument(flag, type=float, dest=field, help=text)
     return parser
 
 
@@ -453,9 +454,7 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def _tolerances(args):
     """DEFAULT_TOL with the ``--tol-*`` flags that were given."""
-    flags = {"rank_rtol": args.tol_rank, "psd_tol": args.tol_psd,
-             "stability_margin": args.tol_stability, "residual_tol": args.tol_residual}
-    overrides = {k: v for k, v in flags.items() if v is not None}
+    overrides = {k: v for k, v in vars(args).items() if k in _TOL_FLAGS and v is not None}
     return replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
@@ -650,16 +649,23 @@ def _cmd_hidden_rank(args, tol):
     return report, 0
 
 
+# The command table: each command's handler and the ``Tolerances`` fields
+# its verdicts read, in the order of ``_TOL_FLAGS``. The command takes the
+# ``--tol-*`` flags of those fields and no others; a field it does not
+# read could not change its report. ``tests/test_cli.py`` records the
+# reads of each handler and holds them to these sets.
+_RANK_STABLE = ("rank_rtol", "stability_margin")
+_SAMPLING = ("rank_rtol", "psd_tol", "stability_margin")
 _HANDLERS = {
-    "validate": _cmd_validate,
-    "spectrum": _cmd_spectrum,
-    "relation": _cmd_relation,
-    "stable-selection": _cmd_stable_selection,
-    "feedback": _cmd_feedback,
-    "granger": _cmd_granger,
-    "sample": _cmd_sample,
-    "desample": _cmd_desample,
-    "hidden-rank": _cmd_hidden_rank,
+    "validate": (_cmd_validate, _RANK_STABLE),
+    "spectrum": (_cmd_spectrum, _RANK_STABLE),
+    "relation": (_cmd_relation, _RANK_STABLE),
+    "stable-selection": (_cmd_stable_selection, _RANK_STABLE),
+    "feedback": (_cmd_feedback, _RANK_STABLE + ("residual_tol",)),
+    "granger": (_cmd_granger, ("residual_tol",)),
+    "sample": (_cmd_sample, _SAMPLING),
+    "desample": (_cmd_desample, _SAMPLING),
+    "hidden-rank": (_cmd_hidden_rank, _SAMPLING),
 }
 
 
@@ -677,7 +683,7 @@ def run(argv) -> int:
     header = {"v": 1, "command": args.command}
     try:
         tol = _tolerances(args)
-        body, code = _HANDLERS[args.command](args, tol)
+        body, code = _HANDLERS[args.command][0](args, tol)
         text = dumps_report(header | body)  # a non-finite value raises here
     except (DynrelError, ValueError) as err:  # ValueError: numpy's and scipy's own
         sys.stdout.write(dumps_report(header | _error_report(err)))

@@ -7,6 +7,7 @@ O(n^2) memory. All functions are pure and never modify their inputs.
 """
 
 import functools
+import numbers
 import numpy as np
 from dataclasses import dataclass
 
@@ -51,6 +52,26 @@ POLE_COND_LIMIT = 1e13
 LYAP_SEP_RTOL = 1e-12
 
 
+def _real_value(x) -> float:
+    """``x`` as a float: NaN unless ``x`` is a real number and not a bool,
+    and inf for an integer beyond the float range."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return np.nan
+    try:
+        return float(x)
+    except OverflowError:
+        return np.inf
+
+
+def _shown(x) -> str:
+    """``repr(x)`` for a message, or the bit length of an integer too long
+    for ``repr`` to write (beyond Python's digit limit)."""
+    try:
+        return repr(x)
+    except ValueError:
+        return f"an integer of {x.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds realizing exact-arithmetic assumptions.
@@ -77,6 +98,9 @@ class Tolerances:
         Absolute bound on a map's peak gain over the default grid: at or
         below it the map counts as zero (``feedback.granger_verdict``, and
         through it ``feedback.feedback_free`` on H). Nothing else reads it.
+
+    Each field must be a finite positive real number and not a bool, else
+    :class:`~dynrel.errors.InputError`.
     """
 
     rank_rtol: float = 1e-10
@@ -87,8 +111,8 @@ class Tolerances:
     def __post_init__(self):
         for name in ("rank_rtol", "psd_tol", "stability_margin", "residual_tol"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be strictly positive, got {value!r}")
+            if not 0 < _real_value(value) < np.inf:
+                raise InputError(f"{name} must be strictly positive, got {_shown(value)}")
         if self.psd_tol >= 1:
             raise InputError(f"psd_tol must be below 1, got {self.psd_tol!r}")
 

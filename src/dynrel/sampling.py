@@ -20,8 +20,6 @@ unique only up to a right orthogonal factor, so only B B' is
 contractual.
 """
 
-import numbers
-
 import numpy as np
 from dataclasses import dataclass
 
@@ -37,6 +35,8 @@ from .errors import (
 from .kernels import (
     DEFAULT_TOL,
     Tolerances,
+    _real_value,
+    _shown,
     as_matrix,
     matrix_exp,
     matrix_log_principal,
@@ -66,12 +66,9 @@ def _period(h) -> float:
     real number, and not a bool; anything else, a string that ``float``
     would parse and an integer beyond the float range included, raises
     :class:`~dynrel.errors.NonPositiveH`."""
-    try:
-        x = float(h) if isinstance(h, numbers.Real) and not isinstance(h, bool) else np.nan
-    except OverflowError:  # an integer beyond the float range
-        x = np.inf
-    if not (np.isfinite(x) and x > 0):
-        raise NonPositiveH(f"sampling period must be finite and positive, got {h!r}")
+    x = _real_value(h)
+    if not 0 < x < np.inf:
+        raise NonPositiveH(f"sampling period must be finite and positive, got {_shown(h)}")
     return x
 
 

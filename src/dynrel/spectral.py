@@ -4,6 +4,8 @@ singular values of ``W(iw)``. The relation
 module computes F from a realization; the density-block formula
 ``F = Phi_yu Phi_u^{-1}`` is an identity the tests check against it."""
 
+import numbers
+
 import numpy as np
 from collections import Counter
 
@@ -19,8 +21,11 @@ GRID_CAP = 100_000
 
 def default_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200) -> np.ndarray:
     """Logarithmically spaced frequency grid in rad/s. The bounds must be
-    finite and positive and ``count`` in [1, ``GRID_CAP``], else
-    :class:`~dynrel.errors.InputError`, raised before any array is made."""
+    finite and positive and ``count`` an integer, not a bool, in
+    [1, ``GRID_CAP``], else :class:`~dynrel.errors.InputError`, raised
+    before any array is made."""
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
+        raise InputError(f"grid count must be an integer, got {count!r}")
     if not (0 < lo < np.inf and 0 < hi < np.inf and count >= 1):
         raise InputError("grid bounds must be finite and positive, and count >= 1")
     if count > GRID_CAP:

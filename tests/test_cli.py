@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ from conftest import count_calls, write_model
 import dynrel
 from dynrel import cli, feedback, relation
 from dynrel.cli import dumps_report, run
-from dynrel.kernels import is_invertible, matrix_exp, psd_factor
+from dynrel.kernels import Tolerances, is_invertible, matrix_exp, psd_factor
 from dynrel.lti import StateSpace, freq_response, minimal_realizations
 from dynrel.sampling import sample
 from dynrel.spectral import GRID_CAP, default_grid
@@ -446,7 +448,7 @@ class TestErrorReport:
         def singular(args, tol):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setitem(cli._HANDLERS, "validate", singular)
+        monkeypatch.setitem(cli._HANDLERS, "validate", (singular, cli._HANDLERS["validate"][1]))
         code = run(["validate", model2_file])
         captured = capsys.readouterr()
         assert code == 2
@@ -852,6 +854,74 @@ class TestSamplingCommands:
         assert data["error"]["kind"] == "NonPositiveH"
 
 
+# the Tolerances fields each command's verdicts read, and so its --tol-* flags
+TOL_FIELDS = {
+    "validate": {"rank_rtol", "stability_margin"},
+    "spectrum": {"rank_rtol", "stability_margin"},
+    "relation": {"rank_rtol", "stability_margin"},
+    "stable-selection": {"rank_rtol", "stability_margin"},
+    "feedback": {"rank_rtol", "stability_margin", "residual_tol"},
+    "granger": {"residual_tol"},
+    "sample": {"rank_rtol", "psd_tol", "stability_margin"},
+    "desample": {"rank_rtol", "psd_tol", "stability_margin"},
+    "hidden-rank": {"rank_rtol", "psd_tol", "stability_margin"},
+}
+TOL_FLAG_FIELDS = {"--tol-rank": "rank_rtol", "--tol-psd": "psd_tol",
+                   "--tol-stability": "stability_margin", "--tol-residual": "residual_tol"}
+# the arguments each command requires, for the parser alone
+COMMAND_ARGS = dict.fromkeys(TOL_FIELDS, ("m.json",)) | {
+    "feedback": ("--f", "f.json", "--h", "h.json"), "granger": ("--f", "f.json"),
+    "sample": ("m.json", "--h", "1"), "hidden-rank": ("m.json", "--h", "1")}
+
+
+class TestCommandTable:
+    """``cli._HANDLERS`` names the ``Tolerances`` fields each handler
+    reads, and each command's ``--help`` lists the flags of those fields."""
+
+    @staticmethod
+    def fields_read(argv):
+        """The ``Tolerances`` fields the handler of ``argv`` reads."""
+        reads = set()
+        names = {f.name for f in dataclasses.fields(Tolerances)}
+
+        class Recording(Tolerances):
+            def __getattribute__(self, name):
+                if name in names:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        tol = Recording()
+        reads.clear()  # the reads of __post_init__ do not count
+        cli._HANDLERS[argv[0]][0](cli.build_parser().parse_args(argv), tol)
+        return reads
+
+    def test_handlers_read_the_fields_of_the_table(self, capsys, tmp_path, model3_file,
+                                                   model2_file, f_stable_file, h_zero_file,
+                                                   h_half_file):
+        assert run(["sample", model2_file, "--h", "0.1"]) == 0
+        sampled = tmp_path / "sampled.json"
+        sampled.write_text(capsys.readouterr().out)
+        # inputs that reach every read: both relation paths, a zero and a
+        # nonzero H, and a desample that succeeds
+        calls = [["validate", model3_file], ["spectrum", model3_file],
+                 ["relation", model3_file, "--all"], ["relation", model3_file, "--rows", "0"],
+                 ["stable-selection", model3_file],
+                 ["feedback", "--f", f_stable_file, "--h", h_zero_file],
+                 ["feedback", "--f", f_stable_file, "--h", h_half_file],
+                 ["granger", "--f", f_stable_file], ["sample", model2_file, "--h", "0.1"],
+                 ["desample", str(sampled)], ["hidden-rank", model2_file, "--h", "0.1"]]
+        reads = {command: set() for command in cli._HANDLERS}
+        for argv in calls:
+            reads[argv[0]] |= self.fields_read(argv)
+        assert reads == {command: set(fields) for command, (_, fields) in cli._HANDLERS.items()}
+        assert reads == TOL_FIELDS
+        for command, fields in reads.items():
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([command, "--help"])
+            listed = set(re.findall(r"--tol-[a-z]+", capsys.readouterr().out))
+            assert listed == {flag for flag, field in TOL_FLAG_FIELDS.items() if field in fields}
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys, model3_file):
         assert run(["relation", model3_file, "--all"]) == 0
@@ -861,12 +931,27 @@ class TestDeterminism:
         assert first == second
 
     def test_tolerance_flags_accepted(self, capsys, model3_file):
+        # each command takes the flags of the fields it reads and refuses the
+        # other flags as argparse refuses any unknown flag: 21 taken, 15 not
         code, data = run_json(capsys, [
-            "validate", model3_file,
-            "--tol-rank", "1e-9", "--tol-psd", "1e-7",
-            "--tol-stability", "1e-8", "--tol-residual", "1e-7",
+            "validate", model3_file, "--tol-rank", "1e-9", "--tol-stability", "1e-8",
         ])
         assert code == 0 and data["valid"]
+        taken = refused = 0
+        for command, fields in TOL_FIELDS.items():
+            for flag, field in TOL_FLAG_FIELDS.items():
+                argv = [command, *COMMAND_ARGS[command], flag, "1e-9"]
+                if field in fields:
+                    tol = cli._tolerances(cli._shared_parser().parse_args(argv))
+                    assert getattr(tol, field) == 1e-9
+                    taken += 1
+                else:
+                    with pytest.raises(SystemExit) as exc:
+                        run(argv)
+                    assert exc.value.code == 2
+                    assert f"unrecognized arguments: {flag} 1e-9" in capsys.readouterr().err
+                    refused += 1
+        assert (taken, refused) == (21, 15)
 
     def test_bad_tolerance_exits_2(self, capsys, model3_file):
         code, data = run_json(capsys, ["validate", model3_file, "--tol-rank", "-1"])

@@ -58,6 +58,9 @@ def _loop_with_f_as_h():
                  "rank_rtol must be strictly positive, got -1", id="Tolerances-positive"),
     pytest.param(lambda: Tolerances(psd_tol=2), InputError, "psd_tol must be below 1, got 2",
                  id="Tolerances-psd-below-1"),
+    *(pytest.param(lambda v=value: Tolerances(rank_rtol=v), InputError,
+                   f"rank_rtol must be strictly positive, got {value!r}", id=f"Tolerances-{name}")
+      for value, name in (("a", "str"), (None, "None"), (True, "bool"))),
     pytest.param(lambda: as_matrix(np.zeros((2, 2, 2))), DimensionMismatch,
                  "matrix must be 2-dimensional, got shape (2, 2, 2)", id="as_matrix-ndim"),
     pytest.param(lambda: as_matrix([["a"]]), InputError, "matrix must be numeric, got dtype <U1",
@@ -74,6 +77,9 @@ def _loop_with_f_as_h():
                  InputError, "model must have at least one state", id="validate_ct_model-n"),
     pytest.param(lambda: default_grid(1, 2, 0), InputError,
                  "grid bounds must be finite and positive, and count >= 1", id="default_grid"),
+    *(pytest.param(lambda c=count: default_grid(1, 2, c), InputError,
+                   f"grid count must be an integer, got {count!r}", id=f"default_grid-{name}")
+      for count, name in ((2.5, "float"), (True, "bool"))),
     pytest.param(lambda: spectral_rank_profile(systems.model2(), []), InputError,
                  "grid must be nonempty", id="spectral_rank_profile"),
     pytest.param(_loop_with_f_as_h, DimensionMismatch,

@@ -73,8 +73,9 @@ FAULTS = (
     ("continuous", "spectrum", CONTINUOUS, {}, ("--grid=-1:2:3",)),
     # one point more than the grid cap, dynrel.spectral.GRID_CAP = 100000
     ("continuous", "spectrum", CONTINUOUS, {}, ("--grid", "1:2:100001")),
-    *(("continuous", "validate", CONTINUOUS, {}, flag) for flag in
-      (("--tol-rank", "-1"), ("--tol-psd", "2"))),
+    ("continuous", "validate", CONTINUOUS, {}, ("--tol-rank", "-1")),
+    # psd_tol is read by the sampling commands alone
+    ("sampled", "desample", SAMPLED, {}, ("--tol-psd", "2")),
     *(("continuous", "relation", CONTINUOUS, {}, ("--rows", rows)) for rows in ("9", "a", "0,0")),
     # H = F: two outputs and one input, where H must have one output and two inputs
     ("continuous", "feedback", CONTINUOUS, {}, ("--h", "{file}")),
