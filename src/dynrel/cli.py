@@ -380,97 +380,6 @@ def dumps_report(obj: dict) -> str:
 
 
 # --------------------------------------------------------------------------
-# argument parsing
-
-#: each ``Tolerances`` field: its flag and the flag's help
-_TOL_FLAGS = {
-    "rank_rtol": ("--tol-rank", "override the relative rank cutoff"),
-    "psd_tol": ("--tol-psd", "override the PSD negativity allowance and the Q_d singularity gate"),
-    "stability_margin": ("--tol-stability", "override the stability margin"),
-    "residual_tol": ("--tol-residual",
-                     "override the peak gain at or below which a map counts as zero"),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dynrel",
-        description="Hidden deterministic relations, feedback structure, and "
-                    "exact sampling for rational stochastic models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="check every model assumption")
-    sp.add_argument("model")
-
-    sp = sub.add_parser("spectrum", help="spectral density rank profile over a grid")
-    sp.add_argument("model")
-    sp.add_argument("--grid", default=None, metavar="LO:HI:N",
-                    help="log-spaced frequency grid (default 1e-3:1e3:200)")
-
-    sp = sub.add_parser("relation", help="extract the deterministic relation")
-    sp.add_argument("model")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--rows", default=None, metavar="I,J,...",
-                       help="driving rows of C (the u-channels)")
-    group.add_argument("--all", action="store_true",
-                       help="classify every admissible selection (default)")
-
-    sp = sub.add_parser("stable-selection",
-                        help="first selection with a strictly stable relation")
-    sp.add_argument("model")
-
-    sp = sub.add_parser("feedback", help="closed-loop analysis of a pair (F, H)")
-    sp.add_argument("--f", required=True, dest="f_path", metavar="F.json")
-    sp.add_argument("--h", required=True, dest="h_path", metavar="H.json")
-
-    sp = sub.add_parser("granger", help="does the input channel help predict the output")
-    sp.add_argument("--f", required=True, dest="f_path", metavar="F.json")
-
-    sp = sub.add_parser("sample", help="exact discretization at period h")
-    sp.add_argument("model")
-    sp.add_argument("--h", required=True, type=float, dest="period")
-
-    sp = sub.add_parser("desample", help="invert the sampling map")
-    sp.add_argument("model")
-    sp.add_argument("--h", type=float, default=None, dest="period",
-                    help="sampling period (overrides the file's h)")
-
-    sp = sub.add_parser("hidden-rank", help="rank bookkeeping across a round trip")
-    sp.add_argument("model")
-    sp.add_argument("--h", required=True, type=float, dest="period")
-
-    for name, sp in sub.choices.items():  # the flags of the fields the command reads
-        for field in _HANDLERS[name][1]:
-            flag, text = _TOL_FLAGS[field]
-            sp.add_argument(flag, type=float, dest=field, help=text)
-    return parser
-
-
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``run`` uses, built on first use and never modified."""
-    return build_parser()
-
-
-def _tolerances(args):
-    """DEFAULT_TOL with the ``--tol-*`` flags that were given."""
-    overrides = {k: v for k, v in vars(args).items() if k in _TOL_FLAGS and v is not None}
-    return replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
-
-
-def _parse_grid(spec: str | None) -> np.ndarray:
-    if spec is None:
-        return default_grid()
-    try:
-        lo, hi, count = spec.split(":")
-        return default_grid(float(lo), float(hi), int(count))
-    except InputError as exc:  # first: every InputError is a ValueError
-        raise InputError(f"--grid {spec!r}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"--grid must look like LO:HI:N, got {spec!r}") from exc
-
-
-# --------------------------------------------------------------------------
 # subcommand handlers: each returns (report body, exit_code); ``run``
 # puts the header {"v": 1, "command": ...} in front of the body
 
@@ -486,6 +395,18 @@ def _cmd_validate(args, tol):
         "labels": list(model.labels) if model.labels else None,
     }
     return report, 0
+
+
+def _parse_grid(spec: str | None) -> np.ndarray:
+    if spec is None:
+        return default_grid()
+    try:
+        lo, hi, count = spec.split(":")
+        return default_grid(float(lo), float(hi), int(count))
+    except InputError as exc:  # first: every InputError is a ValueError
+        raise InputError(f"--grid {spec!r}: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(f"--grid must look like LO:HI:N, got {spec!r}") from exc
 
 
 def _cmd_spectrum(args, tol):
@@ -649,24 +570,90 @@ def _cmd_hidden_rank(args, tol):
     return report, 0
 
 
-# The command table: each command's handler and the ``Tolerances`` fields
-# its verdicts read, in the order of ``_TOL_FLAGS``. The command takes the
-# ``--tol-*`` flags of those fields and no others; a field it does not
-# read could not change its report. ``tests/test_cli.py`` records the
-# reads of each handler and holds them to these sets.
+# --------------------------------------------------------------------------
+# the command table and the parser it builds
+
+#: each ``Tolerances`` field: its flag and the flag's help
+_TOL_FLAGS = {
+    "rank_rtol": ("--tol-rank", "override the relative rank cutoff"),
+    "psd_tol": ("--tol-psd", "override the PSD negativity allowance and the Q_d singularity gate"),
+    "stability_margin": ("--tol-stability", "override the stability margin"),
+    "residual_tol": ("--tol-residual",
+                     "override the peak gain at or below which a map counts as zero"),
+}
+
+_MODEL = ("model", {})
+_F = ("--f", dict(required=True, dest="f_path", metavar="F.json"))
+_PERIOD = ("--h", dict(required=True, type=float, dest="period"))
 _RANK_STABLE = ("rank_rtol", "stability_margin")
 _SAMPLING = ("rank_rtol", "psd_tol", "stability_margin")
+
+# The command table, the one declaration of each command: its handler,
+# the ``Tolerances`` fields its verdicts read (in the order of
+# ``_TOL_FLAGS``), its help and its arguments, each a ``(flag, options of
+# add_argument)`` pair and a list of them a mutually exclusive group.
+# ``build_parser`` adds the arguments in this order, then the ``--tol-*``
+# flags of the fields and no others: a field the command does not read
+# could not change its report. ``tests/test_cli.py`` records the reads of
+# each handler and holds them to these sets.
 _HANDLERS = {
-    "validate": (_cmd_validate, _RANK_STABLE),
-    "spectrum": (_cmd_spectrum, _RANK_STABLE),
-    "relation": (_cmd_relation, _RANK_STABLE),
-    "stable-selection": (_cmd_stable_selection, _RANK_STABLE),
-    "feedback": (_cmd_feedback, _RANK_STABLE + ("residual_tol",)),
-    "granger": (_cmd_granger, ("residual_tol",)),
-    "sample": (_cmd_sample, _SAMPLING),
-    "desample": (_cmd_desample, _SAMPLING),
-    "hidden-rank": (_cmd_hidden_rank, _SAMPLING),
+    "validate": (_cmd_validate, _RANK_STABLE, "check every model assumption", [_MODEL]),
+    "spectrum": (_cmd_spectrum, _RANK_STABLE, "spectral density rank profile over a grid", [
+        _MODEL, ("--grid", dict(metavar="LO:HI:N",
+                                help="log-spaced frequency grid (default 1e-3:1e3:200)"))]),
+    "relation": (_cmd_relation, _RANK_STABLE, "extract the deterministic relation", [
+        _MODEL, [("--rows", dict(metavar="I,J,...", help="driving rows of C (the u-channels)")),
+                 ("--all", dict(action="store_true",
+                                help="classify every admissible selection (default)"))]]),
+    "stable-selection": (_cmd_stable_selection, _RANK_STABLE,
+                         "first selection with a strictly stable relation", [_MODEL]),
+    "feedback": (_cmd_feedback, _RANK_STABLE + ("residual_tol",),
+                 "closed-loop analysis of a pair (F, H)",
+                 [_F, ("--h", dict(required=True, dest="h_path", metavar="H.json"))]),
+    "granger": (_cmd_granger, ("residual_tol",), "does the input channel help predict the output",
+                [_F]),
+    "sample": (_cmd_sample, _SAMPLING, "exact discretization at period h", [_MODEL, _PERIOD]),
+    "desample": (_cmd_desample, _SAMPLING, "invert the sampling map", [
+        _MODEL, ("--h", dict(type=float, dest="period",
+                             help="sampling period (overrides the file's h)"))]),
+    "hidden-rank": (_cmd_hidden_rank, _SAMPLING, "rank bookkeeping across a round trip",
+                    [_MODEL, _PERIOD]),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the commands of ``_HANDLERS``, which takes each flag
+    only as spelled in full."""
+    parser = argparse.ArgumentParser(
+        prog="dynrel", allow_abbrev=False,
+        description="Hidden deterministic relations, feedback structure, and "
+                    "exact sampling for rational stochastic models.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, fields, text, arguments) in _HANDLERS.items():
+        sp = sub.add_parser(name, help=text, allow_abbrev=False)
+        for arg in arguments:
+            if isinstance(arg, list):
+                group = sp.add_mutually_exclusive_group()
+                for flag, options in arg:
+                    group.add_argument(flag, **options)
+            else:
+                sp.add_argument(arg[0], **arg[1])
+        for field in fields:
+            flag, text = _TOL_FLAGS[field]
+            sp.add_argument(flag, type=float, dest=field, help=text)
+    return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on first use and never modified."""
+    return build_parser()
+
+
+def _tolerances(args):
+    """DEFAULT_TOL with the ``--tol-*`` flags that were given."""
+    overrides = {k: v for k, v in vars(args).items() if k in _TOL_FLAGS and v is not None}
+    return replace(DEFAULT_TOL, **overrides) if overrides else DEFAULT_TOL
 
 
 def _error_report(err: Exception) -> dict:

@@ -10,7 +10,7 @@ import numpy as np
 from collections import Counter
 
 from .errors import InputError, RankInconsistent
-from .kernels import DEFAULT_TOL, Tolerances, rank_from_values
+from .kernels import DEFAULT_TOL, Tolerances, _shown, rank_from_values
 from .lti import CtModel, freq_response
 
 __all__ = ["GRID_CAP", "default_grid", "spectral_rank_profile"]
@@ -29,7 +29,7 @@ def default_grid(lo: float = 1e-3, hi: float = 1e3, count: int = 200) -> np.ndar
     if not (0 < lo < np.inf and 0 < hi < np.inf and count >= 1):
         raise InputError("grid bounds must be finite and positive, and count >= 1")
     if count > GRID_CAP:
-        raise InputError(f"{count} grid points exceed the cap of {GRID_CAP}")
+        raise InputError(f"{_shown(int(count))} grid points exceed the cap of {GRID_CAP}")
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 

@@ -162,6 +162,15 @@ def random_stable_ss(rng, n_out: int, n_in: int, n: int = None, d_scale: float =
     return StateSpace(a, b, c, d)
 
 
+def changed_bases(ss: StateSpace, rng):
+    """``ss`` in a random orthogonal state basis and in a state scaling
+    T = diag(d), d = 10^U(-1, 1): (T A T^-1, T B, C T^-1, D)."""
+    q, _ = np.linalg.qr(rng.standard_normal((ss.n, ss.n)))
+    for t in (q, np.diag(10 ** rng.uniform(-1, 1, size=ss.n))):
+        t_inv = np.linalg.inv(t)
+        yield StateSpace(t @ ss.A @ t_inv, t @ ss.B, ss.C @ t_inv, ss.D)
+
+
 class DNotInvertible(ConditionError):
     """The feedthrough matrix of a realization to be inverted is not
     square and numerically invertible."""

@@ -448,7 +448,7 @@ class TestErrorReport:
         def singular(args, tol):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setitem(cli._HANDLERS, "validate", (singular, cli._HANDLERS["validate"][1]))
+        monkeypatch.setitem(cli._HANDLERS, "validate", (singular, *cli._HANDLERS["validate"][1:]))
         code = run(["validate", model2_file])
         captured = capsys.readouterr()
         assert code == 2
@@ -913,13 +913,38 @@ class TestCommandTable:
         reads = {command: set() for command in cli._HANDLERS}
         for argv in calls:
             reads[argv[0]] |= self.fields_read(argv)
-        assert reads == {command: set(fields) for command, (_, fields) in cli._HANDLERS.items()}
+        assert reads == {command: set(row[1]) for command, row in cli._HANDLERS.items()}
         assert reads == TOL_FIELDS
         for command, fields in reads.items():
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args([command, "--help"])
             listed = set(re.findall(r"--tol-[a-z]+", capsys.readouterr().out))
             assert listed == {flag for flag, field in TOL_FLAG_FIELDS.items() if field in fields}
+
+    def test_each_flag_has_one_spelling(self, capsys):
+        # no prefix of a flag is taken for it: each proper prefix that is not
+        # itself a flag of the command is unrecognized, and prints no report
+        sub = cli.build_parser()._subparsers._group_actions[0]
+        documented = prefixes = 0
+        for command, sp in sub.choices.items():
+            flags = {s for action in sp._actions for s in action.option_strings
+                     if s.startswith("--")}
+            documented += len(flags)
+            for prefix in {f[:k] for f in flags for k in range(3, len(f))} - flags:
+                with pytest.raises(SystemExit) as exc:
+                    run([command, *COMMAND_ARGS[command], prefix, "1"])
+                out, err = capsys.readouterr()
+                assert exc.value.code == 2 and out == ""
+                assert f"unrecognized arguments: {prefix} 1" in err
+                prefixes += 1
+        assert (documented, prefixes) == (39, 174)
+        for argv, unknown in ((["--he", "validate", "m.json"], "--he"),
+                              (["validate", "m.json", "--h", "0.1"], "--h 0.1")):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""  # --h is not --help
+            assert f"unrecognized arguments: {unknown}" in err
 
 
 class TestDeterminism:

@@ -466,11 +466,8 @@ class TestStateBasis:
     @staticmethod
     def changed_bases(model, rng):
         """The model in a random orthogonal basis and in a random scaled one."""
-        q, _ = np.linalg.qr(rng.standard_normal((model.n, model.n)))
-        for t in (q, np.diag(10 ** rng.uniform(-1, 1, size=model.n))):
-            t_inv = np.linalg.inv(t)
-            yield validate_ct_model(CtModel(t @ model.A @ t_inv, t @ model.B, model.C @ t_inv,
-                                            labels=model.labels))
+        for ss in oracles.changed_bases(model, rng):
+            yield validate_ct_model(CtModel(ss.A, ss.B, ss.C, labels=model.labels))
 
     @pytest.mark.parametrize("name", ["m3", "m2"])
     def test_golden_models(self, request, name):

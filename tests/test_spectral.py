@@ -99,6 +99,35 @@ def rank_or_inconsistent(model, grid) -> int | None:
         return None
 
 
+class TestStateBasis:
+    """A change of state basis (A, B, C) -> (T A T^-1, T B, C T^-1), for a
+    random orthogonal T and for T = diag(d), d = 10^U(-1, 1)
+    (``oracles.changed_bases``): validation still accepts, with the same
+    m, and the modal rank of the spectral density does not move. A probe
+    of 600 bases of 300 random models (n = 2 to 6) changed neither."""
+
+    @staticmethod
+    def check(model, rng):
+        grid = default_grid()
+        rank = rank_or_inconsistent(model, grid)
+        for ss in oracles.changed_bases(model, rng):
+            changed = validate_ct_model(ss)
+            assert changed.m == model.m
+            assert rank_or_inconsistent(changed, grid) == rank
+
+    @pytest.mark.parametrize("name", ["m3", "m2"])
+    def test_golden_models(self, request, name):
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            self.check(request.getfixturevalue(name), rng)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+    def test_random_models(self, seed, n):
+        rng = np.random.default_rng(seed)
+        self.check(oracles.random_ct_model(rng, n=n), rng)
+
+
 class TestRankOnFactor:
     """The density rank is decided on the singular values of W, the cut
     validation puts on B and CB, not on their squares: a model validation

@@ -80,6 +80,11 @@ def _loop_with_f_as_h():
     *(pytest.param(lambda c=count: default_grid(1, 2, c), InputError,
                    f"grid count must be an integer, got {count!r}", id=f"default_grid-{name}")
       for count, name in ((2.5, "float"), (True, "bool"))),
+    pytest.param(lambda: default_grid(1, 2, 100_001), InputError,
+                 "100001 grid points exceed the cap of 100000", id="default_grid-cap"),
+    pytest.param(lambda: default_grid(1, 2, 10**5000), InputError,
+                 "an integer of 16610 bits grid points exceed the cap of 100000",
+                 id="default_grid-beyond-digit-limit"),
     pytest.param(lambda: spectral_rank_profile(systems.model2(), []), InputError,
                  "grid must be nonempty", id="spectral_rank_profile"),
     pytest.param(_loop_with_f_as_h, DimensionMismatch,
