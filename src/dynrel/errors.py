@@ -7,7 +7,8 @@ assumptions, tolerances, grids and arrays out of range. Every
 ``InputError`` is also a ``ValueError``. ``ConditionError`` covers
 mathematical conditions that fail on structurally fine input: a matrix
 logarithm that does not exist, a singular noise intensity, an
-eigenvalue clash in a Lyapunov solve. The command-line front end maps
+eigenvalue clash in a Lyapunov solve, a sampling period whose block
+exponential overflows. The command-line front end maps
 the two families to exit codes 2 and 3 respectively; a ``ValueError``
 of numpy or scipy itself (``numpy.linalg.LinAlgError``, say) is not a
 refusal of the package, and is reported under its own name with exit

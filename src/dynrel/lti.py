@@ -176,9 +176,13 @@ def freq_response(ss: StateSpace, points) -> np.ndarray:
     lam, v = np.linalg.eig(ss.A)
     sv = np.linalg.svd(v, compute_uv=False)
     gap = np.abs(s[:, None] - lam).min(axis=1)
-    # multiplied out: no division, so no warning when V is singular
-    sure = ((np.abs(s) + np.linalg.norm(ss.A)) * sv[0]
-            < _POLE_CERT_FACTOR * POLE_COND_LIMIT * gap * sv[-1])
+    # multiplied out: no division, so no warning when V is singular. An
+    # overflow here fails safe, so it warns no more: an infinite right side
+    # is truly above a finite left side, and an infinite left side sends the
+    # point to the LU path
+    with np.errstate(over="ignore"):
+        sure = ((np.abs(s) + np.linalg.norm(ss.A)) * sv[0]
+                < _POLE_CERT_FACTOR * POLE_COND_LIMIT * gap * sv[-1])
     modal = sure & (sv[0] <= _MODAL_COND_LIMIT * sv[-1])
     out = np.empty((s.size, ss.n_out, ss.n_in), dtype=np.complex128)
     lu = np.flatnonzero(~modal)
@@ -361,7 +365,11 @@ def validate_ct_model(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> CtModel:
         raise NotReachable("(A, B) is not reachable")
     if _controllable_basis(a.conj().mT, c.conj().mT, a_scale, norm2(c), tol)[0][1].shape[-1] != n:
         raise NotObservable("(C, A) is not observable")
-    rank_cb = numerical_rank(model.C @ model.B, tol)
+    with np.errstate(over="ignore"):  # the overflow is refused below, by name
+        cb = model.C @ model.B
+    if not np.isfinite(cb).all():
+        raise InputError("C B has non-finite entries: the product overflows")
+    rank_cb = numerical_rank(cb, tol)
     if rank_cb != m:
         raise RankCBDeficient(f"rank(CB) = {rank_cb}, expected {m}")
     return model

@@ -24,6 +24,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import (
+    ConditionError,
     ExistenceFailure,
     LogFailure,
     NonPositiveH,
@@ -131,6 +132,16 @@ def sample(model: CtModel, h: float) -> SampledModel:
     ``[[A, B B'], [0, -A']] * h``: with the result partitioned as
     ``[[E11, E12], [0, E22]]``, ``A_d = E11`` and ``Q_d = E12 E11'``.
     This is exact to kernel accuracy with no step-size tuning.
+
+    ``E22 = exp(-A' h)`` grows as ``exp(h max(-Re lam(A)))``, so the block
+    overflows once that exponent passes about 709, although ``A_d`` and
+    ``Q_d`` may be representable. That period is refused.
+
+    Raises
+    ------
+    ConditionError
+        ``A_d`` is finite but the block exponential overflows. A non-finite
+        ``A_d`` is :class:`SampledModel`'s refusal, an ``InputError``.
     """
     h = _period(h)  # first: an infinite h would make the exponential NaN
     a, b, c = model.A, model.B, model.C
@@ -140,8 +151,12 @@ def sample(model: CtModel, h: float) -> SampledModel:
     block[:n, :n] = a
     block[:n, n:] = bbt
     block[n:, n:] = -a.T
-    big = matrix_exp(block, h)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused below
+        big = matrix_exp(block, h)
     a_d = big[:n, :n]
+    if np.isfinite(a_d).all() and not np.isfinite(big).all():
+        raise ConditionError(f"sampling period h = {h!r}: the block exponential "
+                             "exp([[A, B B'], [0, -A']] h) overflows")
     q_d = big[:n, n:] @ a_d.T
     q_d = 0.5 * (q_d + q_d.T)
     return SampledModel(Ad=a_d, Qd=q_d, Cd=c.copy(), h=h)

@@ -29,6 +29,11 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+# the refusal of a one-state model with A = -1 at h = 800
+OVERFLOW_AT_800 = ("sampling period h = 800.0: the block exponential "
+                   "exp([[A, B B'], [0, -A']] h) overflows")
+
+
 @pytest.fixture
 def unstable_file(tmp_path):
     return write_model(tmp_path / "unstable.json", A=[[1.0]], B=[[1.0]], C=[[1.0]])
@@ -302,6 +307,16 @@ class TestValidate:
         assert data["error"] == {"kind": "InputError",
                                  "message": "continuous-time model must have zero feedthrough"}
 
+    def test_overflowing_cb_exits_2(self, capsys, tmp_path):
+        # C B = 1e400: refused by name, with no overflow warning
+        path = write_model(tmp_path / "cb.json", A=[[-1e200]], B=[[1e200]], C=[[1e200]])
+        code = run(["validate", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"] == {
+            "kind": "InputError", "message": "C B has non-finite entries: the product overflows"}
+        assert captured.err == "error: C B has non-finite entries: the product overflows\n"
+
 
 class TestMalformedFile:
     """A file the schema cannot hold is a ParseError report with exit 2,
@@ -441,6 +456,43 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
+class TestProcess:
+    """The exit status and the two streams of a real ``dynrel`` process,
+    one row per kind of outcome: a verdict (0), a refusal by the parser
+    (2, no report), a refusal report (2) and a failed condition (3). A
+    report's refusal is its one stderr line; a verdict writes none."""
+
+    def test_exit_status_and_streams(self, tmp_path, model3_file, f_stable_file):
+        one = write_model(tmp_path / "one.json", A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        rows = [  # argv, exit code, report fields (None: no report), parser message
+            (["granger", "--f", f_stable_file, "--tol-residual", "1e-9"], 0,
+             {"command": "granger", "granger_causes": True}, None),
+            (["granger", "--f", f_stable_file, "--tol-rank", "1e-9"], 2, None,
+             "dynrel: error: unrecognized arguments: --tol-rank 1e-9\n"),
+            (["relation", model3_file, "--rows", "9"], 2,
+             {"error": {"kind": "InadmissibleSelection",
+                        "message": "row index 9 out of range 0..3"}}, None),
+            (["sample", one, "--h", "800"], 3,
+             {"error": {"kind": "ConditionError", "message": OVERFLOW_AT_800}}, None),
+        ]
+        env = os.environ | {"PYTHONPATH": str(Path(dynrel.__file__).parents[1])}
+        # all rows at once: each pays an interpreter start, the last one scipy's import
+        procs = [subprocess.Popen([sys.executable, "-m", "dynrel.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for argv, *_ in rows]
+        for proc, (argv, code, fields, usage_error) in zip(procs, rows):
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == code, argv
+            if fields is None:
+                assert out == "" and err.startswith("usage: dynrel ")
+                assert err.endswith(usage_error)
+            else:
+                data = json.loads(out)
+                assert {key: data[key] for key in fields} == fields
+                assert err == (f"error: {fields['error']['message']}\n" if "error" in fields
+                               else "")
+
+
 class TestErrorReport:
     def test_numpy_value_error_is_an_error_report(self, capsys, monkeypatch, model2_file):
         # numpy's own failures are not refusals of the package: they keep their
@@ -507,6 +559,17 @@ class TestSpectrum:
     def test_grid_count_at_cap_runs(self, capsys, model2_file):
         code, data = run_json(capsys, ["spectrum", model2_file, "--grid", f"1:2:{GRID_CAP}"])
         assert code == 0 and data["grid"]["count"] == GRID_CAP and data["match"]
+
+    def test_extreme_grid_runs_without_warning(self, capfd, model3_file):
+        # |s| = 1e300 overflows the pole certificate's products, which fails
+        # safe and warns no more; the report is the one it always was
+        code = run(["spectrum", model3_file, "--grid", "1e-300:1e300:5"])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out) == {
+            "v": 1, "command": "spectrum", "input": model3_file,
+            "grid": {"lo": 1e-300, "hi": 1.0000000000000001e+300, "count": 5},
+            "modal_rank": 1, "m": 1, "match": True}
 
     def test_one_frequency_response(self, capsys, monkeypatch, model2_file):
         calls = count_calls(monkeypatch, freq_response)
@@ -734,6 +797,14 @@ class TestGranger:
             "kind": "InputError", "message": "non-finite peak gain: nan"}
         assert captured.err == "error: non-finite peak gain: nan\n"
 
+    def test_overflowing_norm_of_a_is_no_warning(self, capfd, tmp_path):
+        # ||A||_F of A = [[-1e200]] overflows in the pole certificate alone
+        f = write_model(tmp_path / "big.json", A=[[-1e200]], B=[[1e200]], C=[[1e200]])
+        code = run(["granger", "--f", f])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out)["peak_gain"] == 9.9999999999999997e+199
+
     def test_peak_gain_evaluated_once(self, capsys, monkeypatch, f_stable_file):
         calls = count_calls(monkeypatch, freq_response)
         code, data = run_json(capsys, ["granger", "--f", f_stable_file])
@@ -759,6 +830,30 @@ class TestSamplingCommands:
         code, data = run_json(capsys, ["sample", model2_file, "--h", "1e300"])
         assert code == 2
         assert data["error"] == {"kind": "InputError", "message": "Ad has non-finite entries"}
+
+    @pytest.mark.parametrize("command", ["sample", "hidden-rank"])
+    def test_period_overflowing_the_block_exponential_exits_3(self, capsys, tmp_path, command):
+        # exp(-A' h) = e^800 overflows, though A_d and Q_d are representable
+        path = write_model(tmp_path / "one.json", A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        code = run([command, path, "--h", "800"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["error"] == {"kind": "ConditionError",
+                                                     "message": OVERFLOW_AT_800}
+        assert captured.err == f"error: {OVERFLOW_AT_800}\n"
+
+    def test_period_below_the_block_overflow_keeps_its_reports(self, capsys, tmp_path):
+        path = write_model(tmp_path / "one.json", A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        code, data = run_json(capsys, ["sample", path, "--h", "700"])
+        assert code == 0
+        assert data == {"v": 1, "command": "sample", "input": path, "h": 700,
+                        "Ad": [[9.8596765437597708e-305]], "Bd": [[0.70710678118654757]],
+                        "Qd": [[0.5]], "Cd": [[1]],
+                        "dual_residuals": {"continuous": 0, "discrete": 0}}
+        code, data = run_json(capsys, ["hidden-rank", path, "--h", "700"])
+        assert code == 0
+        assert data == {"v": 1, "command": "hidden-rank", "input": path, "h": 700, "n": 1,
+                        "bbt_rank": 1, "qd_rank": 1, "recovered_rank": 1, "hidden": False}
 
     def test_sample_desample_round_trip(self, capsys, model2_file, tmp_path):
         code = run(["sample", model2_file, "--h", "0.1"])

@@ -75,6 +75,9 @@ def _loop_with_f_as_h():
     pytest.param(lambda: validate_ct_model(StateSpace(np.zeros((0, 0)), np.zeros((0, 1)),
                                                       np.zeros((1, 0)))),
                  InputError, "model must have at least one state", id="validate_ct_model-n"),
+    pytest.param(lambda: validate_ct_model(StateSpace([[-1e200]], [[1e200]], [[1e200]])),
+                 InputError, "C B has non-finite entries: the product overflows",
+                 id="validate_ct_model-CB"),
     pytest.param(lambda: default_grid(1, 2, 0), InputError,
                  "grid bounds must be finite and positive, and count >= 1", id="default_grid"),
     *(pytest.param(lambda c=count: default_grid(1, 2, c), InputError,

@@ -55,6 +55,8 @@ FAULTS = (
     ("ragged-rows", "validate", CONTINUOUS, {"A": [[-1, 0], [0]]}),
     ("non-real", "validate", CONTINUOUS, {"B": [[1], ["x"]]}),
     ("non-finite", "validate", CONTINUOUS, {"A": [[-1, 0], [0, float("inf")]]}),
+    # finite entries whose product C B overflows
+    ("CB-overflow", "validate", CONTINUOUS, {"C": [[1e308, 1e308], [0, 1]]}),
     ("Ad-non-square", "desample", SAMPLED, {"Ad": [[0.5, 0]]}),
     ("Qd-shape", "desample", SAMPLED, {"Qd": [[1]]}),
     ("Bd-rows", "desample", SAMPLED, {"Qd": None, "Bd": [[1]]}),
@@ -62,11 +64,12 @@ FAULTS = (
     ("Cd-columns", "desample", SAMPLED, {"Cd": [[1, 0, 0]]}),
     ("h-not-positive", "desample", SAMPLED, {"h": -0.1}),
     ("B-rows-and-C-non-real", "validate", CONTINUOUS, {"B": [[1]], "C": [[1, 0], [0, "x"]]}),
-    # 1e300: exp(A h) overflows, and the sampled model refuses its non-finite Ad
+    # 1e300: exp(A h) overflows, and the sampled model refuses its non-finite Ad;
+    # 800: exp(-A' h) in the block exponential overflows, though Ad is finite
     *(("continuous", "sample", CONTINUOUS, {}, ("--h", h))
-      for h in ("0", "-1", "inf", "nan", "1e300")),
+      for h in ("0", "-1", "inf", "nan", "1e300", "800")),
     ("sampled", "desample", SAMPLED, {}, ("--h", "0")),
-    ("continuous", "hidden-rank", CONTINUOUS, {}, ("--h", "0")),
+    *(("continuous", "hidden-rank", CONTINUOUS, {}, ("--h", h)) for h in ("0", "800")),
     # a bare "-1:2:3" would reach argparse as a flag and exit without a report
     *(("continuous", "spectrum", CONTINUOUS, {}, ("--grid", grid)) for grid in
       ("1:2", "a:b:c", "1:2:3:4", "1:2:3.5", "", "1:inf:10", "1:2:0")),
