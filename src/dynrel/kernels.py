@@ -120,18 +120,19 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-_NATIVE = (np.dtype(np.float64), np.dtype(np.complex128))
-
-
 def as_matrix(m, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a finite 2-d float or complex array (a copy)."""
+    """Coerce ``m`` to a finite real 2-d float64 array (a copy): the one
+    number type of every model and of the kernels that take a model's
+    matrices. A complex matrix is refused, not converted."""
     a = np.array(m, ndmin=2)  # a copy, in the layout ``astype`` keeps
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {a.shape}")
-    if a.dtype not in _NATIVE:
+    if a.dtype != np.float64:  # a byte-swapped float64 is converted too
         if not np.issubdtype(a.dtype, np.number):
             raise InputError(f"{name} must be numeric, got dtype {a.dtype}")
-        a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+        if np.iscomplexobj(a):
+            raise InputError(f"{name} must be real, got dtype {a.dtype}")
+        a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise InputError(f"{name} has non-finite entries")
     if square:
@@ -158,7 +159,10 @@ def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool | np.ndarray:
         ok = np.full(a.shape[:-2], a.shape[-2] == a.shape[-1])
     else:
         s = np.linalg.svd(a, compute_uv=False)
-        ok = s[..., 0] < cond_limit * s[..., -1]
+        # an overflow here fails safe, so it warns no more: an infinite right
+        # side is truly above a finite sigma_max
+        with np.errstate(over="ignore"):
+            ok = s[..., 0] < cond_limit * s[..., -1]
     return bool(ok) if a.ndim == 2 else ok
 
 
@@ -177,7 +181,7 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
     Returns
     -------
     ndarray
-        ``exp(m * t)``, same dtype class (real or complex) as ``m``.
+        ``exp(m * t)``, real.
     """
     import scipy.linalg
     a = as_matrix(m, square=True, name="matrix_exp input")
@@ -193,11 +197,11 @@ def matrix_exp(m, t: float = 1.0) -> np.ndarray:
 # sys.modules lookup, under 1 us per call.
 
 def schur_form(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(T, Z, eigs)``: one ``scipy.linalg.schur`` call gives ``A = Z T Z'``, T quasi-triangular
-    (2x2 blocks for complex pairs) for real A and triangular for complex A; eigs are T's."""
+    """``(T, Z, eigs)``: one ``scipy.linalg.schur`` call gives the real Schur form
+    ``A = Z T Z'``, T quasi-triangular (2x2 blocks for complex pairs); eigs are T's."""
     import scipy.linalg
     a = as_matrix(a, square=True, name="Schur input")
-    t_mat, z_mat = scipy.linalg.schur(a, output="complex" if np.iscomplexobj(a) else "real")
+    t_mat, z_mat = scipy.linalg.schur(a)
     return t_mat, z_mat, np.linalg.eigvals(t_mat)
 
 
@@ -214,11 +218,11 @@ def _log_quadrature() -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.ndarray:
-    """Principal matrix logarithm, real for real ``m``.
+    """Principal matrix logarithm of a real ``m``, itself real.
 
     Exists iff no eigenvalue lies on the closed negative real axis.
-    Inverse scaling and squaring on the Schur factor T (``schur``, or :func:`schur_form`
-    of ``m``), in real arithmetic for real input (Al-Mohy, Higham & Relton 2013): square
+    Inverse scaling and squaring on the real Schur factor T (``schur``, or :func:`schur_form`
+    of ``m``), in real arithmetic (Al-Mohy, Higham & Relton 2013): square
     roots (``scipy.linalg.sqrtm`` keeps T quasi-triangular) bring T near I, where one
     batched solve evaluates the Gauss-Legendre (diagonal Pade) form of ``log(I + X)``.
 
@@ -253,7 +257,7 @@ def matrix_log_principal(m, tol: Tolerances = DEFAULT_TOL, schur=None) -> np.nda
     nodes, weights = _log_quadrature()
     x = t_mat - np.eye(n)
     terms = np.linalg.solve(np.eye(n) + nodes[:, None, None] * x, x)
-    return z_mat @ np.tensordot(weights * 2.0 ** steps, terms, axes=1) @ z_mat.conj().T
+    return z_mat @ np.tensordot(weights * 2.0 ** steps, terms, axes=1) @ z_mat.T
 
 
 def _lyap_operands(a, q, schur, names):
@@ -270,14 +274,12 @@ def _lyap_schur(t_mat, z_mat, c) -> np.ndarray:
     ``?trsyl`` perturbed (eigenvalues summing to about zero) raises."""
     if c.size == 0:  # ?trsyl takes no empty matrix
         return c.copy()
-    if np.iscomplexobj(c) and not np.iscomplexobj(t_mat):  # ztrsyl would misread 2x2 blocks
-        return _lyap_schur(t_mat, z_mat, c.real) + 1j * _lyap_schur(t_mat, z_mat, c.imag)
     import scipy.linalg
     trsyl = scipy.linalg.get_lapack_funcs("trsyl", (t_mat, c))
-    y, scale, info = trsyl(t_mat, t_mat, c, tranb="C" if np.iscomplexobj(t_mat) else "T")
+    y, scale, info = trsyl(t_mat, t_mat, c, tranb="T")
     if info == 1:
         raise SpectrumConflict("two eigenvalues of the Schur factor sum to about zero")
-    return z_mat.dot(y / scale).dot(z_mat.conj().T)
+    return z_mat.dot(y / scale).dot(z_mat.T)
 
 
 def solve_lyap_continuous(a, q, schur=None) -> np.ndarray:
@@ -291,8 +293,8 @@ def solve_lyap_continuous(a, q, schur=None) -> np.ndarray:
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     if np.abs(eigs[:, None] + eigs).min(initial=np.inf) <= len(eigs) * LYAP_SEP_RTOL * scale:
         raise SpectrumConflict("A and -A share an eigenvalue; equation is singular")
-    p = _lyap_schur(t_mat, z_mat, z_mat.conj().T.dot((-q).dot(z_mat)))
-    return 0.5 * (p + p.conj().T)
+    p = _lyap_schur(t_mat, z_mat, z_mat.T.dot((-q).dot(z_mat)))
+    return 0.5 * (p + p.T)
 
 
 def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
@@ -312,9 +314,9 @@ def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
     # LU of T + I pivots only inside 2x2 blocks: S keeps T's zeros exactly, as ?trsyl needs
     lu = scipy.linalg.lu_factor(t_mat + np.eye(len(eigs)))
     s_mat = scipy.linalg.lu_solve(lu, t_mat - np.eye(len(eigs)))
-    c = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, z_mat.conj().T @ q_d @ z_mat).conj().T)
-    p = _lyap_schur(s_mat, z_mat, -2.0 * c.conj().T)
-    return 0.5 * (p + p.conj().T)
+    c = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, z_mat.T @ q_d @ z_mat).T)
+    p = _lyap_schur(s_mat, z_mat, -2.0 * c.T)
+    return 0.5 * (p + p.T)
 
 
 # --------------------------------------------------------------------------
@@ -328,11 +330,10 @@ def norm2(m) -> np.ndarray:
 def numerical_rank(m, tol: Tolerances = DEFAULT_TOL) -> int | np.ndarray:
     """Number of singular values above :func:`rank_cut` at scale sigma_max
     and dim max(r, c). A stack ``(..., r, c)`` gives an int array, one rank
-    per matrix; a 2-d input gives an ``int``."""
+    per matrix; a 2-d input gives an ``int``. Real or complex: the values
+    of a frequency response are complex."""
     a = np.asarray(m)
-    if a.ndim <= 2:
-        a = as_matrix(a, name="rank input")
-    elif not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a)):
         raise InputError("rank input has non-finite entries")
     s = np.linalg.svd(a, compute_uv=False)  # no singular value for an empty matrix
     return rank_from_values(s, max(a.shape[-2:]), tol)
@@ -374,7 +375,7 @@ def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     s_arr = as_matrix(s_mat, square=True, name="S")
     n = s_arr.shape[0]
-    w, v = np.linalg.eigh(0.5 * (s_arr + s_arr.conj().T))
+    w, v = np.linalg.eigh(0.5 * (s_arr + s_arr.T))
     scale = float(np.abs(w).max(initial=0.0))
     if scale == 0.0:
         return np.zeros((n, 0))
@@ -385,7 +386,7 @@ def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     keep = np.argsort(w)[::-1][:rank_from_values(w, n, tol)]
     cols = v[:, keep] * np.sqrt(w[keep])
     lead = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
-    return np.where(lead.real < 0, -cols, cols)
+    return np.where(lead < 0, -cols, cols)
 
 
 def sorted_eigvals(a: np.ndarray) -> np.ndarray:

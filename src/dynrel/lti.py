@@ -46,7 +46,8 @@ class StateSpace:
 
     ``A`` may be 0x0, which represents a constant (static gain) system.
     Instances are frozen: the arrays are checked once, at construction,
-    their shapes by :func:`~dynrel.kernels.require_shape`.
+    by :func:`~dynrel.kernels.as_matrix` (real float64; a complex matrix is
+    refused) and their shapes by :func:`~dynrel.kernels.require_shape`.
     """
 
     A: np.ndarray
@@ -259,8 +260,8 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray, a_scale: np.ndarray,
             done.append((idx, v))
             continue
         w = _take(a, idx) @ fresh
-        w = w - v @ (v.conj().mT @ w)
-        w = w - v @ (v.conj().mT @ w)
+        w = w - v @ (v.mT @ w)
+        w = w - v @ (v.mT @ w)
         for jdx, fresh in _orth(w, n, _take(a_scale, idx), tol):
             vj = _take(v, jdx)
             if fresh.shape[-1]:
@@ -288,13 +289,13 @@ def minimal_realizations(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndar
     out = [None] * a.shape[0]
     a_scale = norm2(a)
     for idx, v in _controllable_basis(a, b, a_scale, b_scale, tol):
-        vh = v.conj().mT
+        vh = v.mT
         ar = vh @ _take(a, idx) @ v
         br = vh @ _take(b, idx)
         cr = _take(c, idx) @ v
-        for jdx, w in _controllable_basis(ar.conj().mT, cr.conj().mT, _take(a_scale, idx),
+        for jdx, w in _controllable_basis(ar.mT, cr.mT, _take(a_scale, idx),
                                           _take(c_scale, idx), tol):
-            wh = w.conj().mT
+            wh = w.mT
             a2 = wh @ _take(ar, jdx) @ w
             b2 = wh @ _take(br, jdx)
             c2 = _take(cr, jdx) @ w
@@ -363,7 +364,7 @@ def validate_ct_model(ss: StateSpace, tol: Tolerances = DEFAULT_TOL) -> CtModel:
     a_scale, b_scale = model.a_norm[None], s_b.max(keepdims=True, initial=0.0)
     if _controllable_basis(a, b, a_scale, b_scale, tol)[0][1].shape[-1] != n:
         raise NotReachable("(A, B) is not reachable")
-    if _controllable_basis(a.conj().mT, c.conj().mT, a_scale, norm2(c), tol)[0][1].shape[-1] != n:
+    if _controllable_basis(a.mT, c.mT, a_scale, norm2(c), tol)[0][1].shape[-1] != n:
         raise NotObservable("(C, A) is not observable")
     with np.errstate(over="ignore"):  # the overflow is refused below, by name
         cb = model.C @ model.B

@@ -77,7 +77,10 @@ def _period(h) -> float:
 class SampledModel:
     """Discrete-time pair (A_d, C_d) with period h and noise intensity
     Q_d. Instances are frozen: the arrays are checked once, at
-    construction, their shapes by :func:`~dynrel.kernels.require_shape`."""
+    construction, by :func:`~dynrel.kernels.as_matrix` (real float64; a
+    complex matrix is refused) and their shapes by
+    :func:`~dynrel.kernels.require_shape`. Q_d is stored symmetric, as
+    ``0.5 (Q_d + Q_d')``, which keeps an exactly symmetric Q_d's bits."""
 
     Ad: np.ndarray
     Qd: np.ndarray
@@ -90,6 +93,7 @@ class SampledModel:
         require_shape("Qd", qd, *ad.shape)
         cd = as_matrix(self.Cd, name="Cd")
         require_shape("Cd", cd, None, ad.shape[0])
+        qd = 0.5 * (qd + qd.T)
         for name, x in zip(("Ad", "Qd", "Cd", "h"), (ad, qd, cd, _period(self.h))):
             object.__setattr__(self, name, x)
 
@@ -140,8 +144,7 @@ def sample(model: CtModel, h: float) -> SampledModel:
     Raises
     ------
     ConditionError
-        ``A_d`` is finite but the block exponential overflows. A non-finite
-        ``A_d`` is :class:`SampledModel`'s refusal, an ``InputError``.
+        The block exponential has a non-finite entry, in ``A_d`` or not.
     """
     h = _period(h)  # first: an infinite h would make the exponential NaN
     a, b, c = model.A, model.B, model.C
@@ -153,13 +156,11 @@ def sample(model: CtModel, h: float) -> SampledModel:
     block[n:, n:] = -a.T
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused below
         big = matrix_exp(block, h)
-    a_d = big[:n, :n]
-    if np.isfinite(a_d).all() and not np.isfinite(big).all():
+    if not np.isfinite(big).all():
         raise ConditionError(f"sampling period h = {h!r}: the block exponential "
                              "exp([[A, B B'], [0, -A']] h) overflows")
-    q_d = big[:n, n:] @ a_d.T
-    q_d = 0.5 * (q_d + q_d.T)
-    return SampledModel(Ad=a_d, Qd=q_d, Cd=c.copy(), h=h)
+    a_d = big[:n, :n]
+    return SampledModel(Ad=a_d, Qd=big[:n, n:] @ a_d.T, Cd=c.copy(), h=h)
 
 
 def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]:
@@ -221,7 +222,7 @@ def desample(
     diag.logm_exists = True
     a = log_ad / sm.h
 
-    w = np.linalg.eigvalsh(0.5 * (sm.Qd + sm.Qd.T))
+    w = np.linalg.eigvalsh(sm.Qd)
     if w.max() <= 0 or w.min() <= tol.psd_tol * w.max():
         raise _refusal(QdSingular(
             "Q_d is numerically singular; the triple cannot arise from "

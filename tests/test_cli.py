@@ -613,6 +613,17 @@ class TestRelation:
         code, data = run_json(capsys, ["stable-selection", path])
         assert code == 0 and data["selection"]["rows0"] == [0]
 
+    @pytest.mark.parametrize("argv", [["relation", "--all"], ["stable-selection"]])
+    def test_huge_scale_runs_without_warning(self, capfd, tmp_path, argv):
+        # sigma_min of a selection's C0 B is 1e300: COND_LIMIT times it
+        # overflows in is_invertible, which fails safe and warns no more
+        path = write_model(tmp_path / "huge.json", A=[[-1e150, 0.0], [0.0, -2e150]],
+                           B=[[1e150], [1e150]], C=[[1e150, 0.0], [0.0, 1e150]])
+        code = run([argv[0], path, *argv[1:]])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out)["command"] == argv[0]
+
     def test_all_is_default(self, capsys, model2_file):
         code, data = run_json(capsys, ["relation", model2_file])
         assert code == 1
@@ -826,21 +837,21 @@ class TestSamplingCommands:
         bd = np.array(data["Bd"])
         np.testing.assert_allclose(bd @ bd.T, data["Qd"], atol=1e-12)
 
-    def test_overflowing_period_exits_2(self, capsys, model2_file):
-        code, data = run_json(capsys, ["sample", model2_file, "--h", "1e300"])
-        assert code == 2
-        assert data["error"] == {"kind": "InputError", "message": "Ad has non-finite entries"}
-
     @pytest.mark.parametrize("command", ["sample", "hidden-rank"])
-    def test_period_overflowing_the_block_exponential_exits_3(self, capsys, tmp_path, command):
-        # exp(-A' h) = e^800 overflows, though A_d and Q_d are representable
-        path = write_model(tmp_path / "one.json", A=[[-1.0]], B=[[1.0]], C=[[1.0]])
-        code = run([command, path, "--h", "800"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert json.loads(captured.out)["error"] == {"kind": "ConditionError",
-                                                     "message": OVERFLOW_AT_800}
-        assert captured.err == f"error: {OVERFLOW_AT_800}\n"
+    def test_period_overflowing_the_block_exponential_exits_3(self, capsys, tmp_path,
+                                                               model2_file, command):
+        # at 800, exp(-A' h) = e^800 overflows, though A_d and Q_d are
+        # representable; at 1e300 the exponential of the scaled block is NaN,
+        # in A_d too: one refusal either way
+        one = write_model(tmp_path / "one.json", A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        at_1e300 = OVERFLOW_AT_800.replace("800.0", "1e+300")
+        for path, h, message in ((one, "800", OVERFLOW_AT_800), (model2_file, "1e300", at_1e300)):
+            code = run([command, path, "--h", h])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert json.loads(captured.out)["error"] == {"kind": "ConditionError",
+                                                         "message": message}
+            assert captured.err == f"error: {message}\n"
 
     def test_period_below_the_block_overflow_keeps_its_reports(self, capsys, tmp_path):
         path = write_model(tmp_path / "one.json", A=[[-1.0]], B=[[1.0]], C=[[1.0]])
@@ -875,6 +886,18 @@ class TestSamplingCommands:
         factors = count_calls(monkeypatch, psd_factor)
         code, _ = run_json(capsys, ["desample", str(sampled_path)])
         assert code == 0 and len(factors) == 1
+
+    def test_desample_reads_qd_and_its_transpose_alike(self, capsys, tmp_path):
+        # the sampled model stores Q_d symmetric: the gate, the discrete solve
+        # and the residual read that one matrix, so Q_d and Q_d' give one report
+        sm = sample(systems.model2(), 0.1)
+        qd = sm.Qd + [[0.0, 1e-3], [-1e-3, 0.0]]
+        reports = []
+        for name, q in (("qd", qd), ("qdt", qd.T)):
+            path = write_model(tmp_path / f"{name}.json", Ad=sm.Ad, Qd=q, Cd=sm.Cd, h=sm.h)
+            assert run(["desample", path]) == 0
+            reports.append(capsys.readouterr().out.replace(path, "FILE"))
+        assert reports[0] == reports[1]
 
     def test_desample_h_override(self, capsys, model2_file, tmp_path):
         run(["sample", model2_file, "--h", "0.2"])

@@ -209,20 +209,20 @@ class TestFreqResponse:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
            kind=st.sampled_from(["normal", "non-normal", "near-defective"]),
-           complex_=st.booleans(), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
            near=st.lists(st.integers(-16, -2), max_size=6), on=st.integers(0, 2))
-    def test_pole_verdict_matches_svd_rule(self, seed, n, kind, complex_, scale, near, on):
+    def test_pole_verdict_matches_svd_rule(self, seed, n, kind, scale, near, on):
         """freq_response raises PoleHit exactly when the SVD rule at every
-        point finds a hit, and names the same first point."""
+        point finds a hit, and names the same first point. A is real; its
+        eigenvalues, and so the points near them, are complex."""
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
-            x = rng.normal(size=shape)
-            return x + 1j * rng.normal(size=shape) if complex_ else x
+            return rng.normal(size=shape)
 
         if kind == "normal":
             q = np.linalg.qr(draw(n, n))[0]
-            a = q @ np.diag(draw(n)) @ q.conj().T
+            a = q @ np.diag(draw(n)) @ q.T
         elif kind == "non-normal":
             a = draw(n, n)
         else:
@@ -255,7 +255,7 @@ class TestFreqResponse:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
-           kind=st.sampled_from(["real", "complex", "repeated", "identity", "near-defective"]),
+           kind=st.sampled_from(["real", "repeated", "identity", "near-defective"]),
            scale=st.sampled_from([1e-3, 1.0, 1e3]), feedthrough=st.booleans())
     def test_modal_form_matches_pointwise_solve(self, seed, n, kind, scale, feedthrough):
         """Where kappa2(V) passes the gate, the modal form agrees with a
@@ -267,8 +267,6 @@ class TestFreqResponse:
         rng = np.random.default_rng(seed)
         if kind == "real":  # complex-conjugate pairs
             a = rng.normal(size=(n, n))
-        elif kind == "complex":
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         elif kind == "identity":
             a = -np.eye(n)
         elif kind == "repeated":  # diagonalizable, in a random basis

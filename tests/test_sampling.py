@@ -96,6 +96,16 @@ class TestSampledModel:
         with pytest.raises(DimensionMismatch, match=f"^{message}$"):
             SampledModel(ad, qd, cd, 0.1)
 
+    def test_qd_stored_symmetric(self):
+        # stored as 0.5 (Q_d + Q_d'); an exactly symmetric Q_d, subnormal
+        # entries included, keeps its bits
+        qd = np.array([[1.0, 0.3], [0.1, 2.0]])
+        sm = SampledModel(0.5 * np.eye(2), qd, np.eye(2), 0.1)
+        assert np.array_equal(sm.Qd, sm.Qd.T)
+        np.testing.assert_array_equal(sm.Qd, 0.5 * (qd + qd.T))
+        sym = np.array([[1 / 3, 5e-324], [5e-324, np.pi]])
+        assert SampledModel(0.5 * np.eye(2), sym, np.eye(2), 0.1).Qd.tobytes() == sym.tobytes()
+
     def test_frozen(self):
         sm = SampledModel([[0.5]], [[0.75]], [[1.0]], H_LN2)
         for name, value in (("h", -1), ("Ad", np.eye(1)), ("Qd", np.eye(1))):

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ import dynrel
 from dynrel.cli import dumps_report
 from dynrel.errors import DimensionMismatch, DynrelError, InputError
 from dynrel.feedback import closed_loop_T, granger_verdict
-from dynrel.kernels import Tolerances, as_matrix, numerical_rank
+from dynrel.kernels import (Tolerances, as_matrix, matrix_exp, matrix_log_principal,
+                            numerical_rank, psd_factor, schur_form, solve_lyap_continuous,
+                            solve_lyap_discrete)
 from dynrel.lti import StateSpace, validate_ct_model
+from dynrel.sampling import SampledModel
 from dynrel.spectral import default_grid, spectral_rank_profile
 
 LAYERS = ("errors", "kernels", "lti", "spectral", "relation", "feedback", "sampling",
@@ -53,6 +57,24 @@ def _loop_with_f_as_h():
     closed_loop_T(f, f)
 
 
+Z = np.array([[1j]])
+
+# (id, the matrix named in the refusal, a call that hands it a complex matrix)
+COMPLEX_INPUTS = (
+    ("StateSpace", "A", lambda: StateSpace(Z, [[1.0]], [[1.0]])),
+    ("validate_ct_model", "C", lambda: validate_ct_model(
+        SimpleNamespace(A=[[-1.0]], B=[[1.0]], C=Z, D=None))),
+    ("SampledModel", "Qd", lambda: SampledModel([[0.5]], Z, [[1.0]], 0.1)),
+    ("matrix_exp", "matrix_exp input", lambda: matrix_exp(Z)),
+    ("schur_form", "Schur input", lambda: schur_form(Z)),
+    ("matrix_log_principal", "matrix_log input", lambda: matrix_log_principal(Z)),
+    # a real A with a complex Q
+    ("solve_lyap_continuous", "Q", lambda: solve_lyap_continuous(-np.eye(1), Z)),
+    ("solve_lyap_discrete", "Q_d", lambda: solve_lyap_discrete(0.5 * np.eye(1), Z)),
+    ("psd_factor", "S", lambda: psd_factor(Z)),
+)
+
+
 @pytest.mark.parametrize("call, kind, message", [
     pytest.param(lambda: Tolerances(rank_rtol=-1), InputError,
                  "rank_rtol must be strictly positive, got -1", id="Tolerances-positive"),
@@ -67,6 +89,9 @@ def _loop_with_f_as_h():
                  id="as_matrix-dtype"),
     pytest.param(lambda: as_matrix([[np.nan]]), InputError, "matrix has non-finite entries",
                  id="as_matrix-finite"),
+    # one number type: every model and model-side kernel refuses a complex matrix
+    *(pytest.param(call, InputError, f"{name} must be real, got dtype complex128",
+                   id=f"{fn}-complex") for fn, name, call in COMPLEX_INPUTS),
     pytest.param(lambda: numerical_rank(np.full((2, 2, 2), np.nan)), InputError,
                  "rank input has non-finite entries", id="numerical_rank-stack"),
     pytest.param(lambda: validate_ct_model(StateSpace([[-1.0]], [[1.0]], [[1.0]], [[1.0]])),

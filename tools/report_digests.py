@@ -16,9 +16,13 @@ rest are valid, and the call's command-line values are refused.
 For each call it prints one tab-separated line: set, seed, argv, exit
 code, and the SHA-256 of stdout and of stderr. The work directory is
 written as ``WORKDIR`` in the argv and before hashing, so two checkouts
-can be compared with ``diff``. Seeds default to 5, 21 and 41. Exits 1
-when a call raises instead of returning an exit code. Nothing under
-``bench/`` is written.
+can be compared with ``diff``. Seeds default to 5, 21 and 41. Nothing
+under ``bench/`` is written.
+
+Exits 1 when a call raises instead of returning an exit code, or breaks
+the stderr rule: a call that exits 0 or 1 writes nothing to stderr, and a
+refusal (exit 2 or 3) writes exactly one ``error: ...`` line. Each such
+call is named on stderr.
 """
 
 import contextlib
@@ -64,8 +68,8 @@ FAULTS = (
     ("Cd-columns", "desample", SAMPLED, {"Cd": [[1, 0, 0]]}),
     ("h-not-positive", "desample", SAMPLED, {"h": -0.1}),
     ("B-rows-and-C-non-real", "validate", CONTINUOUS, {"B": [[1]], "C": [[1, 0], [0, "x"]]}),
-    # 1e300: exp(A h) overflows, and the sampled model refuses its non-finite Ad;
-    # 800: exp(-A' h) in the block exponential overflows, though Ad is finite
+    # the block exponential is non-finite at both: at 1e300 in Ad too, at 800
+    # only in exp(-A' h), though Ad is finite; each is a ConditionError
     *(("continuous", "sample", CONTINUOUS, {}, ("--h", h))
       for h in ("0", "-1", "inf", "nan", "1e300", "800")),
     ("sampled", "desample", SAMPLED, {}, ("--h", "0")),
@@ -166,18 +170,30 @@ def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def keeps_stderr_rule(code, err):
+    """Exit 0 or 1 with an empty stderr, or exit 2 or 3 with one
+    ``error: ...`` line on it."""
+    if code in (0, 1):
+        return err == ""
+    return code in (2, 3) and err.startswith("error: ") and err.find("\n") == len(err) - 1
+
+
 def main(argv):
     if not argv:
         sys.exit(__doc__.split("\n\n")[1])
     checkout = Path(argv[0]).resolve()
     seeds = [int(s) for s in argv[1:]] or list(DEFAULT_SEEDS)
-    raised = 0
+    failed = 0
     for workload, seed, args, code, out, err in calls(checkout, seeds):
         if isinstance(code, BaseException):
-            raised += 1
+            failed += 1
             code = f"raised {type(code).__name__}"
+        elif not keeps_stderr_rule(code, err):
+            failed += 1
+            print(f"stderr rule broken: {workload} {seed} {args}: exit {code}, stderr {err!r}",
+                  file=sys.stderr)
         print(f"{workload}\t{seed}\t{args}\t{code}\t{digest(out)}\t{digest(err)}")
-    return 1 if raised else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
