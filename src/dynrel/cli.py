@@ -286,10 +286,9 @@ class _Text:
 
 _COMMA = b", "
 _IM, _RE = b', "im": ', b'}, {"re": '
-# the type tuples of ``_emit``, built once rather than at every check
-_BOOL, _INT = (bool, np.bool_), (int, np.integer)
-_FLOAT, _COMPLEX = (float, np.floating), (complex, np.complexfloating)
-_SCALARS = (str, int, float, complex, np.bool_, np.number)
+_SCALARS = (str, int, float)  # bool is an int
+# the arrays a report holds, by (ndim, dtype): matrices and spectra
+_ARRAYS = ((2, np.dtype(np.float64)), (1, np.dtype(np.complex128)))
 _INDENT = "  "
 
 
@@ -310,33 +309,29 @@ def _block(out: _Text, values, cols: int, head: str, row: bytes, col: bytes, tai
 
 
 def _emit(v, out: _Text, pad: str):
-    """Write ``v``, its lines after the first indented by ``pad``."""
+    """Write ``v``, its lines after the first indented by ``pad``. ``v`` is
+    one of the kinds a report holds: None, a bool, int, float or str, a
+    list or dict of them, a float64 matrix or a complex128 vector; any
+    other value raises ``TypeError``."""
     if v is None:
         out.parts.append("null")
-    elif isinstance(v, _BOOL):
+    elif isinstance(v, bool):
         out.parts.append("true" if v else "false")
     elif isinstance(v, str):
         out.parts.append(json.dumps(v))
-    elif isinstance(v, _INT):
+    elif isinstance(v, int):
         out.parts.append(str(int(v)))
-    elif isinstance(v, _FLOAT):
-        out.floats((float(v),), ())
-    elif isinstance(v, _COMPLEX):
-        z = complex(v)
-        _block(out, (z.real, z.imag), 2, '{"re": ', _RE, _IM, "}")
-    elif isinstance(v, np.ndarray):
-        layout = (v.ndim, v.dtype.kind) if v.size else None
-        if layout == (2, "f"):
-            inner = pad + _INDENT
-            _block(out, np.asarray(v, dtype=np.float64).ravel(), v.shape[1], f"[\n{inner}[",
-                   f"],\n{inner}[".encode(), _COMMA, f"]\n{pad}]")
-        elif layout == (1, "f"):
-            _block(out, np.asarray(v, dtype=np.float64), v.size, "[", _COMMA, _COMMA, "]")
-        elif layout == (1, "c"):
-            _block(out, np.ascontiguousarray(v, dtype=np.complex128).view(np.float64), 2,
-                   '[{"re": ', _RE, _IM, "}]")
-        else:
+    elif isinstance(v, float):
+        out.floats((v,), ())
+    elif isinstance(v, np.ndarray) and (v.ndim, v.dtype) in _ARRAYS:
+        if not v.size:
             _emit(v.tolist(), out, pad)
+        elif v.ndim == 2:
+            inner = pad + _INDENT
+            _block(out, v.ravel(), v.shape[1], f"[\n{inner}[", f"],\n{inner}[".encode(), _COMMA,
+                   f"]\n{pad}]")
+        else:
+            _block(out, np.ascontiguousarray(v).view(np.float64), 2, '[{"re": ', _RE, _IM, "}]")
     elif isinstance(v, dict):
         if not v:
             out.parts.append("{}")
@@ -348,7 +343,7 @@ def _emit(v, out: _Text, pad: str):
                 _emit(val, out, inner)
                 out.parts.append(",\n" if i < len(v) - 1 else "\n")
             out.parts.append(pad + "}")
-    elif isinstance(v, (list, tuple)):
+    elif isinstance(v, list):
         if not v:
             out.parts.append("[]")
         elif all(x is None or isinstance(x, _SCALARS) for x in v):

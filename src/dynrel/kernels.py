@@ -150,6 +150,20 @@ def require_shape(name: str, a: np.ndarray, rows: int | None, cols: int | None):
         raise DimensionMismatch(f"{name}: expected {cols} columns, got {a.shape[1]}")
 
 
+def _symmetric_part(x: np.ndarray) -> np.ndarray:
+    """``0.5 (X + X')`` of a square array X, exactly symmetric. Where the
+    sum overflows (entries above about 9e307) it is ``0.5 X + 0.5 X'``,
+    so a finite X gives a finite result; elsewhere it keeps the bits of
+    ``0.5 (X + X')``."""
+    with np.errstate(over="ignore"):  # the overflowed entries are redone below
+        s = 0.5 * (x + x.T)
+    over = np.isinf(s)
+    if over.any():
+        i, j = np.nonzero(over)
+        s[i, j] = 0.5 * x[i, j] + 0.5 * x[j, i]
+    return s
+
+
 def is_invertible(m, cond_limit: float = COND_LIMIT) -> bool | np.ndarray:
     """Square and with 2-norm condition number below ``cond_limit`` (a 0x0
     matrix is, a zero matrix is not). A stack ``(..., k, k)`` gives a bool
@@ -293,8 +307,7 @@ def solve_lyap_continuous(a, q, schur=None) -> np.ndarray:
     scale = max(1.0, float(np.abs(eigs).max(initial=0.0)))
     if np.abs(eigs[:, None] + eigs).min(initial=np.inf) <= len(eigs) * LYAP_SEP_RTOL * scale:
         raise SpectrumConflict("A and -A share an eigenvalue; equation is singular")
-    p = _lyap_schur(t_mat, z_mat, z_mat.T.dot((-q).dot(z_mat)))
-    return 0.5 * (p + p.T)
+    return _symmetric_part(_lyap_schur(t_mat, z_mat, z_mat.T.dot((-q).dot(z_mat))))
 
 
 def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
@@ -315,8 +328,7 @@ def solve_lyap_discrete(a_d, q_d, schur=None) -> np.ndarray:
     lu = scipy.linalg.lu_factor(t_mat + np.eye(len(eigs)))
     s_mat = scipy.linalg.lu_solve(lu, t_mat - np.eye(len(eigs)))
     c = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, z_mat.T @ q_d @ z_mat).T)
-    p = _lyap_schur(s_mat, z_mat, -2.0 * c.T)
-    return 0.5 * (p + p.T)
+    return _symmetric_part(_lyap_schur(s_mat, z_mat, -2.0 * c.T))
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +387,7 @@ def psd_factor(s_mat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     s_arr = as_matrix(s_mat, square=True, name="S")
     n = s_arr.shape[0]
-    w, v = np.linalg.eigh(0.5 * (s_arr + s_arr.T))
+    w, v = np.linalg.eigh(_symmetric_part(s_arr))
     scale = float(np.abs(w).max(initial=0.0))
     if scale == 0.0:
         return np.zeros((n, 0))

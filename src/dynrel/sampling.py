@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .errors import (
     ConditionError,
     ExistenceFailure,
+    InputError,
     LogFailure,
     NonPositiveH,
     NotPSD,
@@ -38,6 +39,7 @@ from .kernels import (
     Tolerances,
     _real_value,
     _shown,
+    _symmetric_part,
     as_matrix,
     matrix_exp,
     matrix_log_principal,
@@ -80,7 +82,8 @@ class SampledModel:
     construction, by :func:`~dynrel.kernels.as_matrix` (real float64; a
     complex matrix is refused) and their shapes by
     :func:`~dynrel.kernels.require_shape`. Q_d is stored symmetric, as
-    ``0.5 (Q_d + Q_d')``, which keeps an exactly symmetric Q_d's bits."""
+    ``0.5 (Q_d + Q_d')`` (``0.5 Q_d + 0.5 Q_d'`` where the sum overflows),
+    which keeps an exactly symmetric Q_d's bits."""
 
     Ad: np.ndarray
     Qd: np.ndarray
@@ -93,8 +96,7 @@ class SampledModel:
         require_shape("Qd", qd, *ad.shape)
         cd = as_matrix(self.Cd, name="Cd")
         require_shape("Cd", cd, None, ad.shape[0])
-        qd = 0.5 * (qd + qd.T)
-        for name, x in zip(("Ad", "Qd", "Cd", "h"), (ad, qd, cd, _period(self.h))):
+        for name, x in zip(("Ad", "Qd", "Cd", "h"), (ad, _symmetric_part(qd), cd, _period(self.h))):
             object.__setattr__(self, name, x)
 
     @property
@@ -139,17 +141,21 @@ def sample(model: CtModel, h: float) -> SampledModel:
 
     ``E22 = exp(-A' h)`` grows as ``exp(h max(-Re lam(A)))``, so the block
     overflows once that exponent passes about 709, although ``A_d`` and
-    ``Q_d`` may be representable. That period is refused.
+    ``Q_d`` may be representable. That period is refused, and so is one
+    at which ``Q_d`` overflows or underflows to zero.
 
     Raises
     ------
+    InputError
+        ``B B'`` overflows.
     ConditionError
-        The block exponential has a non-finite entry, in ``A_d`` or not.
+        The block exponential has a non-finite entry, in ``A_d`` or not,
+        or ``Q_d`` is not finite or is zero.
     """
     h = _period(h)  # first: an infinite h would make the exponential NaN
-    a, b, c = model.A, model.B, model.C
+    a, b = model.A, model.B
     n = model.n
-    bbt = b @ b.T
+    bbt = _noise_intensity(b)
     block = np.zeros((2 * n, 2 * n))
     block[:n, :n] = a
     block[:n, n:] = bbt
@@ -160,7 +166,23 @@ def sample(model: CtModel, h: float) -> SampledModel:
         raise ConditionError(f"sampling period h = {h!r}: the block exponential "
                              "exp([[A, B B'], [0, -A']] h) overflows")
     a_d = big[:n, :n]
-    return SampledModel(Ad=a_d, Qd=big[:n, n:] @ a_d.T, Cd=c.copy(), h=h)
+    with np.errstate(over="ignore"):  # refused below, by name
+        q_d = big[:n, n:] @ a_d.T
+    finite = np.isfinite(q_d).all()
+    if not (finite and q_d.any()):
+        raise ConditionError(f"sampling period h = {h!r}: Q_d = E12 E11' "
+                             + ("underflows to zero" if finite else "overflows"))
+    return SampledModel(Ad=a_d, Qd=q_d, Cd=model.C, h=h)
+
+
+def _noise_intensity(b: np.ndarray) -> np.ndarray:
+    """``B B'``; an overflowing product raises
+    :class:`~dynrel.errors.InputError`, as the model's ``C B`` does."""
+    with np.errstate(over="ignore"):  # refused below, by name
+        bbt = b @ b.T
+    if not np.isfinite(bbt).all():
+        raise InputError("B B' has non-finite entries: the product overflows")
+    return bbt
 
 
 def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]:
@@ -168,7 +190,7 @@ def dual_lyapunov_check(model: CtModel, sm: SampledModel) -> tuple[float, float]
     continuous equation ``A P + P A' + B B' = 0`` and the discrete one
     ``P = A_d P A_d' + Q_d``. Both are at roundoff level when ``sm``
     really is a sampling of ``model``; no threshold is applied to them."""
-    bbt = model.B @ model.B.T
+    bbt = _noise_intensity(model.B)
     return _residuals(model.A, bbt, sm, solve_lyap_continuous(model.A, bbt),
                       norm2(model.B) ** 2, norm2(sm.Qd))
 
@@ -211,6 +233,8 @@ def desample(
     NotSemidefinite
         Condition (iii): ``A P + P A'`` has a significantly positive
         eigenvalue.
+    ConditionError
+        ``A P + P A'`` overflows, so condition (iii) cannot be decided.
     """
     diag = DesampleDiagnostics(logm_exists=False, qd_nonsingular=False,
                                neg_semidef_ok=False)
@@ -231,7 +255,11 @@ def desample(
     diag.qd_rank = rank_from_values(np.abs(w), sm.n, tol)
 
     p = solve_lyap_discrete(sm.Ad, sm.Qd, schur=schur)
-    candidate = a @ p + p @ a.T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        candidate = a @ p + p @ a.T
+    if not np.isfinite(candidate).all():
+        raise _refusal(ConditionError(
+            "A P + P A' has non-finite entries: condition (iii) cannot be decided"), diag)
     try:
         b = psd_factor(-candidate, tol)
     except NotPSD as exc:
@@ -244,7 +272,7 @@ def desample(
     # B's columns are orthogonal (eigenvectors scaled by the square roots of
     # their eigenvalues), so ||B B'||_2 is the largest squared column norm;
     # ||Q_d||_2 is the largest eigenvalue of the Q_d gate, all positive there
-    model = validate_ct_model(CtModel(a, b, sm.Cd.copy()), tol)
+    model = validate_ct_model(CtModel(a, b, sm.Cd), tol)
     diag.residuals = _residuals(a, b @ b.T, sm, p,
                                 np.linalg.norm(b, axis=0).max() ** 2, w.max())
     diag.recovered_rank = b.shape[1]

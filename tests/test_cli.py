@@ -69,14 +69,26 @@ class TestSerializer:
     def test_value_kinds(self):
         text = dumps_report({
             "i": 3, "b": True, "none": None, "s": "a\"b",
-            "z": 1 + 2j, "v": [1.5, 2], "m": np.eye(2), "empty": [],
+            "z": np.array([1 + 2j]), "v": [1.5, 2], "m": np.eye(2), "empty": [],
         })
         data = json.loads(text)
         assert data["i"] == 3 and data["b"] is True and data["none"] is None
         assert data["s"] == 'a"b'
-        assert data["z"] == {"re": 1.0, "im": 2.0}
+        assert data["z"] == [{"re": 1.0, "im": 2.0}]
         assert data["m"] == [[1.0, 0.0], [0.0, 1.0]]
         assert data["empty"] == []
+
+    # every value a report does not hold, each refused by its type name
+    @pytest.mark.parametrize("value", [
+        np.float32(1.0), np.int64(1), np.bool_(True), 1j, (1, 2), np.zeros(3),
+        np.zeros((2, 2), complex), np.zeros((2, 2, 2)), np.zeros((2, 2), np.float32),
+    ], ids=["float32", "int64", "bool_", "complex", "tuple", "float-1d", "complex-2d",
+            "float-3d", "float32-2d"])
+    def test_only_report_kinds_are_written(self, value):
+        message = f"cannot serialize {type(value).__name__} in report"
+        for report in ({"x": value}, {"x": [1, value]}):
+            with pytest.raises(TypeError, match=message):
+                dumps_report(report)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
@@ -101,7 +113,7 @@ class TestSerializer:
     def test_complex_array_bytes_match_list_path(self, values):
         arr = np.array(values, dtype=np.complex128)
         for wrap in (lambda z: {"z": z}, lambda z: {"a": {"b": [z, 1]}}):
-            assert dumps_report(wrap(arr)) == dumps_report(wrap([complex(z) for z in arr]))
+            assert dumps_report(wrap(arr)) == oracles.reference_dumps(wrap(arr))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("part", ["re", "im"])
@@ -110,7 +122,7 @@ class TestSerializer:
         arr[1] = complex(bad, 2.0) if part == "re" else complex(2.0, bad)
         arr[2] = complex(-bad, -bad)
         with pytest.raises(ValueError) as from_list:
-            dumps_report({"z": [complex(z) for z in arr]})
+            oracles.reference_dumps({"z": arr})
         with pytest.raises(ValueError) as from_array:
             dumps_report({"z": arr})
         assert str(from_array.value) == str(from_list.value)
@@ -170,39 +182,36 @@ class TestSerializer:
         rng = np.random.default_rng(size)
         values = rng.normal(size=size) * 10.0 ** rng.integers(-30, 30, size)
         values[::7] = 0.0
-        report = {"v": values, "z": values[: size // 2 * 2].view(np.complex128),
-                  "M": values[: size // 4 * 4].reshape(-1, 4), "empty": np.zeros((3, 0))}
-        # every kind of complex scalar at the top level, in a dict and in a
-        # list of scalars; float32 arrays and scalars; empty 1-d arrays
-        w = complex(values[0], values[-1])
-        scalars = [complex(w), np.complex128(w), np.complex64(w)]
-        report |= {"c": scalars[0], "c128": scalars[1], "c64": scalars[2],
-                   "in_dict": dict(zip(("c", "c128", "c64"), scalars)),
-                   "in_list": [1, values[0], *scalars, None, True],
-                   "f32": values.astype(np.float32), "f32_scalar": np.float32(values[-1]),
-                   "v0": np.zeros(0), "z0": np.zeros(0, np.complex128)}
+        # every kind a report holds: a float64 matrix, a complex128 vector,
+        # float scalars, lists of ints and strings, nested dicts, and the
+        # empty shapes of both arrays
+        report = {"M": values[: size // 4 * 4].reshape(-1, 4),
+                  "z": values[: size // 2 * 2].view(np.complex128),
+                  "first": values[0], "last": float(values[-1]),
+                  "rows": [0, size, -1], "labels": ["y1", "y\"2"],
+                  "nested": {"F": {"D": values[:1].reshape(1, 1), "n": None, "ok": True}},
+                  "empty": np.zeros((0, 0)), "no_cols": np.zeros((3, 0)),
+                  "no_rows": np.zeros((0, 3)), "z0": np.zeros(0, np.complex128)}
         assert dumps_report(report) == oracles.reference_dumps(report)
 
     def test_report_larger_than_a_chunk_matches_list_path(self):
         report = _relation_like_report(np.random.default_rng(11), 12)
         assert sum(e["gamma"].size for e in report["selections"]) > cli._CHUNK
-        text = dumps_report(report)
-        assert text == dumps_report(_listed(report))
-        assert text == oracles.reference_dumps(report)
+        assert dumps_report(report) == oracles.reference_dumps(report)
 
     @pytest.mark.parametrize("where", range(6))
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_error_names_first_nonfinite_in_walk_order(self, where, bad):
         report = {"M": np.ones((2, 3)), "z": np.array([1 + 1j, 2 - 2j]), "s": 0.5,
                   "list": [1.0, 2.0, 3.0],
-                  "nested": {"N": np.arange(6.0).reshape(3, 2), "w": [1j, 2.0]}}
+                  "nested": {"N": np.arange(6.0).reshape(3, 2), "w": [{"x": 1.0}, {"y": 2.0}]}}
         plant = [  # one float of each value kind, in walk order
             lambda v: report["M"].__setitem__((1, 2), v),
             lambda v: report["z"].__setitem__(1, complex(2.0, v)),
             lambda v: report.__setitem__("s", v),
             lambda v: report["list"].__setitem__(2, v),
             lambda v: report["nested"]["N"].__setitem__((2, 0), v),
-            lambda v: report["nested"]["w"].__setitem__(1, v),
+            lambda v: report["nested"]["w"][1].__setitem__("y", v),
         ]
         later = float("-inf") if bad == float("inf") else float("inf")
         plant[where](bad)
@@ -247,17 +256,6 @@ def _relation_like_report(rng, count):
                       "C": rng.normal(size=(3, 27)), "D": rng.normal(size=(3, 3))}}
                for _ in range(count)]
     return {"v": 1, "command": "relation", "selections": entries, "any_stable": False}
-
-
-def _listed(v):
-    """``v`` with every array replaced by its nested list."""
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, dict):
-        return {key: _listed(val) for key, val in v.items()}
-    if isinstance(v, list):
-        return [_listed(val) for val in v]
-    return v
 
 
 class TestParser:
@@ -865,6 +863,49 @@ class TestSamplingCommands:
         assert code == 0
         assert data == {"v": 1, "command": "hidden-rank", "input": path, "h": 700, "n": 1,
                         "bbt_rank": 1, "qd_rank": 1, "recovered_rank": 1, "hidden": False}
+
+    # the two-state model of the digests' faults set with B scaled to the
+    # float range's edges: B B' = 1e310 overflows, and at h = 1e-300
+    # Q_d = 1e-320 h underflows to zero
+    @pytest.mark.parametrize("scale, argv, code, kind, message", [
+        (1e155, ["sample", "--h", "0.1"], 2, "InputError",
+         "B B' has non-finite entries: the product overflows"),
+        (1e155, ["hidden-rank", "--h", "0.1"], 2, "InputError",
+         "B B' has non-finite entries: the product overflows"),
+        (1e-160, ["sample", "--h", "1e-300"], 3, "ConditionError",
+         "sampling period h = 1e-300: Q_d = E12 E11' underflows to zero"),
+    ], ids=["sample-BBt-overflow", "hidden-rank-BBt-overflow", "sample-Qd-underflow"])
+    def test_noise_at_the_float_edges_is_refused_by_name(self, capsys, tmp_path, scale, argv,
+                                                         code, kind, message):
+        path = write_model(tmp_path / "edge.json", A=[[-1.0, 0.0], [0.0, -2.0]],
+                           B=[[scale], [scale]], C=np.eye(2))
+        assert run(["validate", path]) == 0
+        capsys.readouterr()
+        assert run(argv[:1] + [path] + argv[1:]) == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == {"kind": kind, "message": message}
+        assert captured.err == f"error: {message}\n"
+
+    # Q_d = diag(1e308, 1e308): 0.5 (Q_d + Q_d') would overflow. At h = 1000
+    # the triple de-samples; at h = 0.1, A = log(A_d) / h makes A P + P A'
+    # overflow, and condition (iii) cannot be decided
+    @pytest.mark.parametrize("h, code", [(1000.0, 0), (0.1, 3)])
+    def test_desample_qd_near_the_float_limit(self, capsys, tmp_path, h, code):
+        path = write_model(tmp_path / "huge.json", Ad=[[0.5, 0.0], [0.0, 0.4]],
+                           Qd=[[1e308, 0.0], [0.0, 1e308]], Cd=np.eye(2), h=h)
+        assert run(["desample", path]) == code
+        captured = capsys.readouterr()
+        data = json.loads(captured.out)
+        if code == 0:
+            assert captured.err == ""
+            assert data["m"] == 2 and data["diagnostics"]["neg_semidef_ok"]
+            np.testing.assert_allclose(np.diag(data["A"]), np.log([0.5, 0.4]) / h)
+            return
+        message = "A P + P A' has non-finite entries: condition (iii) cannot be decided"
+        assert data["error"] == {"kind": "ConditionError", "message": message}
+        assert data["diagnostics"] == {"logm_exists": True, "qd_nonsingular": True,
+                                       "neg_semidef_ok": False, "recovered_rank": 0}
+        assert captured.err == f"error: {message}\n"
 
     def test_sample_desample_round_trip(self, capsys, model2_file, tmp_path):
         code = run(["sample", model2_file, "--h", "0.1"])

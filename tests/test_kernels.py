@@ -344,6 +344,13 @@ class TestLyapDiscrete:
         with pytest.raises(SpectrumConflict):
             solve_lyap_discrete(np.eye(2), np.eye(2))
 
+    def test_huge_qd_gives_finite_symmetric_p(self):
+        # P = diag(1e308 / 0.75, 1e308 / 0.84): finite, though P + P' is not
+        p = solve_lyap_discrete(np.diag([0.5, 0.4]), np.diag([1e308, 1e308]))
+        assert np.isfinite(p).all() and np.array_equal(p, p.T)
+        np.testing.assert_allclose(np.diag(p), [1e308 / 0.75, 1e308 / 0.84], rtol=1e-14)
+        assert p[0, 1] == 0.0
+
 
 class TestConjugatePairBlocks:
     """Real inputs whose Schur factor has 2x2 blocks. The Cayley transform

@@ -106,6 +106,14 @@ class TestSampledModel:
         sym = np.array([[1 / 3, 5e-324], [5e-324, np.pi]])
         assert SampledModel(0.5 * np.eye(2), sym, np.eye(2), 0.1).Qd.tobytes() == sym.tobytes()
 
+    def test_qd_beyond_half_the_float_range_stored_finite(self):
+        # where Q_d + Q_d' overflows it is stored as 0.5 Q_d + 0.5 Q_d', the
+        # other entries as 0.5 (Q_d + Q_d')
+        qd = np.array([[1e308, 1.7e308], [1.5e308, 0.1]])
+        stored = SampledModel(0.5 * np.eye(2), qd, np.eye(2), 0.1).Qd
+        assert np.array_equal(stored, stored.T)
+        assert stored.tolist() == [[1e308, 0.5 * 1.7e308 + 0.5 * 1.5e308], [1.6e308, 0.1]]
+
     def test_frozen(self):
         sm = SampledModel([[0.5]], [[0.75]], [[1.0]], H_LN2)
         for name, value in (("h", -1), ("Ad", np.eye(1)), ("Qd", np.eye(1))):

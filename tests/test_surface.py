@@ -14,8 +14,8 @@ from dynrel.feedback import closed_loop_T, granger_verdict
 from dynrel.kernels import (Tolerances, as_matrix, matrix_exp, matrix_log_principal,
                             numerical_rank, psd_factor, schur_form, solve_lyap_continuous,
                             solve_lyap_discrete)
-from dynrel.lti import StateSpace, validate_ct_model
-from dynrel.sampling import SampledModel
+from dynrel.lti import CtModel, StateSpace, validate_ct_model
+from dynrel.sampling import SampledModel, sample
 from dynrel.spectral import default_grid, spectral_rank_profile
 
 LAYERS = ("errors", "kernels", "lti", "spectral", "relation", "feedback", "sampling",
@@ -103,6 +103,8 @@ COMPLEX_INPUTS = (
     pytest.param(lambda: validate_ct_model(StateSpace([[-1e200]], [[1e200]], [[1e200]])),
                  InputError, "C B has non-finite entries: the product overflows",
                  id="validate_ct_model-CB"),
+    pytest.param(lambda: sample(CtModel([[-1.0]], [[1e155]], [[1.0]]), 0.1), InputError,
+                 "B B' has non-finite entries: the product overflows", id="sample-BBt"),
     pytest.param(lambda: default_grid(1, 2, 0), InputError,
                  "grid bounds must be finite and positive, and count >= 1", id="default_grid"),
     *(pytest.param(lambda c=count: default_grid(1, 2, c), InputError,

@@ -11,8 +11,8 @@ Builds the inputs of the relations, roundtrip and freqgrid workloads with
 once, with seed ``-``: each entry of ``FAULTS`` is a model file written
 to a temporary directory and one command run on it. The first files
 are a valid model with one field (one file: two) made malformed or
-inadmissible; the
-rest are valid, and the call's command-line values are refused.
+inadmissible; the next are valid, and the call's command-line values
+are refused; the last four hold numbers at the float range's edges.
 For each call it prints one tab-separated line: set, seed, argv, exit
 code, and the SHA-256 of stdout and of stderr. The work directory is
 written as ``WORKDIR`` in the argv and before hashing, so two checkouts
@@ -32,6 +32,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 TOKEN = "WORKDIR"
@@ -86,13 +87,22 @@ FAULTS = (
     *(("continuous", "relation", CONTINUOUS, {}, ("--rows", rows)) for rows in ("9", "a", "0,0")),
     # H = F: two outputs and one input, where H must have one output and two inputs
     ("continuous", "feedback", CONTINUOUS, {}, ("--h", "{file}")),
+    # noise at the float range's edges: B B' = 1e310 overflows; Q_d = 1e-320 h
+    # underflows to zero; A P + P A' overflows, though 0.5 (Q_d + Q_d') need not
+    *(("BBt-overflow", command, CONTINUOUS, {"B": [[1e155], [1e155]]}, ("--h", "0.1"))
+      for command in ("sample", "hidden-rank")),
+    ("Qd-underflow", "sample", CONTINUOUS, {"B": [[1e-160], [1e-160]]}, ("--h", "1e-300")),
+    ("Qd-huge", "desample", SAMPLED, {"Qd": [[1e308, 0], [0, 1e308]]}),
 )
 
 
 def invoke(run, argv):
-    """(exit code or raised exception, stdout, stderr) of one call."""
+    """(exit code or raised exception, stdout, stderr) of one call. Each
+    call shows its warnings as a process of its own would: entering
+    ``catch_warnings`` forgets which warnings were already shown."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
         try:
             code = run(argv)
         except (Exception, SystemExit) as exc:
